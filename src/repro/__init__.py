@@ -18,12 +18,12 @@ Entry point::
 
 from repro.query.term import Query, QueryTerm
 from repro.service.query_service import QueryService
-from repro.shard import ShardedQueryService, ShardedSeda
+from repro.shard import ShardedSeda
 from repro.system import Seda, SedaSession
 
 __version__ = "1.1.0"
 
 __all__ = [
     "Query", "QueryService", "QueryTerm", "Seda", "SedaSession",
-    "ShardedQueryService", "ShardedSeda", "__version__",
+    "ShardedSeda", "__version__",
 ]

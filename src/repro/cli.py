@@ -35,8 +35,7 @@ side means "any".  ``snapshot save`` persists a fully built system to
 one versioned file; ``snapshot load`` cold-starts from it without
 re-parsing or re-indexing.
 
-``serve-batch`` and ``bench-queries`` exercise the concurrent query
-service.  A query file holds one query per line, terms separated by
+``serve-batch`` and ``bench-queries`` exercise the query service.  A query file holds one query per line, terms separated by
 ``;;`` (blank lines and ``#`` comments are skipped)::
 
     *:"United States" ;; trade_country:*
@@ -44,8 +43,7 @@ service.  A query file holds one query per line, terms separated by
 
 Without ``--queries`` both commands fall back to a built-in Factbook
 query set.  ``bench-queries`` runs every query sequentially through
-the bare top-k searcher and then as one concurrent batch through the
-service, verifies the two answer sets are identical, and reports both
+the bare top-k searcher and then as one batch through the service, verifies the two answer sets are identical, and reports both
 throughputs -- it exits non-zero on any mismatch, which CI uses as a
 serving-path smoke check.  With ``--shards N`` it additionally builds
 an N-shard copy of the corpus (without value links -- hash
@@ -84,7 +82,7 @@ counts -- either built from a dataset or restored via ``--snapshot``
 (see docs/OPERATIONS.md for the field glossary).
 
 ``stats`` doubles as the observability reader: with ``--queries`` it
-serves the workload through the concurrent service with a retained
+serves the workload through the query service with a retained
 :class:`~repro.obs.registry.StatsRegistry` attached and prints the
 per-fingerprint statistics table (latency percentiles, cache-hit/
 prune/early-stop rates) plus the slow-query log (``--slow-ms`` sets
@@ -380,7 +378,7 @@ def cmd_query1(args, out):
 
 
 def cmd_serve_batch(args, out):
-    """Run one concurrent batch and print per-query results."""
+    """Run one batch through the service; print per-query results."""
     seda = _build_seda(args)
     queries = _load_queries(args)
     service = seda.query_service(workers=args.workers)
@@ -861,7 +859,8 @@ def build_parser():
                          help="query file (one query per line, terms "
                               "separated by ';;'); built-in set if omitted")
         sub.add_argument("--workers", type=int, default=4,
-                         help="concurrent worker searchers (default 4)")
+                         help="searches the service runs at once "
+                              "(default 4)")
         sub.add_argument("-k", type=int, default=10, help="top-k size")
 
     stats = subparsers.add_parser(
@@ -940,7 +939,7 @@ def build_parser():
     info_cmd.set_defaults(handler=cmd_info)
 
     serve_batch = subparsers.add_parser(
-        "serve-batch", help="serve a batch of queries concurrently"
+        "serve-batch", help="serve a batch of queries through the service"
     )
     add_source_options(serve_batch)
     add_service_options(serve_batch)
@@ -961,7 +960,8 @@ def build_parser():
                        help="bind port (default 0 = pick an ephemeral "
                             "port, printed on the first output line)")
     serve.add_argument("--workers", type=int, default=4,
-                       help="concurrent query workers (default 4)")
+                       help="searches the service runs at once "
+                            "(default 4)")
     serve.add_argument("--max-inflight", type=int, default=64,
                        help="admission cap on concurrent requests "
                             "(default 64; excess gets 429)")

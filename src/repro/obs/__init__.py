@@ -17,9 +17,9 @@ This package is the retained layer an operator reads *after the fact*:
   stopped (corner bound vs. exhaustion).
 
 The registry threads through :class:`~repro.service.query_service.
-QueryService` and :class:`~repro.shard.service.ShardedQueryService`
-(opt-in via ``Seda.enable_observability()``; zero overhead when
-absent) and persists alongside snapshots, so a reloaded service keeps
+QueryService` -- the one serving facade of single-file and sharded
+systems alike (opt-in via ``enable_observability()``; zero overhead
+when absent) and persists alongside snapshots, so a reloaded service keeps
 its history.  ``repro stats --queries/--json`` and ``repro explain``
 expose both on the command line; see docs/OPERATIONS.md ("Slow-query
 triage").

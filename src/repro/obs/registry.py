@@ -1,9 +1,9 @@
 """The retained, thread-safe statistics registry and slow-query log.
 
 One :class:`StatsRegistry` outlives individual queries: the serving
-facades (:class:`~repro.service.query_service.QueryService`,
-:class:`~repro.shard.service.ShardedQueryService`) record every served
-query's :class:`~repro.service.stats.QueryStats` under its normalized
+facade (:class:`~repro.service.query_service.QueryService`, over a
+single-file or a sharded system) records every served query's
+:class:`~repro.service.stats.QueryStats` under its normalized
 fingerprint, and an operator later reads per-fingerprint execution
 counts, cache-hit/prune/early-stop rates, latency percentiles, and
 per-shard skew -- ``repro stats --queries/--json`` renders exactly
@@ -32,7 +32,7 @@ import threading
 
 from repro.obs.histogram import LatencyHistogram
 
-#: Per-shard counters folded from ``ShardedQueryStats.per_shard``.
+#: Per-shard counters folded from ``QueryStats.per_shard``.
 _SHARD_COUNTERS = ("sorted_accesses", "tuples_scored", "pruned")
 
 
@@ -73,7 +73,7 @@ class FingerprintStats:
         self.tuples_scored += stats.tuples_scored
         self.pruned += stats.pruned
         self.histogram.observe(stats.latency)
-        for entry in getattr(stats, "per_shard", ()):
+        for entry in stats.per_shard:
             shard = self.per_shard.setdefault(
                 str(entry["shard"]),
                 {name: 0 for name in _SHARD_COUNTERS} | {"early_stops": 0},
@@ -180,9 +180,9 @@ class StatsRegistry:
     def record(self, fingerprint, stats):
         """Record one served query under its fingerprint.
 
-        ``stats`` is a :class:`~repro.service.stats.QueryStats` (or the
-        sharded subclass -- its ``per_shard`` breakdown feeds the skew
-        counters).  Queries at or above the slow threshold additionally
+        ``stats`` is a :class:`~repro.service.stats.QueryStats`; a
+        scatter-gather query's ``per_shard`` breakdown feeds the skew
+        counters.  Queries at or above the slow threshold additionally
         enter the slow-query ring buffer with their full record.
         """
         with self._lock:
@@ -208,9 +208,8 @@ class StatsRegistry:
             "pruned": stats.pruned,
             "early_stop": bool(stats.early_stop),
         }
-        per_shard = getattr(stats, "per_shard", None)
-        if per_shard:
-            entry["per_shard"] = [dict(shard) for shard in per_shard]
+        if stats.per_shard:
+            entry["per_shard"] = [dict(shard) for shard in stats.per_shard]
         return entry
 
     # -- reading --------------------------------------------------------------

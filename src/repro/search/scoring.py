@@ -27,12 +27,26 @@ Structural distances are memoized per graph version
 :meth:`compactness` never walks the same Dewey/link route twice while
 the graph is unchanged.
 
+Version-keyed structures
+------------------------
+
+Everything the top-k unit derives from the data graph lives here, keyed
+on :attr:`DataGraph.version`: the document-reachability map, the
+per-document edge index and the pair-distance memo.  Each is held as
+one ``(version, value)`` pair, so a reader sees a matching pair or
+rebuilds; one lock collapses concurrent rebuilds into a single build.
+Searchers hold none of it -- every searcher over one scoring model
+reads the same structures, and a graph mutation expires all three.
+
 ``precomputed=False`` is the escape hatch that disables every
 query-time cache (tf tables, distance memo -- and, in the top-k unit,
 stream caching and bound-based pruning).  It exists so the benchmark
 suite can prove the fast path returns byte-identical answers to the
 recompute-everything path; production paths never set it.
 """
+
+import collections
+import threading
 
 _MISSING = object()
 
@@ -51,44 +65,77 @@ class ScoringModel:
         #: When False, every query-time cache in the scoring pipeline is
         #: bypassed (the benchmark equivalence baseline).
         self.precomputed = precomputed
-        self._doc_edge_index = None
-        self._indexed_version = -1
-        # Memoized pair distances, keyed on the symmetric (lo, hi) node
-        # pair and valid for exactly one graph version.  Mutations are
-        # externally serialized with queries (single writer / many
-        # readers), so a version flip never races an in-flight search;
-        # concurrent readers share the dict safely under the GIL
-        # (writes of the same key are idempotent).  The hit/miss
-        # counters are approximate under concurrency -- reporting only.
-        self._pair_cache = {}
-        self._pair_cache_version = -1
+        # name -> (graph version, value); see "Version-keyed
+        # structures" above.  Mutations are externally serialized with
+        # queries (single writer / many readers), so a version flip
+        # never races an in-flight search.
+        self._derived = {}
+        self._derive_lock = threading.Lock()
+        # Pair-distance memo counters: approximate under concurrency,
+        # reporting only.
         self.pair_hits = 0
         self.pair_misses = 0
 
-    # -- fast structural distances --------------------------------------------
+    # -- version-keyed structures ---------------------------------------------
+
+    def _derived_for_version(self, name, build):
+        """``name``'s structure for the current graph version.
+
+        Built at most once per version however many searches ask at
+        once: the unlocked probe serves every later reader, the lock
+        only orders the first ones.
+        """
+        version = self.graph.version
+        held = self._derived.get(name)
+        if held is None or held[0] != version:
+            with self._derive_lock:
+                held = self._derived.get(name)
+                if held is None or held[0] != version:
+                    held = self._derived[name] = (version, build())
+        return held[1]
+
+    def document_reachability(self):
+        """doc_id -> set of doc_ids reachable via one link edge.
+
+        The top-k unit enumerates partners only inside reachable
+        documents.  Keyed on the graph version, so *any* edge mutation
+        invalidates it -- not only mutations that happen to change the
+        edge count; recomputing this map per query used to dominate
+        repeated-search workloads on link-heavy collections.
+        """
+        return self._derived_for_version("reach", self._build_reachability)
+
+    def _build_reachability(self):
+        reach = collections.defaultdict(set)
+        for edge in self.graph.edges:
+            source_doc = self.collection.node(edge.source_id).doc_id
+            target_doc = self.collection.node(edge.target_id).doc_id
+            if source_doc != target_doc:
+                reach[source_doc].add(target_doc)
+                reach[target_doc].add(source_doc)
+        return reach
 
     def _edge_index(self):
         """(doc_a, doc_b) -> [(source_id, target_id)] over link edges.
 
-        Rebuilt when the graph mutated since the last use (keyed on
-        :attr:`DataGraph.version`, so any mutation invalidates -- not
-        just ones that change the edge count); keeps pair distance
-        computation O(edges between the two documents) instead of a
-        breadth-first search over the whole graph (link hubs such as
-        frequently-referenced countries make BFS frontiers explode).
+        Keeps pair distance computation O(edges between the two
+        documents) instead of a breadth-first search over the whole
+        graph (link hubs such as frequently-referenced countries make
+        BFS frontiers explode).
         """
-        version = self.graph.version
-        if self._doc_edge_index is None or self._indexed_version != version:
-            index = {}
-            for edge in self.graph.edges:
-                source_doc = self.collection.node(edge.source_id).doc_id
-                target_doc = self.collection.node(edge.target_id).doc_id
-                index.setdefault((source_doc, target_doc), []).append(
-                    (edge.source_id, edge.target_id)
-                )
-            self._doc_edge_index = index
-            self._indexed_version = version
-        return self._doc_edge_index
+        return self._derived_for_version("edges", self._build_edge_index)
+
+    def _build_edge_index(self):
+        index = {}
+        for edge in self.graph.edges:
+            source_doc = self.collection.node(edge.source_id).doc_id
+            target_doc = self.collection.node(edge.target_id).doc_id
+            index.setdefault((source_doc, target_doc), []).append(
+                (edge.source_id, edge.target_id)
+            )
+        return index
+
+    # -- fast structural distances --------------------------------------------
 
     def pair_distance(self, node_a, node_b):
         """Structural distance between two nodes, or ``None``.
@@ -115,16 +162,14 @@ class ScoringModel:
     def pair_cache(self):
         """The live distance memo for the current graph version.
 
-        The top-k unit's hot loop reads this dict directly (symmetric
-        ``(lo, hi)`` keys, :data:`_MISSING`-sentinel absent) to skip
-        the method-call overhead of :meth:`pair_distance` on hits; it
+        Keyed on the symmetric ``(lo, hi)`` node pair; concurrent
+        readers grow the dict safely under the GIL (writes of the same
+        key are idempotent).  The top-k unit's hot loop reads it
+        directly (:data:`_MISSING`-sentinel absent) to skip the
+        method-call overhead of :meth:`pair_distance` on hits; it
         reports the hits it takes in bulk via :attr:`pair_hits`.
         """
-        version = self.graph.version
-        if self._pair_cache_version != version:
-            self._pair_cache = {}
-            self._pair_cache_version = version
-        return self._pair_cache
+        return self._derived_for_version("pairs", dict)
 
     def _pair_distance(self, node_a, node_b):
         """Uncached distance: exact Dewey tree distance within one
@@ -276,23 +321,6 @@ class ScoringModel:
         pruning it changes no answer.
         """
         return self.combine(content_bounds, compactness_cap)
-
-    # -- cross-worker sharing ---------------------------------------------------
-
-    def adopt_caches(self, source):
-        """Share ``source``'s derived caches instead of rebuilding them.
-
-        Used by :meth:`TopKSearcher.share_read_caches` when worker
-        searchers carry separate scoring models: the per-document edge
-        index and the pair-distance memo are read-mostly and
-        version-keyed, so N workers share one instance of each instead
-        of building N identical copies.
-        """
-        self._doc_edge_index = source._doc_edge_index
-        self._indexed_version = source._indexed_version
-        self._pair_cache = source._pair_cache
-        self._pair_cache_version = source._pair_cache_version
-        return self
 
     def counters(self):
         """Cumulative distance-memo hit/miss counters (batch stats)."""

@@ -29,7 +29,7 @@ Hot-path engineering on top of the paper's algorithm:
 
 * **Impact streams** -- a term's stream is built once per graph
   version, stored columnar in an :class:`ImpactStreamStore` (shared
-  across workers, persisted through snapshots), and thereafter sorted
+  by every searcher, persisted through snapshots), and thereafter sorted
   access is an index into two flat arrays instead of a re-analysis of
   every candidate's text.
 * **Bound-based pruning** -- before a candidate tuple's structural
@@ -116,9 +116,11 @@ class TopKSearcher:
         #: every searcher over the same indexes reuses one set of
         #: streams; a private store is created otherwise.
         self.streams = streams if streams is not None else ImpactStreamStore()
+        #: The last search's counters: the only state a searcher
+        #: mutates, which is why concurrent searches each build their
+        #: own.  Everything derived from the graph lives on the scoring
+        #: model, everything derived from the indexes in ``streams``.
         self.stats = {}
-        self._doc_reach = None
-        self._reach_version = -1
 
     # -- public API -----------------------------------------------------------
 
@@ -168,7 +170,7 @@ class TopKSearcher:
         if len(terms) == 1:
             return self._single_term(streams[0], terms, k)
 
-        doc_reach = self._document_reachability()
+        doc_reach = self.scoring.document_reachability()
         seen_by_doc = [collections.defaultdict(list) for _ in terms]
         seen_scores = [dict() for _ in terms]
         frontiers = [stream.scores[0] for stream in streams]
@@ -248,6 +250,17 @@ class TopKSearcher:
         results.sort(key=lambda r: (-r.score, r.node_ids))
         return results
 
+    def counters(self):
+        """The last search's effort counters, as serving statistics
+        record them (one entry per searcher a query ran)."""
+        stats = self.stats
+        return {
+            "sorted_accesses": stats["sorted_accesses"],
+            "tuples_scored": stats["tuples_scored"],
+            "pruned": stats["pruned"],
+            "early_stop": stats["early_stop"],
+        }
+
     # -- internals --------------------------------------------------------------
 
     def _stream(self, term):
@@ -323,57 +336,15 @@ class TopKSearcher:
                 return "triple"
         return "general"
 
-    def _document_reachability(self):
-        """doc_id -> set of doc_ids reachable via one link edge.
-
-        Cached across queries and keyed on the graph's monotonic
-        :attr:`~repro.model.graph.DataGraph.version`, so *any* edge
-        mutation invalidates it -- not only mutations that happen to
-        change the edge count.  Recomputing this map per query used to
-        dominate repeated-search workloads on link-heavy collections.
-        """
-        version = self.scoring.graph.version
-        if self._doc_reach is None or self._reach_version != version:
-            reach = collections.defaultdict(set)
-            collection = self.matcher.collection
-            for edge in self.scoring.graph.edges:
-                source_doc = collection.node(edge.source_id).doc_id
-                target_doc = collection.node(edge.target_id).doc_id
-                if source_doc != target_doc:
-                    reach[source_doc].add(target_doc)
-                    reach[target_doc].add(source_doc)
-            self._doc_reach = reach
-            self._reach_version = version
-        return self._doc_reach
-
     def warm(self):
-        """Precompute the shared read-only caches this searcher uses.
+        """Build the scoring model's graph-derived structures now.
 
-        Builds the document-reachability map and the scoring model's
-        per-document edge index for the current graph version.  The
-        query service calls this once before dispatching work so that
-        concurrent workers only ever *read* the shared structures.
-        (Impact streams warm lazily, term by term, on first use --
-        their store is already shared.)
+        Searches build them on first use anyway; benchmarks call this
+        so a timed run starts from the same state as a serving system.
+        (Impact streams warm lazily, term by term.)
         """
-        self._document_reachability()
+        self.scoring.document_reachability()
         self.scoring._edge_index()
-        return self
-
-    def share_read_caches(self, source):
-        """Adopt ``source``'s computed shared caches.
-
-        Worker searchers in a query service share one instance of every
-        read-only derived structure instead of each building identical
-        copies: the document-reachability map, the impact-stream store,
-        and -- when the workers carry separate scoring models -- the
-        scoring side's per-document edge index and pair-distance memo.
-        """
-        self._doc_reach = source._doc_reach
-        self._reach_version = source._reach_version
-        self.streams = source.streams
-        if self.scoring is not source.scoring:
-            self.scoring.adopt_caches(source.scoring)
         return self
 
     def _combine_pair(self, i, node_id, score, seen_scores, partners,

@@ -1,15 +1,7 @@
-"""The serving layer: concurrent batch queries with result caching."""
+"""The serving layer: one query-execution path with result caching."""
 
 from repro.service.cache import ResultCache
 from repro.service.query_service import QueryService
-from repro.service.stats import (
-    BatchStats,
-    QueryStats,
-    ShardedBatchStats,
-    ShardedQueryStats,
-)
+from repro.service.stats import BatchStats, QueryStats
 
-__all__ = [
-    "BatchStats", "QueryService", "QueryStats", "ResultCache",
-    "ShardedBatchStats", "ShardedQueryStats",
-]
+__all__ = ["BatchStats", "QueryService", "QueryStats", "ResultCache"]

@@ -1,35 +1,51 @@
-"""Concurrent batch query execution with result caching.
+"""Query execution with result caching: the one read path.
 
 The ROADMAP's north star is a serving layer, not a single-user
 prototype: many queries in flight, repeated hot queries answered from
 memory, and no per-request rebuilding of read structures.  This module
-is that layer, as a facade over one built :class:`~repro.system.Seda`
-instance.
+is that layer, as one facade over a built system -- a single-file
+:class:`~repro.system.Seda` or a sharded
+:class:`~repro.shard.ShardedSeda` alike.
+
+The read protocol
+-----------------
+
+The service never looks inside the system it serves.  It calls:
+
+* ``system.generation()`` -- a hashable token naming the index
+  generation answers are computed against: ``graph.version`` for a
+  single-file system; ``(per-shard graph versions, recovery epoch,
+  routing epoch)`` for a sharded one, so a mutation anywhere, a
+  crashed-shard recovery, or a split/merge/rebalance each expire every
+  cached answer.
+* ``system.run_query(query, k)`` -- run one parsed query on freshly
+  built searchers; returns ``(results, searched)`` with one counter
+  entry per searcher run.  A sharded system scatters across its shards
+  under one :class:`~repro.search.topk.SharedBound` and merges; a
+  single-file system is the one-entry case with no bound and no merge.
+
+plus ``system.cache_counters()`` for batch reporting only.
 
 Threading model
 ---------------
 
-* Every worker gets its **own** :class:`TopKSearcher` -- the searcher
-  carries per-query mutable state (``stats``) and must not be shared.
-* All workers **share** the system's immutable read structures: the
-  term matcher, the scoring model, both full-text indexes, and the node
-  store.  The lazily materialized snapshot structures behind them are
-  protected by per-structure locks (see ``InvertedIndex``,
-  ``PathIndex``, ``NodeStore``).
-* The two derived caches the top-k unit depends on -- the
-  document-reachability map and the scoring model's per-document edge
-  index -- are computed **once**, before any worker runs
-  (:meth:`TopKSearcher.warm`), then shared read-only.  Workers also
-  share the system's impact-stream store (per-term score streams,
-  built at most once per graph version) and the scoring model's
-  pair-distance memo; both are safe to grow concurrently (GIL-atomic
-  dict operations, idempotent values).
-* Results are cached in a thread-safe LRU keyed on
-  ``(normalized query, k, graph version)``.  ``Seda.add_documents``
-  bumps the graph version and invalidates the cache, so mutation and
-  serving never mix stale answers in.  Mutations themselves must be
-  externally serialized with query execution (the usual single-writer /
-  many-readers discipline).
+* A :class:`~repro.search.topk.TopKSearcher` carries only its
+  per-query ``stats``, so every ``run_query`` call builds its own and
+  nothing is pooled, warmed, or repaired after a topology change.
+* Every structure searches share is version-keyed and owned by the
+  system: graph-derived ones (document reachability, per-document edge
+  index, pair-distance memo) on the scoring model, index-derived ones
+  in the impact-stream store.  Each is built at most once per graph
+  version and read concurrently.
+* ``workers`` bounds how many searches execute at once inside one
+  service; a batch runs its unique queries one after another (under
+  the GIL a thread pool never beat the plain loop -- see
+  ``docs/OPERATIONS.md``).
+* Results are cached in a thread-safe LRU keyed on ``(normalized
+  query, k, generation)``.  Mutations bump the generation and
+  invalidate the cache, so mutation and serving never mix stale
+  answers in.  Mutations themselves must be externally serialized with
+  query execution (the usual single-writer / many-readers discipline).
 
 Determinism: identical batches produce byte-identical results for any
 worker count.  Duplicate queries within a batch are computed exactly
@@ -38,83 +54,17 @@ unit breaks score ties deterministically, so neither scheduling nor
 arrival order leaks into answers.
 """
 
-import concurrent.futures
-import queue
 import threading
 import time
 
 from repro.obs.fingerprint import query_fingerprint
 from repro.query.term import Query
-from repro.search.topk import TopKSearcher
 from repro.service.cache import ResultCache
 from repro.service.stats import BatchStats, QueryStats
 
 
-def keep_or_replace_service(current, build, workers, cache_size):
-    """The lazy keep-or-replace contract both service facades share.
-
-    Repeated calls with ``None`` (or matching) configuration return
-    ``current`` unchanged -- its warm cache survives; an *explicitly*
-    different configuration builds a replacement via ``build(workers,
-    cache_size)`` with the defaults (4 workers, 256 cache entries)
-    filled in.
-    """
-    if current is not None and (
-        (workers is None or current.workers == workers)
-        and (cache_size is None
-             or current.cache.max_entries == cache_size)
-    ):
-        return current
-    return build(
-        4 if workers is None else workers,
-        256 if cache_size is None else cache_size,
-    )
-
-
-def execute_deduplicated(queries_with_keys, k, workers, execute,
-                         duplicate_stats):
-    """The shared batch skeleton: dedup, fan out, reassemble in order.
-
-    Used by both the unsharded and the sharded service so the subtle
-    parts -- duplicate queries computed exactly once, the single-query/
-    single-worker fast path, and duplicates reported as cache hits with
-    no extra work -- can never drift apart.  ``execute(query, k)``
-    serves one query and returns ``(results, stats)``;
-    ``duplicate_stats(key)`` builds the stats object recorded for the
-    second and later occurrences of a key within the batch.
-    """
-    unique = {}
-    for query, key in queries_with_keys:
-        unique.setdefault(key, query)
-    outcomes = {}
-    if len(unique) == 1 or workers == 1:
-        for key, query in unique.items():
-            outcomes[key] = execute(query, k)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers
-        ) as executor:
-            futures = {
-                key: executor.submit(execute, query, k)
-                for key, query in unique.items()
-            }
-            for key, future in futures.items():
-                outcomes[key] = future.result()
-    results, per_query, reported = [], [], set()
-    for _query, key in queries_with_keys:
-        answer, stats = outcomes[key]
-        results.append(list(answer))
-        if key in reported:
-            # A duplicate within the batch: served from the shared
-            # computation, i.e. a cache hit with no extra work.
-            stats = duplicate_stats(key)
-        reported.add(key)
-        per_query.append(stats)
-    return results, per_query
-
-
 class QueryService:
-    """Concurrent, caching query execution over one SEDA system."""
+    """Caching query execution over one SEDA system, sharded or not."""
 
     def __init__(self, system, workers=4, cache_size=256, registry=None):
         if workers <= 0:
@@ -124,44 +74,34 @@ class QueryService:
         self.cache = ResultCache(cache_size)
         #: Optional retained :class:`~repro.obs.registry.StatsRegistry`.
         #: ``None`` (the default) keeps serving at zero observability
-        #: overhead; attach one (``Seda.enable_observability()``) and
-        #: every served query -- computed, cached, or batch-duplicate --
-        #: is recorded under its normalized fingerprint.
+        #: overhead; attach one (``enable_observability()``) and every
+        #: served query -- computed, cached, or batch-duplicate -- is
+        #: recorded under its normalized fingerprint.
         self.registry = registry
-        self._pool = [
-            TopKSearcher(system.matcher, system.scoring,
-                         streams=system.streams)
-            for _ in range(workers)
-        ]
-        self._warm_lock = threading.Lock()
-        self._warm_version = None
-        self._refresh_shared_caches()
-        self._searchers = queue.SimpleQueue()
-        for searcher in self._pool:
-            self._searchers.put(searcher)
+        self._search_slots = threading.BoundedSemaphore(workers)
 
-    def _refresh_shared_caches(self):
-        """(Re)compute the shared caches for the current graph version.
+    @classmethod
+    def keep_or_replace(cls, current, system, workers, cache_size):
+        """The lazy contract behind ``system.query_service(...)``.
 
-        Runs at construction and again on the first query after a graph
-        mutation -- without it every worker would rebuild a private
-        reachability map post-mutation, violating the read-only-sharing
-        invariant.  Mutations are externally serialized with queries
-        (single writer / many readers), so no search is in flight when
-        the version actually changes; the lock only collapses duplicate
-        refreshes from concurrent first queries.
+        Repeated calls with ``None`` (or matching) configuration return
+        ``current`` unchanged -- its warm cache survives; an
+        *explicitly* different configuration builds a replacement with
+        the defaults (4 workers, 256 cache entries) filled in.  Either
+        way the service records into the system's retained registry.
         """
-        version = self.system.graph.version
-        if self._warm_version == version:
-            return
-        with self._warm_lock:
-            if self._warm_version == version:
-                return
-            lead = self._pool[0]
-            lead.warm()
-            for searcher in self._pool[1:]:
-                searcher.share_read_caches(lead)
-            self._warm_version = version
+        if current is None or not (
+            (workers is None or current.workers == workers)
+            and (cache_size is None
+                 or current.cache.max_entries == cache_size)
+        ):
+            current = cls(
+                system,
+                workers=4 if workers is None else workers,
+                cache_size=256 if cache_size is None else cache_size,
+            )
+        current.registry = system.obs
+        return current
 
     # -- single queries -------------------------------------------------------
 
@@ -170,65 +110,61 @@ class QueryService:
 
         ``query`` is a :class:`Query` or a list of ``(context, search)``
         pairs.  Results come from the LRU cache when the same normalized
-        query was served at the current graph version; otherwise a
-        worker searcher computes and caches them.
+        query was served at the current generation; otherwise the
+        system runs it and the answer is cached -- unless a degraded
+        scatter left it partial: a later query must not be served an
+        incomplete merge after the shard recovers.
         """
         query = self._as_query(query)
-        self._refresh_shared_caches()
-        key = (query.cache_key(), k, self.system.graph.version)
+        key = (query.cache_key(), k, self.system.generation())
         start = time.perf_counter()
         cached = self.cache.get(key)
         if cached is not None:
+            results = cached
             stats = QueryStats(
                 key, k, time.perf_counter() - start, cache_hit=True
             )
-            results = list(cached)
         else:
-            results, stats = self._compute(query, k, key, start)
+            with self._search_slots:
+                results, searched = self.system.run_query(query, k)
+            stats = QueryStats.computed(key, k, 0.0, searched)
+            if not stats.partial:
+                results = self.cache.put(key, results)
+            stats.latency = time.perf_counter() - start
         if self.registry is not None:
             self.registry.record(query_fingerprint(query, k), stats)
-        return results, stats
-
-    def _compute(self, query, k, key, start):
-        searcher = self._searchers.get()
-        try:
-            results = searcher.search(query, k=k)
-            raw = searcher.stats
-            stats = QueryStats(
-                key, k, 0.0, cache_hit=False,
-                sorted_accesses=raw["sorted_accesses"],
-                tuples_scored=raw["tuples_scored"],
-                pruned=raw["pruned"],
-                early_stop=raw["early_stop"],
-            )
-        finally:
-            self._searchers.put(searcher)
-        stored = self.cache.put(key, results)
-        stats.latency = time.perf_counter() - start
-        return list(stored), stats
+        return list(results), stats
 
     # -- batches --------------------------------------------------------------
 
     def execute_batch(self, queries, k=10):
-        """Serve a batch concurrently; ``(results_per_query, BatchStats)``.
+        """Serve a batch; ``(results_per_query, BatchStats)``.
 
         Results are returned in input order.  Duplicate queries within
         the batch are computed once and fanned out; the extra
-        occurrences count as cache hits in the batch statistics.
+        occurrences are reported (and recorded in the registry -- every
+        occurrence a client received counts) as cache hits with no
+        extra work.
         """
         parsed = [self._as_query(query) for query in queries]
-        self._refresh_shared_caches()
-        version = self.system.graph.version
-        keys = [(query.cache_key(), k, version) for query in parsed]
-        counters_before = self._scoring_counters()
+        counters_before = self.system.cache_counters()
         start = time.perf_counter()
-        results, per_query = execute_deduplicated(
-            list(zip(parsed, keys)), k, self.workers,
-            lambda query, size: self.execute(query, k=size),
-            self._duplicate_stats(parsed, keys, k),
-        )
+        outcomes = {}
+        results, per_query = [], []
+        for query in parsed:
+            key = query.cache_key()
+            if key not in outcomes:
+                outcomes[key] = self.execute(query, k=k)
+                answer, stats = outcomes[key]
+            else:
+                answer, first = outcomes[key]
+                stats = QueryStats(first.cache_key, k, 0.0, cache_hit=True)
+                if self.registry is not None:
+                    self.registry.record(query_fingerprint(query, k), stats)
+            results.append(list(answer))
+            per_query.append(stats)
         wall = time.perf_counter() - start
-        counters_after = self._scoring_counters()
+        counters_after = self.system.cache_counters()
         scoring_caches = {
             name: counters_after[name] - counters_before[name]
             for name in counters_after
@@ -236,34 +172,6 @@ class QueryService:
         return results, BatchStats(
             per_query, wall, self.workers, scoring_caches=scoring_caches
         )
-
-    def _duplicate_stats(self, parsed, keys, k):
-        """Build the in-batch duplicate-stats callback.
-
-        Duplicates never pass through :meth:`execute` (the batch
-        skeleton fans the shared computation out), so the registry
-        records them here -- every occurrence a client received counts.
-        """
-        by_key = {}
-        for query, key in zip(parsed, keys):
-            by_key.setdefault(key, query)
-
-        def duplicate_stats(key):
-            stats = QueryStats(key, k, 0.0, cache_hit=True)
-            if self.registry is not None:
-                self.registry.record(
-                    query_fingerprint(by_key[key], k), stats
-                )
-            return stats
-
-        return duplicate_stats
-
-    def _scoring_counters(self):
-        """Cumulative shared-cache counters (impact streams + distance
-        memo); batch stats report the delta across one batch."""
-        counters = dict(self.system.streams.counters())
-        counters.update(self.system.scoring.counters())
-        return counters
 
     # -- maintenance ----------------------------------------------------------
 

@@ -8,17 +8,40 @@ execution aggregates these into throughput and hit-rate numbers -- the
 series ``repro bench-queries`` and ``benchmarks/test_bench_service.py``
 report.
 
-Sharded serving adds one dimension: a scatter-gather query runs one
-top-k search *per shard*, so :class:`ShardedQueryStats` keeps the
-per-shard breakdown beside the familiar totals, and
-:class:`ShardedBatchStats` aggregates that breakdown across a batch --
-the numbers an operator reads to spot a hot or skewed shard (see
-``docs/OPERATIONS.md``).
+A scatter-gather query runs one top-k search *per shard*, so
+:class:`QueryStats` keeps the per-shard breakdown beside the totals and
+:class:`BatchStats` aggregates that breakdown across a batch -- the
+numbers an operator reads to spot a hot or skewed shard (see
+``docs/OPERATIONS.md``).  A single-file system has no shards: its
+breakdowns are simply empty.
 """
+
+#: Counter names aggregated per shard across a batch.
+_SHARD_COUNTERS = ("sorted_accesses", "tuples_scored", "pruned")
+
+
+def failed_shards(searched):
+    """``{"shard", "error"}`` for every entry a degraded scatter
+    flagged ``"failed"`` (empty: the answer is complete)."""
+    return [
+        {"shard": entry["shard"], "error": entry["failed"]}
+        for entry in searched if entry.get("failed")
+    ]
 
 
 class QueryStats:
-    """One served query's record."""
+    """One served query's record.
+
+    The totals (``sorted_accesses``, ``tuples_scored``, ``pruned``)
+    sum over every searcher the query ran; ``per_shard`` holds one dict
+    per shard -- ``{"shard", "sorted_accesses", "tuples_scored",
+    "pruned", "early_stop"}`` -- in shard order, and is empty for a
+    single-file system and for cache hits.  Under a degraded scatter
+    (``allow_partial``), shards that contributed nothing are listed in
+    ``failed_shards`` as ``{"shard", "error"}`` dicts and their
+    ``per_shard`` entries carry a ``"failed"`` message; an empty
+    ``failed_shards`` means the answer is complete.
+    """
 
     __slots__ = (
         "cache_key",
@@ -29,11 +52,13 @@ class QueryStats:
         "tuples_scored",
         "pruned",
         "early_stop",
+        "per_shard",
+        "failed_shards",
     )
 
     def __init__(self, cache_key, k, latency, cache_hit,
                  sorted_accesses=0, tuples_scored=0, pruned=0,
-                 early_stop=False):
+                 early_stop=False, per_shard=(), failed_shards=()):
         self.cache_key = cache_key
         self.k = k
         self.latency = latency
@@ -42,9 +67,36 @@ class QueryStats:
         self.tuples_scored = tuples_scored
         self.pruned = pruned
         self.early_stop = early_stop
+        self.per_shard = tuple(dict(entry) for entry in per_shard)
+        self.failed_shards = tuple(dict(entry) for entry in failed_shards)
+
+    @classmethod
+    def computed(cls, cache_key, k, latency, searched):
+        """The record of a query that ran: ``searched`` is the read
+        protocol's per-searcher entry list (one entry naming no shard
+        for a single-file system, one per shard otherwise)."""
+        return cls(
+            cache_key, k, latency, cache_hit=False,
+            sorted_accesses=sum(e["sorted_accesses"] for e in searched),
+            tuples_scored=sum(e["tuples_scored"] for e in searched),
+            pruned=sum(e["pruned"] for e in searched),
+            early_stop=all(e["early_stop"] for e in searched),
+            per_shard=[e for e in searched if "shard" in e],
+            failed_shards=failed_shards(searched),
+        )
+
+    @property
+    def partial(self):
+        """True when any shard failed and the results are incomplete."""
+        return bool(self.failed_shards)
 
     def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
+        record = {name: getattr(self, name) for name in self.__slots__}
+        record["per_shard"] = [dict(entry) for entry in self.per_shard]
+        record["failed_shards"] = [
+            dict(entry) for entry in self.failed_shards
+        ]
+        return record
 
     def __repr__(self):
         source = "cache" if self.cache_hit else "computed"
@@ -55,56 +107,6 @@ class QueryStats:
         )
 
 
-class ShardedQueryStats(QueryStats):
-    """One scatter-gather query's record, with the per-shard breakdown.
-
-    The inherited totals (``sorted_accesses``, ``tuples_scored``,
-    ``pruned``) are sums across shards; ``per_shard`` holds one dict
-    per shard -- ``{"shard", "sorted_accesses", "tuples_scored",
-    "pruned", "early_stop"}`` -- in shard order.  Under a degraded
-    scatter (``allow_partial``), shards that contributed nothing are
-    listed in ``failed_shards`` as ``{"shard", "error"}`` dicts and
-    their ``per_shard`` entries carry a ``"failed"`` message; an empty
-    ``failed_shards`` means the answer is complete.
-    """
-
-    __slots__ = ("per_shard", "failed_shards")
-
-    def __init__(self, cache_key, k, latency, cache_hit,
-                 sorted_accesses=0, tuples_scored=0, pruned=0,
-                 early_stop=False, per_shard=(), failed_shards=()):
-        super().__init__(
-            cache_key, k, latency, cache_hit,
-            sorted_accesses=sorted_accesses, tuples_scored=tuples_scored,
-            pruned=pruned, early_stop=early_stop,
-        )
-        self.per_shard = tuple(
-            dict(entry) for entry in per_shard
-        )
-        self.failed_shards = tuple(
-            dict(entry) for entry in failed_shards
-        )
-
-    @property
-    def partial(self):
-        """True when any shard failed and the results are incomplete."""
-        return bool(self.failed_shards)
-
-    def as_dict(self):
-        record = {
-            name: getattr(self, name) for name in QueryStats.__slots__
-        }
-        record["per_shard"] = [dict(entry) for entry in self.per_shard]
-        record["failed_shards"] = [
-            dict(entry) for entry in self.failed_shards
-        ]
-        return record
-
-
-#: Counter names aggregated per shard across a batch.
-_SHARD_COUNTERS = ("sorted_accesses", "tuples_scored", "pruned")
-
-
 class BatchStats:
     """Aggregate record for one :meth:`QueryService.execute_batch` call.
 
@@ -112,6 +114,10 @@ class BatchStats:
     activity **during this batch** (deltas of cumulative counters):
     ``stream_hits``/``stream_misses`` for the impact-stream store and
     ``distance_hits``/``distance_misses`` for the pair-distance memo.
+
+    Every ``per_query`` entry that carries a ``per_shard`` breakdown
+    (computed scatter-gather queries do; cache hits and single-file
+    queries ran no shard search) is folded into :attr:`shard_totals`.
     """
 
     def __init__(self, per_query, wall_time, workers, scoring_caches=None):
@@ -119,6 +125,7 @@ class BatchStats:
         self.wall_time = wall_time
         self.workers = workers
         self.scoring_caches = dict(scoring_caches or {})
+        self._shard_totals = None
 
     @property
     def queries(self):
@@ -189,18 +196,6 @@ class BatchStats:
             f"distance cache {self.distance_hit_rate:.0%})"
         )
 
-    def __repr__(self):
-        return f"BatchStats({self.summary()})"
-
-
-class ShardedBatchStats(BatchStats):
-    """Batch aggregate over scatter-gather queries, per-shard totals kept.
-
-    Every ``per_query`` entry that carries a ``per_shard`` breakdown
-    (computed queries do; cache hits ran no search and contribute
-    nothing) is folded into :attr:`shard_totals`.
-    """
-
     @property
     def shard_totals(self):
         """``{shard_index: {counter: total, "early_stops": n}}``.
@@ -208,11 +203,11 @@ class ShardedBatchStats(BatchStats):
         Computed once (``per_query`` is fixed at construction) and
         cached for the repeated accesses reporting paths make.
         """
-        totals = getattr(self, "_shard_totals", None)
+        totals = self._shard_totals
         if totals is None:
             totals = {}
             for stats in self.per_query:
-                for entry in getattr(stats, "per_shard", ()):
+                for entry in stats.per_shard:
                     shard = totals.setdefault(
                         entry["shard"],
                         {name: 0 for name in _SHARD_COUNTERS}
@@ -237,4 +232,4 @@ class ShardedBatchStats(BatchStats):
         return "\n".join(lines)
 
     def __repr__(self):
-        return f"ShardedBatchStats({self.summary()})"
+        return f"BatchStats({self.summary()})"

@@ -2,7 +2,7 @@
 
 :class:`ServingApp` is the whole server minus the sockets: it owns a
 loaded system (single-file :class:`~repro.system.Seda` or sharded
-:class:`~repro.shard.ShardedSeda`), its concurrent query service, the
+:class:`~repro.shard.ShardedSeda`), its query service, the
 readers-writer discipline, admission control, and the drain/reload
 lifecycle, and maps ``(method, path, body)`` triples to JSON-clean
 responses.  The HTTP layer (:mod:`repro.serving.server`) is a thin
@@ -15,8 +15,8 @@ Consistency contract
 * Queries run under the **read** side of one
   :class:`~repro.serving.rwlock.ReadWriteLock`; ``add_documents``,
   ``reload``, and the snapshot commit inside ``drain`` take the
-  **write** side.  Combined with the result caches keyed on
-  ``DataGraph.version``, every answer is computed against exactly one
+  **write** side.  Combined with the result cache keyed on the
+  system's ``generation()``, every answer is computed against exactly one
   index generation -- answers served *during* online ingestion are
   byte-identical to an offline rebuild from the same document
   sequence (property-tested in ``tests/test_serving_properties.py``).
@@ -101,6 +101,26 @@ def parse_query_payload(value):
     )
 
 
+def parse_k(body):
+    """The request's ``k`` (default 10): an integer, or a 400.
+
+    JSON numbers also decode to bools, floats and infinities;
+    ``int()`` would silently truncate the first two and overflow on
+    the last, so anything but a plain integer is rejected here.
+    """
+    k = body.get("k", 10)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"k must be an integer, not {k!r}")
+    return k
+
+
+def _json_clean(token):
+    """A hashable generation token with its tuples turned into lists."""
+    if isinstance(token, tuple):
+        return [_json_clean(part) for part in token]
+    return token
+
+
 def result_to_dict(result):
     """One :class:`~repro.search.result.ResultTuple`, JSON-clean.
 
@@ -174,7 +194,6 @@ class ServingApp:
         self.debug = debug
         self.state = "serving"  # serving -> draining -> drained
         self._state_lock = threading.Lock()
-        self._explain_lock = threading.Lock()
         self._started = time.monotonic()
         self.requests_total = {}
         self._counter_lock = threading.Lock()
@@ -206,10 +225,7 @@ class ServingApp:
         generation: queries answered under one token are mutually
         consistent.  Unsharded: the graph version; sharded: the
         per-shard versions plus the recovery and routing epochs."""
-        if self.sharded:
-            versions, recovery, routing = self.service._versions()
-            return [list(versions), recovery, routing]
-        return self.system.graph.version
+        return _json_clean(self.system.generation())
 
     def uptime(self):
         return time.monotonic() - self._started
@@ -280,8 +296,15 @@ class ServingApp:
 
     def _dispatch(self, endpoint, body, params):
         handler = getattr(self, f"_endpoint_{endpoint}")
+        if body is None:
+            body = {}
+        if not isinstance(body, dict):
+            return _Response(400, {
+                "error": "the request body must be a JSON object, not "
+                         f"{type(body).__name__}"
+            })
         try:
-            return handler(body or {}, params)
+            return handler(body, params)
         except (ValueError, KeyError, TypeError) as error:
             return _Response(400, {"error": str(error)})
 
@@ -289,7 +312,7 @@ class ServingApp:
 
     def _endpoint_search(self, body, params):
         query = parse_query_payload(body["query"])
-        k = int(body.get("k", 10))
+        k = parse_k(body)
         with self.lock.read():
             generation = self.generation()
             results, stats = self.service.execute(query, k=k)
@@ -303,7 +326,7 @@ class ServingApp:
 
     def _endpoint_search_many(self, body, params):
         queries = [parse_query_payload(value) for value in body["queries"]]
-        k = int(body.get("k", 10))
+        k = parse_k(body)
         with self.lock.read():
             generation = self.generation()
             results, stats = self.service.execute_batch(queries, k=k)
@@ -322,21 +345,17 @@ class ServingApp:
 
     def _endpoint_explain(self, body, params):
         query = parse_query_payload(body["query"])
-        k = int(body.get("k", 10))
+        k = parse_k(body)
         with self.lock.read():
-            # The facade searchers carry per-query mutable stats, so
-            # explains are serialized among themselves (they still run
-            # concurrently with ordinary searches, which use the
-            # service's worker pool).
-            with self._explain_lock:
-                if self.sharded:
-                    reports = [
-                        explain(shard.topk, query, k=k).as_dict()
-                        for shard in self.system.shards
-                    ]
-                    payload = {"sharded": True, "per_shard": reports}
-                else:
-                    payload = explain(self.system.topk, query, k=k).as_dict()
+            if self.sharded:
+                payload = {"sharded": True, "per_shard": [
+                    explain(shard.new_searcher(), query, k=k).as_dict()
+                    for shard in self.system.shards
+                ]}
+            else:
+                payload = explain(
+                    self.system.new_searcher(), query, k=k
+                ).as_dict()
         return _Response(200, payload)
 
     def _endpoint_add_documents(self, body, params):

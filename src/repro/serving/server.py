@@ -57,14 +57,20 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         return self.client_address[0]
 
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if length > MAX_BODY_BYTES:
+                raise ValueError(
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                )
+        except ValueError:
+            # The body stays unread on the socket: a keep-alive
+            # connection would parse the next request out of its bytes.
+            self.close_connection = True
+            raise
         if length <= 0:
             return None
-        if length > MAX_BODY_BYTES:
-            raise ValueError(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
-            )
         raw = self.rfile.read(length)
         if not raw:
             return None
@@ -78,7 +84,8 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         except (ValueError, UnicodeDecodeError) as error:
             self._write(
                 400, json.dumps({"error": f"bad request body: {error}"})
-                .encode("utf-8"), "application/json", {},
+                .encode("utf-8"), "application/json",
+                {"Connection": "close"} if self.close_connection else {},
             )
             return
         response = self.app.handle(

@@ -23,7 +23,6 @@ from repro.shard.partition import (
     resolve_partitioner,
     round_robin_partition,
 )
-from repro.shard.service import ShardedQueryService
 from repro.shard.sharded import (
     DegradationPolicy,
     ShardSearchTimeout,
@@ -50,7 +49,6 @@ __all__ = [
     "ShardSearchTimeout",
     "SharedPayload",
     "ShardedCollectionView",
-    "ShardedQueryService",
     "ShardedSeda",
     "colocation_units",
     "hash_partition",

@@ -59,7 +59,9 @@ from repro.index.inverted import GlobalTermStats
 from repro.model.links import ValueLinkSpec
 from repro.query.term import Query
 from repro.search.result import ResultTuple
-from repro.search.topk import SharedBound, TopKSearcher
+from repro.search.topk import SharedBound
+from repro.service.query_service import QueryService
+from repro.service.stats import failed_shards
 from repro.shard.partition import PARTITIONERS, resolve_partitioner
 from repro.storage.snapshot import (
     SnapshotError,
@@ -121,13 +123,14 @@ class ShardSearchTimeout(RuntimeError):
 class DegradationPolicy:
     """How scatter-gather behaves when a shard fails or stalls.
 
-    Attached by :meth:`ShardedSeda.configure_degradation`; ``None`` (the
-    default) keeps the original fail-fast scatter byte-for-byte.
+    Attached by :meth:`ShardedSeda.configure_degradation`; without one
+    the scatter runs under :data:`FAIL_FAST` -- one attempt, no
+    recovery, the shard's own exception propagates.
 
     * ``retries``/``backoff`` -- failed shard searches are retried with
-      exponential backoff (``backoff * 2**(attempt-1)`` seconds) on a
-      freshly built searcher; a failed or timed-out searcher is never
-      reused.
+      exponential backoff (``backoff * 2**(attempt-1)`` seconds); every
+      attempt builds its own searcher, so a failed or timed-out one is
+      never reused.
     * ``timeout`` -- seconds before one shard's search counts as
       stalled (runs the search on a helper thread; the abandoned
       attempt finishes in the background -- Python threads cannot be
@@ -163,11 +166,15 @@ class DegradationPolicy:
         )
 
 
+#: The scatter's behavior with no policy attached.
+FAIL_FAST = DegradationPolicy(retries=0, backoff=0, recover=False)
+
+
 def failed_shard_stats(shard_index, error):
     """The stats entry a failed shard contributes under ``allow_partial``.
 
-    Same counter keys as :func:`shard_stats_snapshot` (zeros -- the
-    shard contributed no work) plus ``"failed"`` carrying the error, so
+    Same counter keys as a healthy shard's entry (zeros -- the shard
+    contributed no work) plus ``"failed"`` carrying the error, so
     aggregation code iterates one uniform shape.
     """
     return {
@@ -177,23 +184,6 @@ def failed_shard_stats(shard_index, error):
         "pruned": 0,
         "early_stop": False,
         "failed": f"{type(error).__name__}: {error}",
-    }
-
-
-def shard_stats_snapshot(shard_index, searcher):
-    """One shard's contribution to a scatter's statistics.
-
-    Both scatter paths (:meth:`ShardedSeda.search` and the sharded
-    query service) record the same shape, so per-shard reporting and
-    batch aggregation always agree on which counters exist.
-    """
-    raw = searcher.stats
-    return {
-        "shard": shard_index,
-        "sorted_accesses": raw["sorted_accesses"],
-        "tuples_scored": raw["tuples_scored"],
-        "pruned": raw["pruned"],
-        "early_stop": raw["early_stop"],
     }
 
 
@@ -419,7 +409,6 @@ class ShardedSeda:
             slot.on_load = self._wire_shard
             if slot.loaded:
                 self._wire_shard(slot.get())
-        self._searchers = [None] * len(self._slots)
         self._service = None
         self.obs = None  # StatsRegistry; enable_observability() attaches one
         self._wal = None  # WriteAheadLog; enable_durability() attaches one
@@ -669,51 +658,60 @@ class ShardedSeda:
 
     # -- search ---------------------------------------------------------------
 
-    def _searcher(self, index):
-        searcher = self._searchers[index]
-        if searcher is None:
-            shard = self._slots[index].get()
-            searcher = TopKSearcher(
-                shard.matcher, shard.scoring, streams=shard.streams
-            )
-            self._searchers[index] = searcher
-        return searcher
+    def _new_searcher(self, index):
+        """A fresh searcher over shard ``index``'s current components.
+
+        The one place the scatter obtains searchers -- per query, per
+        shard, per retry -- so a recovered or re-split shard is picked
+        up with no repair step (and tests inject faulty ones here).
+        """
+        return self._slots[index].get().new_searcher()
 
     def search(self, query, k=10):
         """Scatter-gather top-k; merged :class:`ResultTuple` list.
 
-        The scatter is sequential by design: under the GIL concurrent
-        shard searches buy nothing for one query, while a sequential
-        fan-out lets every later shard prune against the k-th score the
-        earlier shards already published into the shared bound.
         Returns result tuples with **global** node ids, byte-identical
         to an unsharded :meth:`Seda.search` over the same corpus (no
-        session object: refinement loops operate per shard).
+        session object: refinement loops operate per shard).  The
+        per-shard breakdown of the call is left in
+        :attr:`last_search_stats`.
         """
         if not isinstance(query, Query):
             query = Query.parse(query)
-        searchers = [
-            self._searcher(index) for index in range(len(self._slots))
-        ]
-        gathered, per_shard = self.scatter(searchers, query, k)
+        merged, per_shard = self.run_query(query, k)
         self.last_search_stats = {
             "per_shard": per_shard,
-            "failed_shards": [
-                {"shard": entry["shard"], "error": entry["failed"]}
-                for entry in per_shard if entry.get("failed")
-            ],
+            "failed_shards": failed_shards(per_shard),
         }
-        return self._merge(gathered, k)
+        return merged
 
-    def scatter(self, searchers, query, k):
-        """Run the scatter protocol over one searcher per shard.
+    # -- the read protocol (see repro.service.query_service) -----------------
 
-        One :class:`SharedBound` couples the sequential fan-out; the
-        return is ``(per-shard result lists, per-shard stats
-        snapshots)``.  Both scatter paths -- direct :meth:`search` and
-        the sharded query service's workers -- go through here, so the
-        protocol (bound seeding order, stats shape) cannot drift
-        between them.
+    def generation(self):
+        """Hashable token naming the served index generation.
+
+        The per-shard graph versions (``add_documents`` bumps every
+        shard), plus the recovery epoch -- a crashed-shard recovery
+        swaps the shard object without necessarily changing any graph
+        version -- and the routing epoch, so a split/merge/rebalance
+        (which can change the shard *count*) expires cached answers
+        too.  Forces lazy shards: serving needs them all.
+        """
+        return (
+            tuple(shard.graph.version for shard in self.shards),
+            self._recovery_epoch,
+            self._routing_epoch,
+        )
+
+    def run_query(self, query, k):
+        """Scatter one parsed query and merge; ``(merged, per_shard)``.
+
+        The scatter is sequential by design: under the GIL concurrent
+        shard searches buy nothing for one query, while a sequential
+        fan-out lets every later shard prune against the k-th score the
+        earlier shards already published into the one
+        :class:`SharedBound`.  ``per_shard`` holds one counter entry
+        per shard, in shard order.
 
         Without a :class:`DegradationPolicy` (the default) a shard
         failure propagates immediately -- fail-fast, byte-identical to
@@ -726,53 +724,54 @@ class ShardedSeda:
         raising.
         """
         bound = SharedBound()
-        policy = self._degradation
+        policy = self._degradation or FAIL_FAST
         gathered = []
         per_shard = []
-        for index, searcher in enumerate(searchers):
-            if policy is None:
-                gathered.append(
-                    searcher.search(query, k=k, shared_bound=bound)
-                )
-                per_shard.append(shard_stats_snapshot(index, searcher))
-                continue
-            results, used, error = self._scatter_guarded(
-                index, searcher, query, k, bound, policy
+        for index in range(len(self._slots)):
+            results, searcher, error = self._shard_attempts(
+                index, query, k, bound, policy
             )
             if error is None:
                 gathered.append(results)
-                per_shard.append(shard_stats_snapshot(index, used))
+                per_shard.append({"shard": index, **searcher.counters()})
             elif policy.allow_partial:
                 gathered.append([])
                 per_shard.append(failed_shard_stats(index, error))
             else:
                 raise error
-        return gathered, per_shard
+        return self._merge(gathered, k), per_shard
 
-    def _scatter_guarded(self, index, searcher, query, k, bound, policy):
-        """One shard's search under a degradation policy.
+    def cache_counters(self):
+        """Shared-cache counters summed across every shard."""
+        totals = {}
+        for shard in self.shards:
+            for name, value in shard.cache_counters().items():
+                totals[name] = totals.get(name, 0) + value
+        return totals
+
+    def _shard_attempts(self, index, query, k, bound, policy):
+        """One shard's search under ``policy``.
 
         Returns ``(results, searcher_used, error)`` with ``error`` set
         only after every attempt (initial + ``policy.retries``) failed.
-        A failed or timed-out searcher is never reused -- retries run
-        on a freshly built one against the (possibly just recovered)
-        shard.
+        Each attempt runs on a freshly built searcher against the
+        (possibly just recovered) shard.
         """
         error = None
+        searcher = None
         for attempt in range(policy.retries + 1):
-            if attempt:
-                if policy.backoff:
-                    time.sleep(policy.backoff * (2 ** (attempt - 1)))
-                searcher = self._fresh_searcher(index)
+            if attempt and policy.backoff:
+                time.sleep(policy.backoff * (2 ** (attempt - 1)))
             try:
+                searcher = self._new_searcher(index)
                 results = self._shard_search(
                     searcher, query, k, bound, policy.timeout
                 )
                 return results, searcher, None
             except ShardSearchTimeout as exc:
-                # A slow shard is not a broken one: retry on a fresh
-                # searcher (the stalled attempt finishes in the
-                # background, its result discarded), skip recovery.
+                # A slow shard is not a broken one: retry (the stalled
+                # attempt finishes in the background, its result
+                # discarded), skip recovery.
                 error = exc
             except Exception as exc:  # noqa: BLE001 - any shard fault
                 error = exc
@@ -782,13 +781,6 @@ class ShardedSeda:
                     except Exception as recovery_error:  # noqa: BLE001
                         return None, searcher, recovery_error
         return None, searcher, error
-
-    def _fresh_searcher(self, index):
-        """A new searcher over shard ``index``'s current components."""
-        shard = self._slots[index].get()
-        return TopKSearcher(
-            shard.matcher, shard.scoring, streams=shard.streams
-        )
 
     @staticmethod
     def _shard_search(searcher, query, k, bound, timeout):
@@ -826,8 +818,8 @@ class ShardedSeda:
 
     @property
     def recovery_epoch(self):
-        """Bumped on every :meth:`_recover_shard`; serving layers fold
-        it into their topology version so pooled searchers rebuild."""
+        """Bumped on every :meth:`_recover_shard`; part of
+        :meth:`generation`, so answers cached before it expire."""
         return self._recovery_epoch
 
     @property
@@ -870,9 +862,8 @@ class ShardedSeda:
         backing snapshot file, and re-applies every acknowledged
         write-ahead batch routed to it (re-running each batch's
         recorded routing), so the recovered shard reaches the exact
-        pre-crash state.  Invalidates the cached searcher, the global
-        term statistics, and the serving cache, and bumps
-        :attr:`recovery_epoch` so pooled searcher groups rebuild.
+        pre-crash state.  Invalidates the global term statistics and
+        the serving cache, and bumps :attr:`recovery_epoch`.
         """
         slot = self._slots[index]
         slot.reset()
@@ -914,7 +905,6 @@ class ShardedSeda:
                     stale_stats = True
             if stale_stats and not mutated:
                 seda.graph.bump_version()
-        self._searchers[index] = None
         self.stats.invalidate()
         self._recovery_epoch += 1
         if self._service is not None:
@@ -943,22 +933,17 @@ class ShardedSeda:
     # -- serving --------------------------------------------------------------
 
     def query_service(self, workers=None, cache_size=None):
-        """The concurrent scatter-gather serving facade (lazy, kept).
+        """The caching scatter-gather serving facade (lazy, kept).
 
-        Same contract as :meth:`Seda.query_service`: repeated calls
-        return the same service; an explicitly different configuration
-        replaces it (dropping its warm cache).
+        Same contract -- and the same
+        :class:`~repro.service.query_service.QueryService` class -- as
+        :meth:`Seda.query_service`: repeated calls return the same
+        service; an explicitly different configuration replaces it
+        (dropping its warm cache).
         """
-        from repro.service.query_service import keep_or_replace_service
-        from repro.shard.service import ShardedQueryService
-
-        self._service = keep_or_replace_service(
-            self._service,
-            lambda w, c: ShardedQueryService(self, workers=w, cache_size=c),
-            workers, cache_size,
+        self._service = QueryService.keep_or_replace(
+            self._service, self, workers, cache_size
         )
-        # The retained stats registry survives service replacement.
-        self._service.registry = self.obs
         return self._service
 
     def enable_observability(self, slow_threshold=0.1, slow_log_size=128):
@@ -979,7 +964,7 @@ class ShardedSeda:
         return self.obs
 
     def search_many(self, queries, k=10, workers=None):
-        """Serve a batch concurrently; a list of merged result lists.
+        """Serve a batch; a list of merged result lists.
 
         Results are in input order, each list identical to
         :meth:`search` on that query (duplicates computed once, repeats

@@ -244,7 +244,6 @@ def _install(system, new_slots, new_bases, affected, superseded):
         slot.on_load = system._wire_shard
         system._wire_shard(slot.get())
     system._shard_doc_bases = new_bases
-    system._searchers = [None] * len(new_slots)
     system._rebuild_topology()
     system.stats.invalidate()
     system._routing_epoch += 1
@@ -405,6 +404,11 @@ def rebalance(system, plan):
     """
     shards = len(system._slots)
     raw_moves = plan.get("moves", {}) if isinstance(plan, dict) else {}
+    if not isinstance(raw_moves, dict):
+        raise ValueError(
+            "a rebalance plan's 'moves' must map document index to "
+            f"target shard, not {type(raw_moves).__name__}"
+        )
     moves = {}
     for key, value in raw_moves.items():
         global_index, target = int(key), int(value)

@@ -118,12 +118,11 @@ class Seda:
         self.scoring = ScoringModel(
             collection, inverted, graph, max_hops=max_hops
         )
-        # One impact-stream store per system: the facade's searcher, any
-        # bare searchers built against this system, and every query
-        # service worker share the same materialized per-term streams.
+        # One impact-stream store per system: every searcher built
+        # against this system shares the same materialized per-term
+        # streams.
         self.streams = streams if streams is not None else ImpactStreamStore()
-        self.topk = TopKSearcher(self.matcher, self.scoring,
-                                 streams=self.streams)
+        self.topk = self.new_searcher()
         self._service = None  # created lazily by query_service()
         self.obs = None  # StatsRegistry; enable_observability() attaches one
         self._wal = None  # WriteAheadLog; enable_durability() attaches one
@@ -500,24 +499,44 @@ class Seda:
         results = self.topk.search(query, k=k)
         return SedaSession(self, query, k, results, effort=SessionEffort())
 
+    # -- the read protocol (see repro.service.query_service) -----------------------
+
+    def new_searcher(self):
+        """A fresh :class:`TopKSearcher` over this system's components.
+
+        Searchers hold only their last search's ``stats``, so anything
+        that may run beside another search builds its own.
+        """
+        return TopKSearcher(self.matcher, self.scoring, streams=self.streams)
+
+    def generation(self):
+        """Hashable token naming the index generation: the graph version."""
+        return self.graph.version
+
+    def run_query(self, query, k):
+        """Run one parsed query; ``(results, [searcher counters])``."""
+        searcher = self.new_searcher()
+        results = searcher.search(query, k=k)
+        return results, [searcher.counters()]
+
+    def cache_counters(self):
+        """Cumulative shared-cache counters (impact streams + distance
+        memo); batch stats report the delta across one batch."""
+        return {**self.streams.counters(), **self.scoring.counters()}
+
     def query_service(self, workers=None, cache_size=None):
-        """The concurrent serving facade over this system (lazy, kept).
+        """The caching serving facade over this system (lazy, kept).
 
         Repeated calls return the same :class:`QueryService` instance.
         ``workers``/``cache_size`` left ``None`` accept whatever the
         existing service uses (defaults 4/256 on first creation); an
         *explicitly* different configuration replaces the service,
-        dropping its warm cache.
+        dropping its warm cache.  The retained stats registry survives
+        replacement.
         """
-        from repro.service.query_service import keep_or_replace_service
-
-        self._service = keep_or_replace_service(
-            self._service,
-            lambda w, c: QueryService(self, workers=w, cache_size=c),
-            workers, cache_size,
+        self._service = QueryService.keep_or_replace(
+            self._service, self, workers, cache_size
         )
-        # The retained stats registry survives service replacement.
-        self._service.registry = self.obs
         return self._service
 
     def enable_observability(self, slow_threshold=0.1, slow_log_size=128):
@@ -540,7 +559,7 @@ class Seda:
         return self.obs
 
     def search_many(self, queries, k=10, workers=None):
-        """Serve a batch of queries concurrently; a list of sessions.
+        """Serve a batch of queries; a list of sessions.
 
         Each element of ``queries`` takes the same forms as
         :meth:`search`; the returned :class:`SedaSession` list is in

@@ -49,6 +49,25 @@ class _StallingSearcher:
         return []
 
 
+def _inject(system, stand_ins):
+    """Hand the scatter a faulty searcher, once per listed shard.
+
+    ``stand_ins`` maps a shard index to the object the *next*
+    :meth:`ShardedSeda._new_searcher` call for that shard returns;
+    every later call builds a real searcher again -- exactly a fault
+    that a retry on a fresh searcher (or the next query) gets past.
+    """
+    build = system._new_searcher
+    pending = dict(stand_ins)
+
+    def new_searcher(index):
+        if index in pending:
+            return pending.pop(index)
+        return build(index)
+
+    system._new_searcher = new_searcher
+
+
 @pytest.fixture
 def saved(tmp_path):
     directory = str(tmp_path / "col.shards")
@@ -61,7 +80,7 @@ def saved(tmp_path):
 class TestFailFastDefault:
     def test_shard_failure_propagates_without_a_policy(self, saved):
         system = ShardedSeda.load(saved)
-        system._searchers[0] = _BrokenSearcher()
+        _inject(system, {0: _BrokenSearcher()})
         with pytest.raises(RuntimeError, match="shard wedged"):
             system.search(QUERY, k=10)
 
@@ -70,7 +89,7 @@ class TestRetryAndRecovery:
     def test_retry_recovers_crashed_shard(self, saved):
         system = ShardedSeda.load(saved)
         expected = _canon(system.search(QUERY, k=10))
-        system._searchers[0] = _BrokenSearcher()
+        _inject(system, {0: _BrokenSearcher()})
         system.configure_degradation(retries=1, backoff=0)
         assert _canon(system.search(QUERY, k=10)) == expected
         assert system.recovery_epoch == 1
@@ -82,8 +101,7 @@ class TestRetryAndRecovery:
         system = ShardedSeda.load(saved)
         system.add_documents(BATCH)
         expected = _canon(system.search(QUERY, k=10))
-        system._searchers[0] = _BrokenSearcher()
-        system._searchers[1] = _BrokenSearcher()
+        _inject(system, {0: _BrokenSearcher(), 1: _BrokenSearcher()})
         system.configure_degradation(retries=1, backoff=0)
         assert _canon(system.search(QUERY, k=10)) == expected
         assert system.recovery_epoch == 2
@@ -92,7 +110,7 @@ class TestRetryAndRecovery:
         system = ShardedSeda.load(saved)
         system.configure_degradation(retries=1, backoff=0)
         assert system.configure_degradation(enabled=False) is None
-        system._searchers[0] = _BrokenSearcher()
+        _inject(system, {0: _BrokenSearcher()})
         with pytest.raises(RuntimeError, match="shard wedged"):
             system.search(QUERY, k=10)
 
@@ -101,7 +119,7 @@ class TestPartialServing:
     def test_partial_results_flag_failed_shards(self, saved):
         system = ShardedSeda.load(saved)
         full = _canon(system.search(QUERY, k=10))
-        system._searchers[0] = _BrokenSearcher()
+        _inject(system, {0: _BrokenSearcher()})
         system.configure_degradation(
             retries=0, backoff=0, recover=False, allow_partial=True
         )
@@ -113,7 +131,6 @@ class TestPartialServing:
         assert set(partial) <= set(full)
         assert partial != full
         # A healed shard serves complete answers again.
-        system._searchers[0] = None
         assert _canon(system.search(QUERY, k=10)) == full
         assert system.last_search_stats["failed_shards"] == []
 
@@ -124,20 +141,15 @@ class TestPartialServing:
         )
         service = system.query_service(workers=1)
         full, _stats = service.execute(QUERY, k=10)
-        # Wedge shard 0 in the only searcher group, bypassing the
-        # version-keyed rebuild (same matcher = no rebuild).
-        original = service._group_pool[0][0]
-        broken = _BrokenSearcher()
-        broken.matcher = original.matcher
-        service._group_pool[0][0] = broken
-        system._searchers = [None] * len(system._searchers)
+        _inject(system, {0: _BrokenSearcher()})
         service.cache.invalidate()
         partial, stats = service.execute(QUERY, k=10)
         assert [entry["shard"] for entry in stats.failed_shards] == [0]
+        assert stats.partial
         assert _canon(partial) != _canon(full)
-        # Heal the shard: the same query must be recomputed, not served
-        # from a cache poisoned with the partial merge.
-        service._group_pool[0][0] = original
+        # The shard is healthy again: the same query must be
+        # recomputed, not served from a cache poisoned with the
+        # partial merge.
         healed, stats = service.execute(QUERY, k=10)
         assert not stats.cache_hit
         assert _canon(healed) == _canon(full)
@@ -151,7 +163,7 @@ class TestPartialServing:
 class TestTimeouts:
     def test_stalled_shard_times_out(self, saved):
         system = ShardedSeda.load(saved)
-        system._searchers[0] = _StallingSearcher()
+        _inject(system, {0: _StallingSearcher()})
         system.configure_degradation(
             retries=0, backoff=0, timeout=0.05, recover=False
         )
@@ -161,7 +173,7 @@ class TestTimeouts:
     def test_timeout_retries_on_a_fresh_searcher(self, saved):
         system = ShardedSeda.load(saved)
         expected = _canon(system.search(QUERY, k=10))
-        system._searchers[0] = _StallingSearcher()
+        _inject(system, {0: _StallingSearcher()})
         system.configure_degradation(
             retries=1, backoff=0, timeout=0.2, recover=False
         )

@@ -15,7 +15,7 @@ from repro.obs import (
 from repro.obs.registry import FingerprintStats
 from repro.query.term import Query
 from repro.search.topk import TopKSearcher
-from repro.service.stats import QueryStats, ShardedQueryStats
+from repro.service.stats import QueryStats
 from repro.system import Seda
 
 DOCS = [
@@ -146,7 +146,7 @@ class TestRegistry:
 
     def test_per_shard_skew(self):
         registry = StatsRegistry()
-        stats = ShardedQueryStats(
+        stats = QueryStats(
             ("key",), 10, 0.0, cache_hit=False,
             sorted_accesses=5, tuples_scored=3, pruned=1, early_stop=True,
             per_shard=[

@@ -267,13 +267,12 @@ class TestVersionedCaches:
         scoring = ScoringModel(
             figure2_collection, figure2_matcher.inverted, graph
         )
-        searcher = TopKSearcher(figure2_matcher, scoring)
-        reach = searcher._document_reachability()
-        assert searcher._document_reachability() is reach  # cached
+        reach = scoring.document_reachability()
+        assert scoring.document_reachability() is reach  # cached
         edge_index = scoring._edge_index()
         assert scoring._edge_index() is edge_index  # cached
         graph.bump_version()
-        assert searcher._document_reachability() is not reach
+        assert scoring.document_reachability() is not reach
         assert scoring._edge_index() is not edge_index
 
     def test_reachability_rebuilds_on_new_edge(self, figure2_collection,
@@ -284,21 +283,36 @@ class TestVersionedCaches:
         scoring = ScoringModel(
             figure2_collection, figure2_matcher.inverted, graph
         )
-        searcher = TopKSearcher(figure2_matcher, scoring)
-        reach = searcher._document_reachability()
+        reach = scoring.document_reachability()
         nodes = [node.node_id for node in figure2_collection.iter_nodes()]
         graph.add_edge(nodes[0], nodes[-1], EdgeKind.VALUE)
-        assert searcher._document_reachability() is not reach
+        assert scoring.document_reachability() is not reach
 
-    def test_share_read_caches(self, figure2_collection, figure2_matcher):
+    def test_searchers_read_the_scoring_models_structures(
+        self, figure2_collection, figure2_matcher
+    ):
+        """Searchers hold no graph-derived state: two of them over one
+        scoring model read the same reachability map, edge index and
+        distance memo, each built once per graph version."""
         graph = DataGraph(figure2_collection)
         scoring = ScoringModel(
             figure2_collection, figure2_matcher.inverted, graph
         )
-        source = TopKSearcher(figure2_matcher, scoring).warm()
-        sharer = TopKSearcher(figure2_matcher, scoring)
-        sharer.share_read_caches(source)
-        assert sharer._document_reachability() is source._doc_reach
+        first = TopKSearcher(figure2_matcher, scoring).warm()
+        reach = scoring.document_reachability()
+        edges = scoring._edge_index()
+        memo = scoring.pair_cache()
+        query = Query.parse([("*", '"United States"'),
+                             ("trade_country", "*")])
+        second = TopKSearcher(figure2_matcher, scoring)
+        assert first.search(query, k=3) == second.search(query, k=3)
+        assert scoring.document_reachability() is reach
+        assert scoring._edge_index() is edges
+        assert scoring.pair_cache() is memo
+        assert set(vars(second)) == {
+            "matcher", "scoring", "partner_limit", "allow_repeats",
+            "streams", "stats",
+        }
 
 
 def _wire_collection(collection):
@@ -393,7 +407,7 @@ class TestPairDistance:
         assert scoring.pair_distance(tags["b"], tags["e"]) == 1
         assert scoring.pair_hits == 0
         assert scoring.pair_misses == 0
-        assert scoring._pair_cache == {}
+        assert scoring.pair_cache() == {}
 
 
 class TestBoundPruning:
@@ -494,28 +508,21 @@ class TestImpactStreams:
             store.to_dict(version=99)
         )._streams == {}
 
-    def test_share_read_caches_adopts_streams_and_scoring(
+    def test_searchers_share_a_passed_stream_store(
         self, figure2_collection, figure2_matcher
     ):
         graph = DataGraph(figure2_collection)
-        source_scoring = ScoringModel(
+        scoring = ScoringModel(
             figure2_collection, figure2_matcher.inverted, graph
         )
-        source = TopKSearcher(figure2_matcher, source_scoring).warm()
+        store = ImpactStreamStore()
+        source = TopKSearcher(figure2_matcher, scoring, streams=store)
         source.search(Query.parse([("*", "canada")]), k=3)
-        worker_scoring = ScoringModel(
-            figure2_collection, figure2_matcher.inverted, graph
-        )
-        worker = TopKSearcher(figure2_matcher, worker_scoring)
-        worker.share_read_caches(source)
+        misses = store.misses
+        worker = TopKSearcher(figure2_matcher, scoring, streams=store)
+        worker.search(Query.parse([("*", "canada")]), k=3)
         assert worker.streams is source.streams
-        assert worker._doc_reach is source._doc_reach
-        # A separate scoring model adopts the source's edge index and
-        # distance memo instead of building private copies.
-        assert worker_scoring._doc_edge_index is (
-            source_scoring._doc_edge_index
-        )
-        assert worker_scoring._pair_cache is source_scoring._pair_cache
+        assert store.misses == misses  # served from the shared store
 
 
 class TestTopKAgainstNaive:

@@ -28,6 +28,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -220,9 +221,17 @@ class TestAdmissionController:
 
 
 class TestServingAppProtocol:
-    @pytest.fixture
-    def app(self, tmp_path):
-        snapshot = _build_snapshot(tmp_path)
+    @pytest.fixture(params=["single-file", "sharded"])
+    def app(self, request, tmp_path):
+        if request.param == "single-file":
+            snapshot = _build_snapshot(tmp_path)
+        else:
+            from repro.shard import ShardedSeda
+
+            snapshot = str(tmp_path / "seda.shards")
+            ShardedSeda.from_documents(
+                list(BASE_DOCS), shards=2, parallel=False
+            ).save(snapshot)
         return ServingApp(load_serving_system(snapshot), snapshot)
 
     def test_unknown_path_404(self, app):
@@ -241,6 +250,23 @@ class TestServingAppProtocol:
         assert app.handle(
             "POST", "/add_documents", body={"documents": []}
         ).status == 400
+        # ``k`` is an integer: not an overflowing float (JSON 1e400),
+        # not a fraction, not a bool -- on every endpoint that takes it.
+        pairs = [["*", "x"]]
+        for path, body in [
+            ("/search", {"query": pairs, "k": float("inf")}),
+            ("/search_many", {"queries": [pairs], "k": 2.5}),
+            ("/explain", {"query": pairs, "k": True}),
+        ]:
+            response = app.handle("POST", path, body=body)
+            assert response.status == 400, path
+            assert "k must be an integer" in response.payload["error"]
+        # Bodies are JSON objects, and a move plan is one too.
+        for body in ([1], {"op": "rebalance", "moves": 5}):
+            assert app.handle(
+                "POST", "/admin/rebalance", body=body
+            ).status == 400
+        assert app.handle("POST", "/search", body=[pairs]).status == 400
 
     def test_draining_rejects_admitted_endpoints_503(self, app):
         app.admission.begin_drain()
@@ -335,6 +361,58 @@ class TestServerLifecycle:
                 client.search(QUERY, k=5)["results"]
             )
             assert report["per_term"]
+
+            # Explains build their own searchers, so overlapping ones
+            # do not serialise -- and report exactly what each would
+            # have reported alone.
+            explained = ["name:* ;; gdp:* ;; year:*", "name:france ;; gdp:*"]
+            alone = [client.explain(query, k=5) for query in explained]
+            barrier = threading.Barrier(len(explained))
+            overlapped = [[] for _ in explained]
+
+            def explain_repeatedly(index):
+                with ServingClient(server.host, server.port) as own:
+                    barrier.wait(timeout=10)
+                    for _round in range(20):
+                        overlapped[index].append(
+                            own.explain(explained[index], k=5)
+                        )
+
+            threads = [
+                threading.Thread(target=explain_repeatedly, args=(index,))
+                for index in range(len(explained))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            for index, reports in enumerate(overlapped):
+                assert reports == [alone[index]] * 20
+
+    @pytest.mark.parametrize("content_length", ["99999999999", "many"])
+    def test_unread_body_closes_the_connection(self, served, content_length):
+        """A body the server refuses to read must not be parsed as the
+        connection's next request: the 400 closes the connection."""
+        _, server = served
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as connection:
+            connection.sendall(
+                b"POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                + content_length.encode("ascii") + b"\r\n\r\n" + smuggled
+            )
+            received = b""
+            while True:  # ends only when the server closes its side
+                chunk = connection.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        head = received.partition(b"\r\n\r\n")[0]
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"connection: close" in head.lower()
+        assert received.count(b"HTTP/1.1 ") == 1  # nothing served after it
 
     def test_metrics_exposition(self, served):
         _, server = served

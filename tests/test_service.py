@@ -1,6 +1,9 @@
 """The query service: concurrency, result caching, invalidation."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -8,6 +11,7 @@ from repro.model.graph import EdgeKind
 from repro.query.term import Query
 from repro.service.cache import ResultCache
 from repro.service.query_service import QueryService
+from repro.shard import ShardedSeda
 from repro.system import Seda
 
 BATCH = [
@@ -141,26 +145,57 @@ class TestInvalidation:
         _, stats = service.execute([("*", "canada")], k=5)
         assert not stats.cache_hit
 
-    def test_shared_caches_rewarmed_after_mutation(self, figure2_collection):
-        """After add_documents the workers must share one freshly
-        computed reachability map, not rebuild private copies."""
+    def test_one_reachability_map_per_graph_version(self, figure2_collection):
+        """The scoring model holds one reachability map per
+        ``graph.version``: after add_documents, 8 concurrent first
+        queries rebuild it exactly once and all read that one map."""
         seda = Seda(figure2_collection)
-        service = seda.query_service(workers=3)
-        before = service._pool[0]._doc_reach
-        assert all(
-            searcher._doc_reach is before for searcher in service._pool
-        )
+        service = seda.query_service(workers=8)
+        service.execute(BATCH[0], k=5)
+        before = seda.scoring.document_reachability()
+        assert seda.scoring.document_reachability() is before
+
+        builds = []
+        build = seda.scoring._build_reachability
+
+        def counted_build():
+            builds.append(seda.graph.version)
+            time.sleep(0.05)  # hold the build open while the others arrive
+            return build()
+
+        seda.scoring._build_reachability = counted_build
         seda.add_documents(["<country>Canada<year>2006</year></country>"])
-        service.execute_batch(BATCH, k=5)
-        after = service._pool[0]._doc_reach
-        assert after is not before
-        assert all(
-            searcher._doc_reach is after for searcher in service._pool
-        )
-        assert all(
-            searcher._reach_version == seda.graph.version
-            for searcher in service._pool
-        )
+        barrier = threading.Barrier(8)
+        seen, errors = [], []
+
+        def first_query(index):
+            try:
+                barrier.wait(timeout=10)
+                # Distinct k per thread: no result-cache sharing.
+                service.execute(BATCH[0], k=index + 1)
+                seen.append(seda.scoring.document_reachability())
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=first_query, args=(index,))
+                for index in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert builds == [seda.graph.version]
+        assert len(seen) == 8
+        assert all(reach is seen[0] for reach in seen)
+        assert seen[0] is not before
 
     def test_version_bumps_on_add_edge(self, seda):
         before = seda.graph.version
@@ -210,12 +245,9 @@ class TestStats:
         assert second.stream_hit_rate == 1.0
         assert second.distance_hit_rate > 0.0
 
-    def test_workers_share_one_stream_store(self, seda):
-        service = QueryService(seda, workers=3)
-        assert all(
-            searcher.streams is seda.streams
-            for searcher in service._pool
-        )
+    def test_searchers_share_one_stream_store(self, seda):
+        assert seda.new_searcher().streams is seda.streams
+        assert seda.new_searcher() is not seda.new_searcher()
         assert seda.topk.streams is seda.streams
 
 
@@ -235,3 +267,95 @@ class TestServiceReuse:
         assert second is not first
         assert second.workers == 3
         assert seda.query_service(workers=3) is second
+
+
+SHARD_DOCS = [
+    ("alpha", "<r><a>red blue</a><b>green</b><a>blue</a></r>"),
+    ("bravo", "<r><a>blue green</a><c>red</c></r>"),
+    ("charlie", "<r><b>red red blue</b><a>green red</a></r>"),
+    ("delta", "<r><a>red</a><b>blue</b><c>green blue</c></r>"),
+    ("echo", "<r><c>blue blue</c><a>red green</a></r>"),
+    ("golf", "<r><a>blue</a><a>blue</a></r>"),  # tied scores
+]
+SHARD_BATCH = [
+    [("a", "red"), ("b", "*")],
+    [("*", "blue")],
+    [("a", "red"), ("b", "*")],  # duplicate of #0
+    [("a", "*"), ("b", "*"), ("c", "*")],
+    [("*", "blue")],  # duplicate of #1
+]
+
+
+def _exact(results):
+    return [
+        (r.node_ids, r.content_scores, r.compactness, r.score)
+        for r in results
+    ]
+
+
+@pytest.fixture(params=["single-file", "three-shards"])
+def any_system(request):
+    if request.param == "single-file":
+        return Seda.from_documents(SHARD_DOCS)
+    return ShardedSeda.from_documents(SHARD_DOCS, shards=3, parallel=False)
+
+
+class TestOneServiceForBothSystems:
+    """The same contract, asserted through the single service class
+    over a single-file and a sharded system."""
+
+    def test_answers_byte_identical_to_an_unsharded_build(self, any_system):
+        oracle = Seda.from_documents(SHARD_DOCS)
+        service = QueryService(any_system, workers=2, cache_size=16)
+        batch, _stats = service.execute_batch(SHARD_BATCH, k=5)
+        for pairs, answer in zip(SHARD_BATCH, batch):
+            expected = oracle.topk.search(Query.parse(pairs), k=5)
+            assert _exact(answer) == _exact(expected)
+            single, _ = service.execute(pairs, k=5)
+            assert _exact(single) == _exact(expected)
+
+    def test_in_batch_duplicates_are_cache_hits(self, any_system):
+        service = QueryService(any_system, workers=2, cache_size=16)
+        _, stats = service.execute_batch(SHARD_BATCH, k=5)
+        assert [entry.cache_hit for entry in stats.per_query] == [
+            False, False, True, False, True,
+        ]
+        assert stats.computed == 3 and stats.cache_hits == 2
+        sharded = isinstance(any_system, ShardedSeda)
+        for entry in stats.per_query:
+            expected = 3 if sharded and not entry.cache_hit else 0
+            assert len(entry.per_shard) == expected
+            assert entry.failed_shards == ()
+        assert set(stats.shard_totals) == ({0, 1, 2} if sharded else set())
+
+    def test_registry_total_equals_served(self, any_system):
+        registry = any_system.enable_observability(slow_threshold=10.0)
+        service = any_system.query_service(workers=2)
+        service.execute_batch(SHARD_BATCH, k=5)
+        service.execute(SHARD_BATCH[0], k=5)
+        assert registry.total_queries == len(SHARD_BATCH) + 1
+
+    def test_partial_merges_are_never_cached(self, any_system):
+        """A stats entry flagged ``failed`` keeps the answer out of the
+        cache, whichever system reported it."""
+        service = QueryService(any_system, workers=1, cache_size=16)
+        full, _ = service.execute(SHARD_BATCH[1], k=5)
+        service.invalidate()
+        run_query = any_system.run_query
+
+        def degraded(query, k):
+            results, searched = run_query(query, k)
+            flagged = dict(searched[0], shard=0, failed="RuntimeError: x")
+            return results[:1], [flagged] + searched[1:]
+
+        any_system.run_query = degraded
+        partial, stats = service.execute(SHARD_BATCH[1], k=5)
+        assert stats.partial and not stats.cache_hit
+        assert [e["shard"] for e in stats.failed_shards] == [0]
+        assert len(service.cache) == 0
+        any_system.run_query = run_query
+        healed, stats = service.execute(SHARD_BATCH[1], k=5)
+        assert not stats.cache_hit and not stats.partial
+        assert _exact(healed) == _exact(full)
+        _again, stats = service.execute(SHARD_BATCH[1], k=5)
+        assert stats.cache_hit

@@ -6,8 +6,8 @@ import pytest
 
 from repro.query.term import Query
 from repro.search.topk import SharedBound
+from repro.service.query_service import QueryService
 from repro.shard import (
-    ShardedQueryService,
     ShardedSeda,
     hash_partition,
     resolve_partitioner,
@@ -453,7 +453,7 @@ class TestShardedSnapshots:
 
 class TestShardedService:
     def test_batch_matches_single_queries(self, sharded):
-        service = ShardedQueryService(sharded, workers=3, cache_size=32)
+        service = QueryService(sharded, workers=3, cache_size=32)
         batch, stats = service.execute_batch(
             QUERIES + QUERIES[:2], k=10
         )
@@ -464,7 +464,7 @@ class TestShardedService:
         assert stats.queries == len(QUERIES) + 2
 
     def test_per_shard_stats_aggregate(self, sharded):
-        service = ShardedQueryService(sharded, workers=2, cache_size=32)
+        service = QueryService(sharded, workers=2, cache_size=32)
         _results, stats = service.execute_batch(QUERIES, k=10)
         totals = stats.shard_totals
         assert set(totals) <= {0, 1, 2}
@@ -509,7 +509,7 @@ class TestShardedService:
 
     def test_rejects_nonpositive_workers(self, sharded):
         with pytest.raises(ValueError):
-            ShardedQueryService(sharded, workers=0)
+            QueryService(sharded, workers=0)
 
 
 class TestParallelBuild:

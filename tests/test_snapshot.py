@@ -525,10 +525,11 @@ class TestIncrementalAddDocuments:
         seda = Seda.from_documents(self.DOCS_A, value_links=self.SPECS)
         query = [("trade_country", '"United States"'), ("percentage", "*")]
         seda.search(query)
-        cached = seda.topk._doc_reach
-        assert cached is not None
+        cached = seda.scoring.document_reachability()
         seda.search(query)
-        assert seda.topk._doc_reach is cached  # reused between searches
+        # Reused between searches ...
+        assert seda.scoring.document_reachability() is cached
         seda.add_documents(self.DOCS_B)
         seda.search(query)
-        assert seda.topk._doc_reach is not cached  # invalidated by new edges
+        # ... and invalidated by new edges.
+        assert seda.scoring.document_reachability() is not cached

@@ -15,7 +15,7 @@ contract from every direction:
   generation;
 * co-location safety: link-connected document groups refuse to split
   or move piecemeal;
-* a long-lived :class:`~repro.shard.service.ShardedQueryService`
+* a long-lived :class:`~repro.service.query_service.QueryService`
   survives shard-count changes mid-flight;
 * the ``/admin/rebalance`` serving endpoint performs topology changes
   online (and rejects them while draining or unsharded);
