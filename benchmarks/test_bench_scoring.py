@@ -42,6 +42,10 @@ K = 10
 #: at least this factor on the repeated workload.
 MIN_SPEEDUP = 3.0
 
+#: Interleaved slow/fast rounds; each side keeps its fastest round, as
+#: ``timeit`` does, since other processes only ever add time.
+ROUNDS = 3
+
 
 def _workload():
     return [Query.parse(pairs) for _ in range(HOT_REPEAT)
@@ -70,33 +74,39 @@ def test_precomputed_pipeline_speedup_and_equivalence(factbook_seda):
     """>= 3x over the slow path on the hot workload, byte-identically."""
     seda = factbook_seda
     queries = _workload()
+    slow_time = fast_time = float("inf")
 
-    # The escape hatch: no stream cache, no tf tables, no distance
-    # memo, no pruning -- everything recomputed per query, seed-style.
-    slow_scoring = ScoringModel(
-        seda.collection, seda.inverted, seda.graph,
-        max_hops=seda.max_hops, precomputed=False,
-    )
-    slow_searcher = TopKSearcher(seda.matcher, slow_scoring).warm()
-    slow_results, slow_time = _run(slow_searcher, queries)
+    for _ in range(ROUNDS):
+        # The escape hatch: no stream cache, no tf tables, no distance
+        # memo, no pruning -- everything recomputed per query,
+        # seed-style.
+        slow_scoring = ScoringModel(
+            seda.collection, seda.inverted, seda.graph,
+            max_hops=seda.max_hops, precomputed=False,
+        )
+        slow_searcher = TopKSearcher(seda.matcher, slow_scoring).warm()
+        slow_results, elapsed = _run(slow_searcher, queries)
+        slow_time = min(slow_time, elapsed)
 
-    # The precomputed pipeline, cold: a fresh stream store and a fresh
-    # scoring model, so stream builds and distance walks are paid
-    # inside the measured window exactly once each.
-    fast_scoring = ScoringModel(
-        seda.collection, seda.inverted, seda.graph, max_hops=seda.max_hops
-    )
-    fast_searcher = TopKSearcher(
-        seda.matcher, fast_scoring, streams=ImpactStreamStore()
-    ).warm()
-    fast_results, fast_time = _run(fast_searcher, queries)
+        # The precomputed pipeline, cold: a fresh stream store and a
+        # fresh scoring model, so stream builds and distance walks are
+        # paid inside the measured window exactly once each.
+        fast_scoring = ScoringModel(
+            seda.collection, seda.inverted, seda.graph,
+            max_hops=seda.max_hops,
+        )
+        fast_searcher = TopKSearcher(
+            seda.matcher, fast_scoring, streams=ImpactStreamStore()
+        ).warm()
+        fast_results, elapsed = _run(fast_searcher, queries)
+        fast_time = min(fast_time, elapsed)
 
-    assert [_canonical(r) for r in fast_results] == [
-        _canonical(r) for r in slow_results
-    ]
-    # The hot workload must actually exercise the caches.
-    assert fast_searcher.streams.hits > 0
-    assert fast_scoring.pair_hits > 0
+        assert [_canonical(r) for r in fast_results] == [
+            _canonical(r) for r in slow_results
+        ]
+        # The hot workload must actually exercise the caches.
+        assert fast_searcher.streams.hits > 0
+        assert fast_scoring.pair_hits > 0
 
     speedup = slow_time / fast_time
     print(

@@ -17,9 +17,7 @@ Subcommands::
     python -m repro snapshot info seda.snapshot
     python -m repro fsck    seda.snapshot
     python -m repro fsck    seda.shards --json
-    python -m repro serve-batch --queries queries.txt --workers 4
     python -m repro serve   --snapshot seda.snapshot --port 8080
-    python -m repro bench-queries --workers 4 --repeat 5 --shards 2
     python -m repro shard build seda.shards --dataset factbook --shards 4
     python -m repro shard search seda.shards --term 'percentage:*'
     python -m repro shard info seda.shards
@@ -34,21 +32,6 @@ are written ``context:search`` (first colon splits); ``*`` on either
 side means "any".  ``snapshot save`` persists a fully built system to
 one versioned file; ``snapshot load`` cold-starts from it without
 re-parsing or re-indexing.
-
-``serve-batch`` and ``bench-queries`` exercise the query service.  A query file holds one query per line, terms separated by
-``;;`` (blank lines and ``#`` comments are skipped)::
-
-    *:"United States" ;; trade_country:*
-    trade_country:* ;; percentage:*
-
-Without ``--queries`` both commands fall back to a built-in Factbook
-query set.  ``bench-queries`` runs every query sequentially through
-the bare top-k searcher and then as one batch through the service, verifies the two answer sets are identical, and reports both
-throughputs -- it exits non-zero on any mismatch, which CI uses as a
-serving-path smoke check.  With ``--shards N`` it additionally builds
-an N-shard copy of the corpus (without value links -- hash
-partitioning does not co-locate linked documents) and equality-gates
-the scatter-gather path against an unsharded build of the same corpus.
 
 ``serve`` is the long-running form: it loads a snapshot (single-file
 or sharded directory, replaying any write-ahead log), serves queries
@@ -82,12 +65,18 @@ counts -- either built from a dataset or restored via ``--snapshot``
 (see docs/OPERATIONS.md for the field glossary).
 
 ``stats`` doubles as the observability reader: with ``--queries`` it
-serves the workload through the query service with a retained
+serves a workload through the query service with a retained
 :class:`~repro.obs.registry.StatsRegistry` attached and prints the
 per-fingerprint statistics table (latency percentiles, cache-hit/
 prune/early-stop rates) plus the slow-query log (``--slow-ms`` sets
-the threshold; ``--save`` persists the system *with* its registry);
-with ``--snapshot`` it renders the registry stored in an existing
+the threshold; ``--save`` persists the system *with* its registry).
+The query file holds one query per line, terms separated by ``;;``
+(blank lines and ``#`` comments are skipped)::
+
+    *:"United States" ;; trade_country:*
+    trade_country:* ;; percentage:*
+
+With ``--snapshot`` it renders the registry stored in an existing
 snapshot file or sharded directory without serving anything.  ``--json``
 emits the same data machine-readably.  ``explain`` runs one query and
 reports how the TA search executed: streams opened, per-term candidate
@@ -103,7 +92,6 @@ import sys
 import time
 
 from repro import ui
-from repro.query.term import Query
 
 # The term/query-line syntax is shared with the serving wire protocol:
 # a /search body accepts the same string form this CLI parses.
@@ -181,27 +169,10 @@ def _build_seda(args):
     return seda
 
 
-
-
-#: Fallback query set for serve-batch/bench-queries without --queries:
-#: the paper's Query 1 terms and variants, including match-all pairs
-#: whose tuples tie on score (exercising deterministic tie-breaking).
-_FACTBOOK_QUERY_SET = (
-    '*:"United States" ;; trade_country:*',
-    "trade_country:* ;; percentage:*",
-    '*:"United States" ;; trade_country:* ;; percentage:*',
-    "*:canada ;; year:*",
-    "*:germany ;; percentage:*",
-)
-
-
 def _load_queries(args):
-    """The batch described by --queries, or the built-in query set."""
-    if args.queries:
-        with open(args.queries, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    else:
-        lines = _FACTBOOK_QUERY_SET
+    """The batch in the --queries file."""
+    with open(args.queries, "r", encoding="utf-8") as handle:
+        lines = handle.readlines()
     queries = []
     for line in lines:
         line = line.strip()
@@ -213,14 +184,6 @@ def _load_queries(args):
     if not queries:
         raise SystemExit("the query file contains no queries")
     return queries
-
-
-def _canonical_results(results):
-    """Byte-exact serialization of one query's results, for comparison."""
-    return json.dumps(
-        [[list(r.node_ids), round(r.score, 12)] for r in results],
-        separators=(",", ":"),
-    )
 
 
 # -- subcommands -----------------------------------------------------------
@@ -374,126 +337,6 @@ def cmd_query1(args, out):
     print(ui.render_star_schema(schema), file=out)
     print("", file=out)
     print(f"session effort: {chosen.effort.summary()}", file=out)
-    return 0
-
-
-def cmd_serve_batch(args, out):
-    """Run one batch through the service; print per-query results."""
-    seda = _build_seda(args)
-    queries = _load_queries(args)
-    service = seda.query_service(workers=args.workers)
-    results, stats = service.execute_batch(queries, k=args.k)
-    for pairs, result, query_stats in zip(queries, results, stats.per_query):
-        rendered = " ;; ".join(f"{c}:{s}" for c, s in pairs)
-        source = "cache" if query_stats.cache_hit else "topk"
-        print(f"query [{source}] {rendered}", file=out)
-        if not result:
-            print("  (no results)", file=out)
-        for entry in result:
-            print(f"  {entry.describe(seda.collection)}", file=out)
-    print("", file=out)
-    print(f"batch: {stats.summary()}", file=out)
-    return 0
-
-
-def cmd_bench_queries(args, out):
-    """Sequential vs batched serving throughput, with an equality gate."""
-    from repro.search.scoring import ScoringModel
-    from repro.search.topk import TopKSearcher
-
-    seda = _build_seda(args)
-    base = _load_queries(args)
-    # Model hot-query skew: every distinct query repeated --repeat times.
-    queries = [pairs for _ in range(args.repeat) for pairs in base]
-
-    # The sequential baseline gets its own scoring model and stream
-    # store: sharing the system's would pre-warm the distance memo and
-    # streams the batch phase is then measured against.
-    sequential_scoring = ScoringModel(
-        seda.collection, seda.inverted, seda.graph, max_hops=seda.max_hops
-    )
-    searcher = TopKSearcher(seda.matcher, sequential_scoring).warm()
-    start = time.perf_counter()
-    sequential = [searcher.search(Query.parse(q), k=args.k) for q in queries]
-    seq_time = time.perf_counter() - start
-
-    service = seda.query_service(workers=args.workers)
-    start = time.perf_counter()
-    batched, stats = service.execute_batch(queries, k=args.k)
-    batch_time = time.perf_counter() - start
-
-    cached, cached_stats = service.execute_batch(queries, k=args.k)
-
-    print(f"{len(base)} distinct queries x{args.repeat} "
-          f"= {len(queries)} served, k={args.k}", file=out)
-    print(f"  sequential: {len(queries) / seq_time:10.0f} q/s "
-          f"({seq_time * 1000:.1f}ms)", file=out)
-    print(f"  batch     : {stats.throughput:10.0f} q/s "
-          f"({stats.summary()})", file=out)
-    print(f"  cached    : {cached_stats.throughput:10.0f} q/s "
-          f"({cached_stats.summary()})", file=out)
-    if batch_time > 0:
-        print(f"  speedup   : {seq_time / batch_time:.2f}x", file=out)
-    print(f"  pruned    : {stats.pruned} candidate tuples skipped by the "
-          f"content-score bound", file=out)
-    print(f"  caches    : impact streams {stats.stream_hit_rate:.0%} hit "
-          f"rate, pair distances {stats.distance_hit_rate:.0%} hit rate "
-          f"(batch phase)", file=out)
-
-    mismatches = sum(
-        _canonical_results(a) != _canonical_results(b)
-        for pair in ((sequential, batched), (sequential, cached))
-        for a, b in zip(*pair)
-    )
-    if mismatches:
-        print(f"MISMATCH: {mismatches} result lists differ between the "
-              f"sequential and batched/cached paths", file=out)
-        return 1
-    print("  results   : batched and cached answers identical to "
-          "sequential", file=out)
-    if args.shards:
-        # Any requested count >= 1 runs the gate (a 1-shard topology
-        # still exercises the merge/translation path); 0 skips it.
-        return _bench_sharded(args, queries, out)
-    return 0
-
-
-def _bench_sharded(args, queries, out):
-    """The --shards leg: scatter-gather equality gate + throughput.
-
-    Both systems here are built *without* value links: the hash
-    partitioner does not co-locate value-linked documents, and the
-    merge-equivalence contract only covers corpora whose links stay
-    within one shard (see docs/ARCHITECTURE.md, "Sharding").
-    """
-    from repro.shard import ShardedSeda
-
-    pairs = _load_documents(args)
-    plain = Seda.from_documents(pairs)
-    sharded = ShardedSeda.from_documents(
-        pairs, shards=args.shards, parallel=False
-    )
-    expected = [plain.topk.search(Query.parse(q), k=args.k) for q in queries]
-
-    service = sharded.query_service(workers=args.workers)
-    start = time.perf_counter()
-    answers, stats = service.execute_batch(queries, k=args.k)
-    sharded_time = time.perf_counter() - start
-
-    print(f"  sharded   : {len(queries) / sharded_time:10.0f} q/s over "
-          f"{args.shards} shards ({stats.summary()})", file=out)
-    for line in stats.shard_summary().splitlines():
-        print(f"              {line}", file=out)
-    mismatches = sum(
-        _canonical_results(a) != _canonical_results(b)
-        for a, b in zip(expected, answers)
-    )
-    if mismatches:
-        print(f"MISMATCH: {mismatches} result lists differ between the "
-              f"unsharded and scatter-gather paths", file=out)
-        return 1
-    print(f"  results   : scatter-gather answers identical to the "
-          f"unsharded build", file=out)
     return 0
 
 
@@ -790,8 +633,7 @@ def cmd_shard_rebalance(args, out):
 def cmd_serve(args, out):
     """Serve a snapshot over HTTP until drained or interrupted.
 
-    The long-running counterpart of ``serve-batch``: loads the
-    snapshot (replaying its WAL), binds a threaded HTTP server, and
+    Loads the snapshot (replaying its WAL), binds a threaded HTTP server, and
     blocks until an ``/admin/drain`` request -- or SIGINT/SIGTERM,
     which triggers the same graceful drain -- commits a fresh snapshot
     and shuts the listener down.  The first output line names the
@@ -854,15 +696,6 @@ def build_parser():
         sub.add_argument("--data", default=None, metavar="DIR",
                          help="load *.xml files from DIR instead")
 
-    def add_service_options(sub):
-        sub.add_argument("--queries", default=None, metavar="FILE",
-                         help="query file (one query per line, terms "
-                              "separated by ';;'); built-in set if omitted")
-        sub.add_argument("--workers", type=int, default=4,
-                         help="searches the service runs at once "
-                              "(default 4)")
-        sub.add_argument("-k", type=int, default=10, help="top-k size")
-
     stats = subparsers.add_parser(
         "stats",
         help="collection statistics, or the query-statistics registry "
@@ -871,7 +704,14 @@ def build_parser():
     add_source_options(stats)
     stats.add_argument("--top", type=int, default=10,
                        help="number of top paths to print")
-    add_service_options(stats)
+    stats.add_argument("--queries", default=None, metavar="FILE",
+                       help="serve this query file (one query per line, "
+                            "terms separated by ';;') and report its "
+                            "query statistics")
+    stats.add_argument("--workers", type=int, default=4,
+                       help="searches the service runs at once "
+                            "(default 4)")
+    stats.add_argument("-k", type=int, default=10, help="top-k size")
     stats.add_argument("--json", action="store_true",
                        help="emit the query-statistics registry as JSON "
                             "(needs --queries or --snapshot)")
@@ -938,13 +778,6 @@ def build_parser():
                           help="emit the report as JSON")
     info_cmd.set_defaults(handler=cmd_info)
 
-    serve_batch = subparsers.add_parser(
-        "serve-batch", help="serve a batch of queries through the service"
-    )
-    add_source_options(serve_batch)
-    add_service_options(serve_batch)
-    serve_batch.set_defaults(handler=cmd_serve_batch)
-
     serve = subparsers.add_parser(
         "serve",
         help="serve a snapshot over HTTP with online writes "
@@ -973,21 +806,6 @@ def build_parser():
     serve.add_argument("--slow-ms", type=float, default=100.0,
                        help="slow-query log threshold in ms (default 100)")
     serve.set_defaults(handler=cmd_serve)
-
-    bench = subparsers.add_parser(
-        "bench-queries",
-        help="compare sequential vs batched serving throughput "
-             "(fails on any result mismatch)",
-    )
-    add_source_options(bench)
-    add_service_options(bench)
-    bench.add_argument("--repeat", type=int, default=5,
-                       help="repetitions of each query, modelling "
-                            "hot-query skew (default 5)")
-    bench.add_argument("--shards", type=int, default=0,
-                       help="also equality-gate scatter-gather serving "
-                            "over this many shards (0 = skip)")
-    bench.set_defaults(handler=cmd_bench_queries)
 
     snapshot = subparsers.add_parser(
         "snapshot", help="save, load, or inspect whole-system snapshots"

@@ -12,13 +12,10 @@ the compact building blocks every index layer shares:
   posting lists, sorted id sets, and impact streams;
 * :mod:`~repro.compact.shm` -- read-only sidecar buffers (mmap or
   ``multiprocessing.shared_memory``) that let N shard processes share
-  one copy of the columns;
-* :mod:`~repro.compact.meminfo` -- a ``sys.getsizeof`` deep walker
-  used by the memory benchmark and ``repro info``.
+  one copy of the columns.
 
-Every consumer decodes lazily, per key, exactly where the legacy
-representation materialized its raw snapshot records -- so the public
-index APIs and their results stay byte-identical.
+Every consumer decodes lazily, per key, on first access -- so the
+public index APIs and their results are those of plain object tables.
 """
 
 from repro.compact.columns import (
@@ -31,7 +28,6 @@ from repro.compact.columns import (
     posting_count,
 )
 from repro.compact.intern import StringTable
-from repro.compact.meminfo import deep_sizeof
 from repro.compact.shm import Sidecar, publish_shared_memory
 from repro.compact.trie import PathTrie
 
@@ -40,7 +36,6 @@ __all__ = [
     "PathTrie",
     "Sidecar",
     "publish_shared_memory",
-    "deep_sizeof",
     "encode_postings",
     "decode_postings",
     "posting_count",

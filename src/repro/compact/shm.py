@@ -1,6 +1,6 @@
 """Read-only sidecar buffers: file-, bytes-, and shared-memory-backed.
 
-A version-4 snapshot stores its byte columns in a binary *sidecar* file
+A snapshot stores its byte columns in a binary *sidecar* file
 next to the JSON-lines snapshot; component records carry only
 ``{key: [offset, length]}`` tables.  :class:`Sidecar` is the uniform
 buffer handle the readers slice zero-copy ``memoryview`` windows from:

@@ -9,7 +9,10 @@ class IndexBuilder:
     """Builds the inverted index and path index for a collection.
 
     Incremental: ``build()`` indexes only documents added since the
-    previous call, so datasets can be streamed in.
+    previous call, so datasets can be streamed in.  Every pass that
+    indexed something ends by folding both indexes into their
+    byte-column form, so a built system holds columns, not per-posting
+    objects.
 
     Indexing is where the scoring pipeline's build-time work happens:
     each ``InvertedIndex.add_node`` call records positional postings
@@ -19,16 +22,13 @@ class IndexBuilder:
     """
 
     def __init__(self, collection, analyzer=None, inverted=None, paths=None,
-                 built_upto=0, trie=None, compact=False):
+                 built_upto=0, trie=None):
         """``inverted``/``paths``/``built_upto`` re-attach prebuilt indexes
         (the snapshot-restore path) so that later :meth:`build` calls stay
         incremental instead of re-indexing from scratch.
 
         ``trie`` seeds the path index with a (possibly shared)
-        :class:`~repro.compact.trie.PathTrie`; ``compact=True`` folds
-        both indexes into their byte-column form at the end of every
-        :meth:`build` pass, so a freshly built system holds columns, not
-        per-posting objects.
+        :class:`~repro.compact.trie.PathTrie`.
         """
         self.collection = collection
         self.analyzer = analyzer or Analyzer()
@@ -39,7 +39,6 @@ class IndexBuilder:
             paths if paths is not None
             else PathIndex(self.analyzer, trie=trie)
         )
-        self.compact = compact
         self._built_upto = built_upto
 
     def build(self):
@@ -51,7 +50,7 @@ class IndexBuilder:
                 if node.direct_text:
                     self.inverted.add_node(node.node_id, node.direct_text)
         self._built_upto = len(self.collection.documents)
-        if self.compact and pending:
+        if pending:
             self.inverted.compact()
             self.paths.compact()
         return self.inverted, self.paths

@@ -10,18 +10,17 @@ all shard indexes and :meth:`InvertedIndex.use_global_stats` redirects
 idf lookups to it, which is what makes per-shard content scores
 byte-identical to an unsharded build (see :mod:`repro.shard`).
 
-Storage comes in three layers per term, checked in order:
+Storage comes in two layers per term, checked in order:
 
 * ``_postings`` -- materialized (hot, mutable) ``Posting`` lists;
 * ``_cols`` -- delta-encoded byte columns
   (:mod:`repro.compact.columns`), either inline ``bytes`` or
-  ``[offset, length]`` windows into a snapshot's binary sidecar;
-* ``_raw_postings`` -- legacy (version <= 3) raw snapshot lists.
+  ``[offset, length]`` windows into a snapshot's binary sidecar.
 
 Cold terms cost a few bytes per posting instead of a ~100-byte object
-chain; a term decodes lazily on first access, exactly where the legacy
-raw record materialized.  ``df`` probes on cold terms read one varint
-(:func:`~repro.compact.columns.posting_count`) without decoding.
+chain; a term decodes lazily on first access.  ``df`` probes on cold
+terms read one varint (:func:`~repro.compact.columns.posting_count`)
+without decoding.
 """
 
 import bisect
@@ -140,20 +139,14 @@ class InvertedIndex:
         # probes read the leading count varint only.
         self._cols = {}
         self._sidecar = None
-        # Raw snapshot records (version <= 3) pending materialization;
-        # posting lists are rebuilt per term on first access so that
-        # loading a snapshot does not pay for vocabulary the session
-        # never queries.  The lock serializes every pop-and-rebuild
-        # step (column or raw): concurrent query workers racing on the
-        # same term must not lose the cold record.
-        self._raw_postings = None
+        # Serializes every decode-and-pop step: concurrent query workers
+        # racing on the same cold term must not lose its column.
         self._materialize_lock = threading.Lock()
         self._indexed_nodes = 0
         # Ranking-side precomputation, maintained at build time so the
         # query loop never re-analyzes node text:
         #   _node_lengths  node_id -> analyzed token count (the tf-idf
-        #                  length norm is its square root); None means
-        #                  "derive lazily from postings" (old snapshots).
+        #                  length norm is its square root).
         #   _length_cols   (sorted id array, count array) -- the
         #                  compacted bulk of the length table; entries
         #                  added after a compact() live in the dict.
@@ -182,7 +175,7 @@ class InvertedIndex:
         for term, positions in by_term.items():
             self._materialized(term).append(Posting(node_id, positions))
             self._tf_maps.pop(term, None)
-        self._ensure_node_lengths()[node_id] = len(tokens)
+        self._node_lengths[node_id] = len(tokens)
         self._idf_cache.clear()
         if self._global_stats is not None:
             # df/N changed for the whole sharded corpus, not just here.
@@ -193,11 +186,11 @@ class InvertedIndex:
         """Fold every posting list into delta-encoded byte columns.
 
         Called at the end of a build (and re-callable after incremental
-        ingestion): posting lists and still-raw records become compact
-        columns, the node-length dict becomes two parallel arrays.
-        Lock-free readers stay correct throughout -- each term's column
-        is assigned before its hot/raw form is discarded, the same
-        publish-before-pop order materialization uses in reverse.
+        ingestion): posting lists become compact columns, the
+        node-length dict becomes two parallel arrays.  Lock-free readers
+        stay correct throughout -- each term's column is assigned
+        before its hot form is discarded, the same publish-before-pop
+        order materialization uses in reverse.
         """
         with self._materialize_lock:
             for term, plist in list(self._postings.items()):
@@ -206,10 +199,6 @@ class InvertedIndex:
                      for posting in plist]
                 )
                 del self._postings[term]
-            if self._raw_postings:
-                for term, raw in list(self._raw_postings.items()):
-                    self._cols[term] = encode_postings(raw)
-                    del self._raw_postings[term]
             lengths = self._node_lengths
             if lengths:
                 merged = dict(lengths)
@@ -239,12 +228,12 @@ class InvertedIndex:
 
         Thread-safe via double-checked locking: the fast path is one
         (GIL-atomic) dict read; only the first access per term pays for
-        the lock and the rebuild.  The materialized list is published
-        to ``_postings`` *before* the column/raw source is popped, so a
-        lock-free reader that misses every cold table is guaranteed to
-        find the term on its final ``_postings`` re-check -- the order
-        two racing materializers rely on as well: the second one finds
-        the first one's list under the lock and never decodes twice.
+        the lock and the decode.  The materialized list is published to
+        ``_postings`` *before* the column is popped, so a lock-free
+        reader that misses the column table is guaranteed to find the
+        term on its final ``_postings`` re-check -- the order two
+        racing materializers rely on as well: the second one finds the
+        first one's list under the lock and never decodes twice.
         """
         plist = self._postings.get(term)
         if plist is None:
@@ -252,89 +241,22 @@ class InvertedIndex:
                 plist = self._postings.get(term)
                 if plist is None:
                     blob = self._col_blob(term)
-                    if blob is not None:
-                        plist = self._postings[term] = [
-                            Posting(node_id, positions)
-                            for node_id, positions in decode_postings(blob)
-                        ]
-                        self._cols.pop(term, None)
-                        return plist
-                    raw = (
-                        self._raw_postings.get(term)
-                        if self._raw_postings
-                        else None
-                    )
-                    if raw is None:
-                        plist = self._postings[term] = []
-                    else:
-                        # Assign before discarding the raw record, so
-                        # lock-free readers always find the term in at
-                        # least one of the two tables.
-                        plist = self._postings[term] = [
-                            Posting(node_id, positions)
-                            for node_id, positions in raw
-                        ]
-                        self._raw_postings.pop(term, None)
+                    plist = self._postings[term] = [] if blob is None else [
+                        Posting(node_id, positions)
+                        for node_id, positions in decode_postings(blob)
+                    ]
+                    self._cols.pop(term, None)
         return plist
-
-    def _ensure_node_lengths(self):
-        """The mutable node-length table, deriving it if needed.
-
-        Snapshots written before lengths were precomputed (and loaded
-        files whose table was never materialized) carry none; every
-        token occurrence is exactly one posting position, so the table
-        rebuilds as the per-node sum of term frequencies -- including
-        terms still sitting in compact columns, which are decoded
-        transiently without being materialized.
-        """
-        lengths = self._node_lengths
-        if lengths is None:
-            with self._materialize_lock:
-                if self._node_lengths is None:
-                    lengths = {}
-                    for plist in self._postings.values():
-                        for posting in plist:
-                            lengths[posting.node_id] = (
-                                lengths.get(posting.node_id, 0)
-                                + len(posting.positions)
-                            )
-                    for term in list(self._cols):
-                        for node_id, positions in decode_postings(
-                            self._col_blob(term)
-                        ):
-                            lengths[node_id] = (
-                                lengths.get(node_id, 0) + len(positions)
-                            )
-                    if self._raw_postings:
-                        for raw in self._raw_postings.values():
-                            for node_id, positions in raw:
-                                lengths[node_id] = (
-                                    lengths.get(node_id, 0) + len(positions)
-                                )
-                    self._node_lengths = lengths
-        return self._node_lengths
 
     # -- snapshot serialization ---------------------------------------------
 
-    def _cold_entries(self, term):
-        """Raw ``[node_id, [positions]]`` lists for a cold term."""
-        blob = self._col_blob(term)
-        if blob is not None:
-            return [
-                [node_id, positions]
-                for node_id, positions in decode_postings(blob)
-            ]
-        return self._raw_postings[term]
-
     def _node_lengths_payload(self):
-        """The parallel ``[ids, counts]`` lists, or ``None``.
+        """The parallel ``[ids, counts]`` lists.
 
         Parallel lists, not a dict: JSON would coerce int keys to
         strings (and orjson rejects them outright).
         """
-        if self._node_lengths is None and self._length_cols is None:
-            return None
-        merged = dict(self._node_lengths or {})
+        merged = dict(self._node_lengths)
         if self._length_cols is not None:
             ids, counts = self._length_cols
             for node_id, count in zip(ids, counts):
@@ -342,89 +264,51 @@ class InvertedIndex:
         ordered = sorted(merged)
         return [ordered, [merged[node_id] for node_id in ordered]]
 
-    def to_dict(self, columnar=False):
-        """Snapshot form: the postings table plus the node counter.
+    def to_dict(self):
+        """Snapshot form: byte columns, node counter, node lengths.
 
-        The default (legacy) form lists every posting as
-        ``[node_id, [positions]]`` -- the version <= 3 record, still
-        written by component-level round trips.  ``columnar=True``
-        (what :meth:`Seda.snapshot_payload` uses) emits the postings as
-        delta-encoded byte columns under ``columns_inline``; the
-        snapshot writer moves those bytes into the binary sidecar.
+        Every term's postings become one delta-encoded byte column
+        under ``columns_inline`` (still-cold columns pass through
+        undecoded); the snapshot writer moves those bytes into the
+        binary sidecar.
         """
         with self._materialize_lock:
-            hot = {
-                term: [
+            columns = {
+                term: encode_postings([
                     (posting.node_id, posting.positions)
                     for posting in plist
-                ]
+                ])
                 for term, plist in self._postings.items()
             }
-            cold = sorted(
-                set(self._cols) | set(self._raw_postings or ())
-            )
-            if columnar:
-                columns = {
-                    term: encode_postings(entries)
-                    for term, entries in hot.items()
-                }
-                for term in cold:
-                    blob = self._col_blob(term)
-                    if blob is None:
-                        columns[term] = encode_postings(
-                            self._raw_postings[term]
-                        )
-                    else:
-                        # Pass through: re-anchor the bytes in the new
-                        # file's sidecar without a decode.
-                        columns[term] = bytes(blob)
-                payload = {
-                    "indexed_nodes": self._indexed_nodes,
-                    "columns_inline": columns,
-                }
-            else:
-                postings = {
-                    term: [
-                        [node_id, list(positions)]
-                        for node_id, positions in entries
-                    ]
-                    for term, entries in hot.items()
-                }
-                for term in cold:
-                    postings[term] = self._cold_entries(term)
-                payload = {
-                    "indexed_nodes": self._indexed_nodes,
-                    "postings": postings,
-                }
-        lengths = self._node_lengths_payload()
-        if lengths is not None:
-            payload["node_lengths"] = lengths
+            for term in sorted(self._cols):
+                # Pass through: re-anchor the bytes in the new file's
+                # sidecar without a decode.
+                columns[term] = bytes(self._col_blob(term))
+            payload = {
+                "indexed_nodes": self._indexed_nodes,
+                "columns_inline": columns,
+            }
+        payload["node_lengths"] = self._node_lengths_payload()
         return payload
 
     @classmethod
     def from_dict(cls, payload, analyzer, sidecar=None):
         """Rebuild an index from :meth:`to_dict` without re-tokenizing.
 
-        Posting lists stay in their cold serialized form -- legacy raw
-        lists, inline column bytes, or sidecar ``[offset, length]``
-        windows -- until a term is first looked up (or extended by
-        :meth:`add_node`).
+        Posting lists stay in their cold serialized form -- inline
+        column bytes (``columns_inline``) or sidecar ``[offset,
+        length]`` windows (``columns``) -- until a term is first looked
+        up (or extended by :meth:`add_node`).
         """
         index = cls(analyzer)
         index._indexed_nodes = payload["indexed_nodes"]
         if "columns_inline" in payload:
             index._cols = dict(payload["columns_inline"])
-        elif "columns" in payload:
+        else:
             index._cols = dict(payload["columns"])
             index._sidecar = sidecar
-        else:
-            index._raw_postings = payload["postings"]
-        lengths = payload.get("node_lengths")
-        if lengths is None:
-            index._node_lengths = None  # derive lazily on first use
-        else:
-            ids, counts = lengths
-            index._length_cols = (array("q", ids), array("q", counts))
+        ids, counts = payload["node_lengths"]
+        index._length_cols = (array("q", ids), array("q", counts))
         return index
 
     # -- lookups -----------------------------------------------------------
@@ -432,8 +316,8 @@ class InvertedIndex:
     def postings(self, term):
         """The posting list for an already-analyzed term (may be empty).
 
-        Lock-free reads check the materialized table, then the cold
-        tables (columns, raw), then the materialized table again: a
+        Lock-free reads check the materialized table, then the column
+        table, then the materialized table again: a
         concurrent materializer assigns before popping, so a term that
         misses everywhere (it moved in between) is guaranteed to be
         found by the final re-check inside :meth:`_materialized`.
@@ -441,17 +325,15 @@ class InvertedIndex:
         plist = self._postings.get(term)
         if plist is not None:
             return plist
-        if term in self._cols or (
-            self._raw_postings and term in self._raw_postings
-        ):
+        if term in self._cols:
             return self._materialized(term)
         return self._postings.get(term, [])
 
     def document_frequency(self, term):
         """Number of nodes whose direct text contains ``term``.
 
-        Cold terms answer from the column's leading count varint (or
-        the raw record's length) without materializing anything.
+        Cold terms answer from the column's leading count varint
+        without materializing anything.
         """
         plist = self._postings.get(term)
         if plist is not None:
@@ -459,10 +341,6 @@ class InvertedIndex:
         blob = self._col_blob(term)
         if blob is not None:
             return posting_count(blob)
-        if self._raw_postings:
-            raw = self._raw_postings.get(term)
-            if raw is not None:
-                return len(raw)
         # Moved by a concurrent materializer between the lookups (it
         # assigns before popping): re-check the materialized table.
         plist = self._postings.get(term)
@@ -514,10 +392,7 @@ class InvertedIndex:
             position = bisect.bisect_left(ids, node_id)
             if position < len(ids) and ids[position] == node_id:
                 return counts[position]
-            if self._node_lengths is None:
-                return 0
-            return self._node_lengths.get(node_id, 0)
-        return self._ensure_node_lengths().get(node_id, 0)
+        return self._node_lengths.get(node_id, 0)
 
     def term_frequencies(self, term):
         """Random-access ``node_id -> tf`` table for ``term``.
@@ -538,16 +413,12 @@ class InvertedIndex:
         return table
 
     def vocabulary(self):
-        if self._cols or self._raw_postings:
+        if self._cols:
             # Copy under the lock: materialization inserts into
             # _postings concurrently, and iterating a dict while it
             # grows raises RuntimeError.
             with self._materialize_lock:
-                return sorted(
-                    set(self._postings)
-                    | set(self._cols)
-                    | set(self._raw_postings or ())
-                )
+                return sorted(set(self._postings) | set(self._cols))
         return sorted(self._postings)
 
     @property
@@ -570,20 +441,13 @@ class InvertedIndex:
                 posting_entries += posting_count(blob)
             for plist in self._postings.values():
                 posting_entries += len(plist)
-            if self._raw_postings:
-                for raw in self._raw_postings.values():
-                    posting_entries += len(raw)
-            length_entries = len(self._node_lengths or ())
+            length_entries = len(self._node_lengths)
             if self._length_cols is not None:
                 length_entries += len(self._length_cols[0])
             return {
-                "terms": (
-                    len(self._postings) + len(self._cols)
-                    + len(self._raw_postings or ())
-                ),
+                "terms": len(self._postings) + len(self._cols),
                 "column_terms": len(self._cols),
                 "materialized_terms": len(self._postings),
-                "raw_terms": len(self._raw_postings or ()),
                 "column_bytes": column_bytes,
                 "posting_entries": posting_entries,
                 "node_length_entries": length_entries,

@@ -15,14 +15,13 @@ value that happens to equal a tag name.
 Internally a path is not a string but a small int: the terminal node id
 of a :class:`~repro.compact.trie.PathTrie` shared across the system, so
 every label segment is stored once and shared prefixes collapse.  Per
-key the index holds one of three forms, checked in order:
+key the index holds one of two forms, checked in order:
 
 * ``_*_ids`` -- materialized (hot, mutable) sets of trie ids;
 * ``_*_cols`` -- delta-encoded byte columns of sorted path-table
   indexes (:func:`~repro.compact.columns.encode_sorted_ids`), inline
   ``bytes`` or ``[offset, length]`` windows into a snapshot sidecar,
-  translated to trie ids through ``_id_map`` on decode;
-* ``_raw_*`` -- legacy (version <= 3) raw index lists.
+  translated to trie ids through ``_id_map`` on decode.
 
 Probes decode cold entries read-only (no pop) and cache the rendered
 string set; only :meth:`add_node` materializes an entry into its
@@ -54,10 +53,6 @@ class PathIndex:
         # sorted path table -- to trie ids; None until the first
         # compact()/restore (hot sets then hold trie ids directly).
         self._id_map = None
-        # Legacy snapshot state: raw per-term/per-tag path-table index
-        # lists awaiting materialization.  None outside restore.
-        self._raw_content = None
-        self._raw_tags = None
         self._sidecar = None
         # Probe-side cache of rendered string sets, keyed ("c"|"t", key);
         # add_node invalidates exactly the keys it touches.
@@ -74,13 +69,12 @@ class PathIndex:
         if pid not in self._path_ids:
             self._path_ids.add(pid)
             self._paths_cache = None
-        self._entry(self._tag_ids, self._tag_cols, self._raw_tags,
-                    tag).add(pid)
+        self._entry(self._tag_ids, self._tag_cols, tag).add(pid)
         self._hot.pop(("t", tag), None)
         if text:
             for token in self.analyzer.analyze(text):
                 self._entry(self._content_ids, self._content_cols,
-                            self._raw_content, token.text).add(pid)
+                            token.text).add(pid)
                 self._hot.pop(("c", token.text), None)
 
     def compact(self):
@@ -95,21 +89,13 @@ class PathIndex:
         with self._materialize_lock:
             id_map = sorted(self._path_ids, key=self.trie.render)
             index_of = {pid: i for i, pid in enumerate(id_map)}
-            for ids, cols, raw in (
-                (self._content_ids, self._content_cols, self._raw_content),
-                (self._tag_ids, self._tag_cols, self._raw_tags),
-            ):
+            for ids, cols in ((self._content_ids, self._content_cols),
+                              (self._tag_ids, self._tag_cols)):
                 for key in list(cols):
                     pids = self._decode_cold(cols[key])
                     cols[key] = encode_sorted_ids(
                         sorted(index_of[pid] for pid in pids)
                     )
-                if raw:
-                    for key, old_indexes in list(raw.items()):
-                        cols[key] = encode_sorted_ids(sorted(
-                            index_of[self._id_map[i]] for i in old_indexes
-                        ))
-                        del raw[key]
                 for key, pids in list(ids.items()):
                     cols[key] = encode_sorted_ids(
                         sorted(index_of[pid] for pid in pids)
@@ -133,14 +119,14 @@ class PathIndex:
         id_map = self._id_map
         return [id_map[i] for i in decode_sorted_ids(self._col_blob(entry))]
 
-    def _entry(self, ids, cols, raw, key):
+    def _entry(self, ids, cols, key):
         """The mutable trie-id set for ``key``, creating it if needed."""
-        pids = self._ids_lookup(ids, cols, raw, key)
+        pids = self._ids_lookup(ids, cols, key)
         if pids is None:
             pids = ids[key] = set()
         return pids
 
-    def _ids_lookup(self, ids, cols, raw, key):
+    def _ids_lookup(self, ids, cols, key):
         """The trie-id set for ``key``, or ``None``; materializes cold
         entries.
 
@@ -153,26 +139,20 @@ class PathIndex:
         pids = ids.get(key)
         if pids is not None:
             return pids
-        if not cols and not raw:
+        if not cols:
             return None
         with self._materialize_lock:
             pids = ids.get(key)
             if pids is not None:
                 return pids
             entry = cols.get(key)
-            if entry is not None:
-                pids = ids[key] = set(self._decode_cold(entry))
-                cols.pop(key, None)
-                return pids
-            old_indexes = raw.get(key) if raw else None
-            if old_indexes is None:
+            if entry is None:
                 return None
-            id_map = self._id_map
-            pids = ids[key] = {id_map[i] for i in old_indexes}
-            raw.pop(key, None)
+            pids = ids[key] = set(self._decode_cold(entry))
+            cols.pop(key, None)
         return pids
 
-    def _path_set(self, kind, ids, cols, raw, key):
+    def _path_set(self, kind, ids, cols, key):
         """Rendered path strings for ``key`` (read-only; cold entries
         are decoded without being materialized, and the rendered set is
         cached until :meth:`add_node` touches the key)."""
@@ -185,122 +165,80 @@ class PathIndex:
             if entry is not None:
                 pids = self._decode_cold(entry)
             else:
-                old_indexes = raw.get(key) if raw else None
-                if old_indexes is None:
-                    # A concurrent materializer may have moved the key
-                    # (it assigns before popping): one final re-check.
-                    pids = ids.get(key)
-                    if pids is None:
-                        return frozenset()
-                else:
-                    pids = [self._id_map[i] for i in old_indexes]
+                # A concurrent materializer may have moved the key (it
+                # assigns before popping): one final re-check.
+                pids = ids.get(key)
+                if pids is None:
+                    return frozenset()
         render = self.trie.render
         paths = frozenset(render(pid) for pid in pids)
         self._hot[(kind, key)] = paths
         return paths
 
-    def _known_keys(self, ids, cols, raw):
-        """A stable copy of every key across the three tables.
+    def _known_keys(self, ids, cols):
+        """A stable copy of every key across both tables.
 
         Taken under the lock: materialization moves entries between
         tables concurrently, and iterating a dict while it changes
         raises RuntimeError.
         """
         with self._materialize_lock:
-            names = set(ids) | set(cols)
-            if raw:
-                names |= set(raw)
-        return names
+            return set(ids) | set(cols)
 
     # -- snapshot serialization ----------------------------------------------
 
-    def _encode_tables(self, columnar):
-        path_list = sorted(self.trie.render(pid) for pid in self._path_ids)
-        index_of = {path: i for i, path in enumerate(path_list)}
-        pid_to_index = {
-            pid: index_of[self.trie.render(pid)] for pid in self._path_ids
-        }
+    def to_dict(self):
+        """Snapshot form: both tables as byte columns over ``all_paths``.
 
-        def indexes_for(ids, cols, raw, key):
-            pids = ids.get(key)
-            if pids is None:
-                entry = cols.get(key)
-                if entry is not None:
-                    pids = self._decode_cold(entry)
-                else:
-                    pids = [self._id_map[i] for i in raw[key]]
-            return sorted(pid_to_index[pid] for pid in pids)
-
-        def encode(ids, cols, raw, prefix):
-            names = set(ids) | set(cols)
-            if raw:
-                names |= set(raw)
-            if columnar:
-                return {
-                    prefix + name: encode_sorted_ids(
-                        indexes_for(ids, cols, raw, name)
-                    )
-                    for name in names
-                }
-            return {
-                name: indexes_for(ids, cols, raw, name) for name in names
-            }
-
-        return path_list, encode
-
-    def to_dict(self, columnar=False):
-        """Snapshot form: both tables coded as indexes into ``all_paths``.
-
-        Index coding keeps the record small (every path string appears
-        once) and decodes fast.  The default (legacy) form lists the
-        indexes as JSON arrays -- the version <= 3 record.
-        ``columnar=True`` emits them as delta-encoded byte columns
-        under ``columns_inline`` (content keys prefixed ``c:``, tag
-        keys ``t:``); the snapshot writer moves the bytes into the
-        binary sidecar.
+        Each key's path set is coded as sorted indexes into the
+        ``all_paths`` list (every path string appears once) and
+        delta-encoded into one byte column under ``columns_inline``
+        (content keys prefixed ``c:``, tag keys ``t:``); the snapshot
+        writer moves the bytes into the binary sidecar.
         """
         with self._materialize_lock:
-            path_list, encode = self._encode_tables(columnar)
-            if columnar:
-                columns = encode(self._content_ids, self._content_cols,
-                                 self._raw_content, "c:")
-                columns.update(encode(self._tag_ids, self._tag_cols,
-                                      self._raw_tags, "t:"))
-                return {"all_paths": path_list, "columns_inline": columns}
-            return {
-                "all_paths": path_list,
-                "content": encode(self._content_ids, self._content_cols,
-                                  self._raw_content, ""),
-                "tags": encode(self._tag_ids, self._tag_cols,
-                               self._raw_tags, ""),
+            render = self.trie.render
+            path_list = sorted(render(pid) for pid in self._path_ids)
+            index_of = {path: i for i, path in enumerate(path_list)}
+            pid_to_index = {
+                pid: index_of[render(pid)] for pid in self._path_ids
             }
+            columns = {}
+            for prefix, ids, cols in (
+                ("c:", self._content_ids, self._content_cols),
+                ("t:", self._tag_ids, self._tag_cols),
+            ):
+                for name in set(ids) | set(cols):
+                    pids = ids.get(name)
+                    if pids is None:
+                        pids = self._decode_cold(cols[name])
+                    columns[prefix + name] = encode_sorted_ids(
+                        sorted(pid_to_index[pid] for pid in pids)
+                    )
+            return {"all_paths": path_list, "columns_inline": columns}
 
     @classmethod
     def from_dict(cls, payload, analyzer, trie=None, sidecar=None):
         """Rebuild a path index from :meth:`to_dict`, lazily.
 
-        Accepts the legacy raw-list form, inline columns, and sidecar
-        ``[offset, length]`` column tables alike; per-key payloads stay
-        cold until first probed or extended.
+        Accepts inline columns (``columns_inline``) and sidecar
+        ``[offset, length]`` column tables (``columns``) alike; per-key
+        payloads stay cold until first probed or extended.
         """
         index = cls(analyzer, trie=trie)
         index._id_map = [index.trie.insert(path)
                          for path in payload["all_paths"]]
         index._path_ids = set(index._id_map)
         columns = payload.get("columns_inline")
-        if columns is None and "columns" in payload:
+        if columns is None:
             columns = payload["columns"]
             index._sidecar = sidecar
-        if columns is not None:
-            for key, entry in columns.items():
-                kind, name = key[:2], key[2:]
-                if kind == "c:":
-                    index._content_cols[name] = entry
-                else:
-                    index._tag_cols[name] = entry
-        else:
-            index._raw_content = payload["content"]
-            index._raw_tags = payload["tags"]
+        for key, entry in columns.items():
+            kind, name = key[:2], key[2:]
+            if kind == "c:":
+                index._content_cols[name] = entry
+            else:
+                index._tag_cols[name] = entry
         return index
 
     # -- probes (Section 5's three usage modes) ------------------------------
@@ -308,8 +246,7 @@ class PathIndex:
     def paths_for_term(self, term):
         """Distinct paths whose node content contains the analyzed term."""
         return set(self._path_set("c", self._content_ids,
-                                  self._content_cols, self._raw_content,
-                                  term))
+                                  self._content_cols, term))
 
     def paths_for_tag(self, tag):
         """Distinct paths whose *leaf* node name is ``tag``.
@@ -320,15 +257,13 @@ class PathIndex:
         """
         if "*" not in tag:
             return set(self._path_set("t", self._tag_ids, self._tag_cols,
-                                      self._raw_tags, tag))
-        names = self._known_keys(self._tag_ids, self._tag_cols,
-                                 self._raw_tags)
+                                      tag))
+        names = self._known_keys(self._tag_ids, self._tag_cols)
         matched = set()
         for candidate in names:
             if fnmatch.fnmatchcase(candidate, tag):
                 matched |= self._path_set("t", self._tag_ids,
-                                          self._tag_cols, self._raw_tags,
-                                          candidate)
+                                          self._tag_cols, candidate)
         return matched
 
     def paths_for_path(self, path):
@@ -351,13 +286,11 @@ class PathIndex:
         return set(cached)
 
     def tags(self):
-        return sorted(self._known_keys(self._tag_ids, self._tag_cols,
-                                       self._raw_tags))
+        return sorted(self._known_keys(self._tag_ids, self._tag_cols))
 
     def vocabulary(self):
         return sorted(self._known_keys(self._content_ids,
-                                       self._content_cols,
-                                       self._raw_content))
+                                       self._content_cols))
 
     def __len__(self):
         return len(self._path_ids)
@@ -371,14 +304,8 @@ class PathIndex:
                     column_bytes += len(self._col_blob(entry))
             return {
                 "paths": len(self._path_ids),
-                "terms": (
-                    len(self._content_ids) + len(self._content_cols)
-                    + len(self._raw_content or ())
-                ),
-                "tags": (
-                    len(self._tag_ids) + len(self._tag_cols)
-                    + len(self._raw_tags or ())
-                ),
+                "terms": len(self._content_ids) + len(self._content_cols),
+                "tags": len(self._tag_ids) + len(self._tag_cols),
                 "column_bytes": column_bytes,
                 "trie_nodes": self.trie.node_count,
                 "labels": len(self.trie.labels),

@@ -194,7 +194,7 @@ class ImpactStreamStore:
 
     # -- snapshot serialization ---------------------------------------------
 
-    def to_dict(self, version=None, columnar=False):
+    def to_dict(self, version=None):
         """Snapshot form; ``version`` keeps only that graph version.
 
         Persisting only current-version, persistable entries keeps
@@ -204,10 +204,10 @@ class ImpactStreamStore:
         The entry table is copied under the lock: a concurrent worker's
         ``put`` must not mutate the dict mid-iteration.
 
-        ``columnar=True`` replaces each record's score/id lists with a
-        ``column`` reference into ``columns_inline`` (still-cold
-        entries pass their bytes through undecoded); the snapshot
-        writer moves the blobs into the binary sidecar.
+        Each record names its stream's byte column in
+        ``columns_inline`` (still-cold entries pass their bytes through
+        undecoded); the snapshot writer moves the blobs into the binary
+        sidecar.
         """
         with self._lock:
             entries = sorted(self._streams.items())
@@ -218,55 +218,35 @@ class ImpactStreamStore:
                 continue
             if version is not None and entry_version != version:
                 continue
-            if columnar:
-                name = f"s{len(records)}"
-                if isinstance(stream, ImpactStream):
-                    columns[name] = stream.to_column()
-                else:
-                    columns[name] = bytes(self._column_blob(stream))
-                records.append({
-                    "term": list(key),
-                    "version": entry_version,
-                    "column": name,
-                })
+            name = f"s{len(records)}"
+            if isinstance(stream, ImpactStream):
+                columns[name] = stream.to_column()
             else:
-                if not isinstance(stream, ImpactStream):
-                    stream = ImpactStream.from_column(
-                        self._column_blob(stream)
-                    )
-                records.append({
-                    "term": list(key),
-                    "version": entry_version,
-                    "scores": list(stream.scores),
-                    "node_ids": list(stream.node_ids),
-                })
-        payload = {"streams": records}
-        if columnar:
-            payload["columns_inline"] = columns
-        return payload
+                columns[name] = bytes(self._column_blob(stream))
+            records.append({
+                "term": list(key),
+                "version": entry_version,
+                "column": name,
+            })
+        return {"streams": records, "columns_inline": columns}
 
     @classmethod
     def from_dict(cls, payload, sidecar=None):
         """Rebuild a store from :meth:`to_dict`.
 
-        JSON round-trips doubles exactly (and byte columns trivially
-        so), so restored streams serve the same bytes the saving system
-        computed.  Columnar records stay cold until first served.
+        Byte columns round-trip doubles bit-exactly, so restored
+        streams serve the same bytes the saving system computed.
+        Records stay cold until first served.
         """
         store = cls()
         columns = payload.get("columns_inline")
         if columns is None:
-            columns = payload.get("columns")
+            columns = payload["columns"]
             store._sidecar = sidecar
-        for record in payload.get("streams", ()):
-            name = record.get("column")
-            if name is not None:
-                stream = columns[name]
-            else:
-                stream = ImpactStream(record["scores"], record["node_ids"])
+        for record in payload["streams"]:
             store._streams[tuple(record["term"])] = (
                 record["version"],
-                stream,
+                columns[record["column"]],
                 True,
             )
         return store

@@ -140,9 +140,7 @@ class DataGraph:
             out_table[source_id].append(edge)
             in_table[target_id].append(edge)
             edges.append(edge)
-        # Pre-version snapshots carry no counter; seed it at the edge
-        # count, which is what add_edge would have left behind.
-        graph.version = payload.get("version", len(edges))
+        graph.version = payload["version"]
         return graph
 
     # -- neighborhoods ----------------------------------------------------------

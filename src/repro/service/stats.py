@@ -5,8 +5,7 @@ service tracks *system* effort per served query: wall-clock latency,
 whether the result came from the cache, and the top-k unit's own
 counters (sorted accesses, tuples scored, early termination).  Batch
 execution aggregates these into throughput and hit-rate numbers -- the
-series ``repro bench-queries`` and ``benchmarks/test_bench_service.py``
-report.
+series ``benchmarks/test_bench_service.py`` reports.
 
 A scatter-gather query runs one top-k search *per shard*, so
 :class:`QueryStats` keeps the per-shard breakdown beside the totals and

@@ -48,7 +48,6 @@ import bisect
 import json
 import os
 import secrets
-import shutil
 import threading
 import time
 import warnings
@@ -63,6 +62,7 @@ from repro.search.topk import SharedBound
 from repro.service.query_service import QueryService
 from repro.service.stats import failed_shards
 from repro.shard.partition import PARTITIONERS, resolve_partitioner
+from repro.storage import durable
 from repro.storage.snapshot import (
     SnapshotError,
     clear_obs_state,
@@ -77,6 +77,7 @@ from repro.storage.snapshot import (
 )
 from repro.storage.wal import (
     WriteAheadLog,
+    batch_record,
     replay_wal,
     sharded_wal_file_name,
 )
@@ -270,8 +271,9 @@ class _ShardSlot:
         A live system serializes itself; a still-deferred payload is
         written straight out (the parallel-build -> save flow never
         rehydrates); a never-loaded path-backed slot cannot have been
-        mutated, so its existing file is byte-copied (atomically, via
-        temp file + rename, like every snapshot write).  A deferred
+        mutated, so its existing file is byte-copied once its header
+        passes the integrity seal (durably, via fsynced temp file +
+        rename, like every snapshot write).  A deferred
         slot that *owes version bumps* must materialize first: its
         saved file would otherwise carry impact streams still marked
         valid for the pre-mutation statistics.
@@ -292,73 +294,61 @@ class _ShardSlot:
                     self.path, path
                 ):
                     return  # saving over its own source file
-                # Copy the column sidecar first (the main file is the
-                # commit record announcing it), then the snapshot.
-                source_cols = sidecar_file_name(self.path)
-                target_cols = sidecar_file_name(path)
-                if os.path.exists(source_cols):
-                    cols_tmp = f"{target_cols}.tmp"
-                    shutil.copyfile(source_cols, cols_tmp)
-                    os.replace(cols_tmp, target_cols)
-                else:
-                    try:
-                        os.remove(target_cols)
-                    except OSError:
-                        pass
-                tmp_path = f"{path}.tmp"
-                if os.path.basename(source_cols) != os.path.basename(
-                    target_cols
-                ):
-                    _copy_snapshot_renaming_sidecar(
-                        self.path, tmp_path, os.path.basename(target_cols)
-                    )
-                else:
-                    shutil.copyfile(self.path, tmp_path)
-                os.replace(tmp_path, path)
+                _copy_snapshot(self.path, path)
                 return
         self._seda.save(path, durable=False)
 
 
-def _copy_snapshot_renaming_sidecar(source, target, cols_basename):
-    """Byte-copy a snapshot, re-pointing its header at ``cols_basename``.
+def _copy_snapshot(source, target):
+    """Byte-copy a never-loaded shard's snapshot pair to ``target``.
 
-    The content records copy verbatim, but a sidecar-bearing header
-    announces its sidecar by *basename*; when a copy changes names
-    (generational sharded saves), the announcement must follow the new
-    name or the snapshot pair reads as torn on restore.  Rewriting the
-    header also invalidates a version-5 integrity seal, so the seal
-    line is re-computed over the rewritten header bytes.  Headers
-    without a sidecar entry copy unchanged.
+    The header is checked against its integrity seal first, so a copy
+    can never launder a corrupt header into a freshly sealed one: a
+    mismatch raises :class:`SnapshotError` before anything is written.
+    The column sidecar is copied next (the main file is the commit
+    record announcing it), then the snapshot.  The content records copy
+    verbatim, but a sidecar-bearing header announces its sidecar by
+    *basename*; when the copy changes names (generational sharded
+    saves) the announcement follows the new name and the seal is
+    recomputed over the rewritten header.  Both files go through the
+    durable temp-file sequence every snapshot write uses.
     """
-    with open(source, "rb") as src, open(target, "wb") as dst:
-        first = src.readline()
+    with open(source, "rb") as handle:
+        header_line = handle.readline().strip()
+        seal_line = handle.readline().strip()
+        records = handle.read()
+    try:
+        header, seal = json.loads(header_line), json.loads(seal_line)
+    except ValueError:
+        header = seal = None
+    if not (isinstance(header, dict) and isinstance(seal, dict)
+            and seal.get("header_crc") == zlib.crc32(header_line)):
+        raise SnapshotError(
+            f"{source}: header fails its integrity seal -- corrupt shard "
+            f"snapshot; restore it from backup before saving the "
+            f"collection"
+        )
+    source_cols = sidecar_file_name(source)
+    target_cols = sidecar_file_name(target)
+    if os.path.exists(source_cols):
+        with open(source_cols, "rb") as handle:
+            durable.write_bytes_durably(target_cols, handle.read())
+    else:
         try:
-            header = json.loads(first)
-        except ValueError:
-            header = None
-        if isinstance(header, dict) and "sidecar" in header:
-            header["sidecar"]["file"] = cols_basename
-            header_bytes = json.dumps(
-                header, separators=(",", ":")
-            ).encode("utf-8")
-            dst.write(header_bytes)
-            dst.write(b"\n")
-            second = src.readline()
-            try:
-                seal = json.loads(second)
-            except ValueError:
-                seal = None
-            if isinstance(seal, dict) and seal.get("record") == "integrity":
-                seal["header_crc"] = zlib.crc32(header_bytes)
-                dst.write(json.dumps(
-                    seal, separators=(",", ":")
-                ).encode("utf-8"))
-                dst.write(b"\n")
-            else:
-                dst.write(second)
-        else:
-            dst.write(first)
-        shutil.copyfileobj(src, dst)
+            os.remove(target_cols)
+        except OSError:
+            pass
+    announced = header.get("sidecar")
+    if isinstance(announced, dict) and (
+        announced.get("file") != os.path.basename(target_cols)
+    ):
+        announced["file"] = os.path.basename(target_cols)
+        header_line = json.dumps(header, separators=(",", ":")).encode()
+        seal["header_crc"] = zlib.crc32(header_line)
+        seal_line = json.dumps(seal, separators=(",", ":")).encode()
+    durable.write_bytes_durably(
+        target, header_line + b"\n" + seal_line + b"\n" + records
+    )
 
 
 class ShardedCollectionView:
@@ -873,18 +863,12 @@ class ShardedSeda:
             mutated = False
             stale_stats = False
             for record in records:
-                if record.get("op") != "add_documents":
-                    continue
-                base = record.get("base", 0)
+                base, pairs, specs = batch_record(record, "base")
                 if base < self._shard_doc_bases[index]:
                     # Absorbed by the shard file this slot restores
                     # from (leftover of a crash between manifest commit
                     # and log truncation); re-applying would duplicate.
                     continue
-                pairs = [tuple(pair)
-                         for pair in record.get("documents", ())]
-                specs = [ValueLinkSpec.from_dict(payload)
-                         for payload in record.get("value_links", ())]
                 # Route by the assignment map, never by partitioner
                 # arithmetic: batches logged under an older routing
                 # epoch (before a split/merge/rebalance) land exactly
@@ -1205,16 +1189,8 @@ class ShardedSeda:
         if warning is not None:
             warnings.warn(warning, stacklevel=3)
         for record in wal_records:
-            op = record.get("op")
-            if op != "add_documents":
-                from repro.storage.wal import WALError
-
-                raise WALError(
-                    f"write-ahead log holds unknown operation {op!r}; "
-                    f"written by a newer version?"
-                )
-            base = record.get("base")
-            if base is not None and base < len(self._docs):
+            base, pairs, specs = batch_record(record, "base")
+            if base < len(self._docs):
                 # ``base`` is the global document count when the batch
                 # was acknowledged; the restored manifest already
                 # counts past it, so the *manifest* absorbed this batch
@@ -1222,19 +1198,15 @@ class ShardedSeda:
                 # shards' files, so an unaffected shard's file may
                 # still predate the batch.  Apply it to exactly those
                 # stale shards, routed by the assignment map.
-                self._apply_covered_batch(record, base)
+                self._apply_covered_batch(base, pairs, specs)
                 continue
             # A fresh batch (past the manifest) was necessarily written
             # under the *current* topology -- every topology operation
             # commits a manifest covering all live documents -- so the
             # current partitioner reproduces its routing exactly.
-            self._ingest(
-                [tuple(pair) for pair in record.get("documents", ())],
-                tuple(ValueLinkSpec.from_dict(payload)
-                      for payload in record.get("value_links", ())),
-            )
+            self._ingest(pairs, tuple(specs))
 
-    def _apply_covered_batch(self, record, base):
+    def _apply_covered_batch(self, base, pairs, specs):
         """Re-apply a manifest-covered batch to shards whose files missed it.
 
         The manifest's document table already lists the batch's
@@ -1250,9 +1222,6 @@ class ShardedSeda:
         streams, so it is version-bumped (deferred slots record the
         bump for materialization).
         """
-        pairs = [tuple(pair) for pair in record.get("documents", ())]
-        specs = tuple(ValueLinkSpec.from_dict(payload)
-                      for payload in record.get("value_links", ()))
         stale = [index for index, mark in enumerate(self._shard_doc_bases)
                  if base >= mark]
         if not stale:
@@ -1312,12 +1281,13 @@ class ShardedSeda:
         attached; a torn final record is truncated with a warning.
         """
         manifest = read_sharded_manifest(directory)
-        meta = manifest.get("meta", {})
+        meta = manifest["meta"]
         if partitioner is not None:
             route, partitioner_name = resolve_partitioner(partitioner)
         else:
             stored = meta.get("partitioner", "hash")
-            route = PARTITIONERS.get(stored)
+            route = PARTITIONERS.get(stored) if isinstance(stored, str) \
+                else None
             partitioner_name = stored
             if route is None and stored != "custom":
                 # "custom" is the documented marker for a
@@ -1330,10 +1300,6 @@ class ShardedSeda:
                     f"{stored!r} (known: {sorted(PARTITIONERS)}, or "
                     f"'custom'); pass partitioner= to override"
                 )
-        value_links = tuple(
-            ValueLinkSpec.from_dict(record)
-            for record in meta.get("value_links", ())
-        )
         slots = [
             _ShardSlot(path=os.path.join(directory, shard_file))
             for shard_file in manifest["shard_files"]
@@ -1353,13 +1319,27 @@ class ShardedSeda:
         # batches each shard file absorbed (a topology commit rewrites
         # only the affected shards, so the marks can differ per shard);
         # replay and single-shard recovery both route from them.
-        system = cls(
-            slots, manifest["documents"],
-            meta.get("collection", "collection"), value_links,
-            route, partitioner_name,
-            routing_epoch=manifest.get("routing_epoch", 0),
-            shard_doc_bases=manifest.get("shard_doc_bases"),
-        )
+        try:
+            value_links = tuple(
+                ValueLinkSpec.from_dict(record)
+                for record in meta.get("value_links", ())
+            )
+            system = cls(
+                slots, manifest["documents"],
+                meta.get("collection", "collection"), value_links,
+                route, partitioner_name,
+                routing_epoch=manifest["routing_epoch"],
+                shard_doc_bases=manifest["shard_doc_bases"],
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            # The same conversion Seda.load applies: a manifest no
+            # writer of this format produced is a SnapshotError, never
+            # a bare reconstruction traceback.
+            raise SnapshotError(
+                f"{directory}: manifest does not reconstruct a "
+                f"collection ({type(error).__name__}: {error}); corrupt "
+                f"or incompatible manifest"
+            ) from error
         obs_payload = read_obs_state(directory)
         if obs_payload is not None:
             from repro.obs.registry import StatsRegistry
@@ -1499,9 +1479,9 @@ def publish_shared_payload(directory):
     shared_payload=True)`` processes attach the same physical copy of
     the columns instead of mapping private ones.
 
-    Shards without a sidecar (legacy formats, column-free shards) are
-    simply left out of the mapping; loaders fall back to the snapshot's
-    own file for those.  Returns a :class:`SharedPayload` -- the caller
+    Shards without a sidecar (column-free shards) are simply left out
+    of the mapping; loaders fall back to the snapshot's own file for
+    those.  Returns a :class:`SharedPayload` -- the caller
     owns the segments and must keep the handle alive while workers run,
     then :meth:`SharedPayload.unlink` them.
     """

@@ -590,12 +590,10 @@ def skew_report(directory):
         return max(values) / (total / len(values))
 
     return {
-        "collection": manifest.get("meta", {}).get(
-            "collection", "collection"
-        ),
+        "collection": manifest["meta"].get("collection", "collection"),
         "shards": len(shard_files),
-        "routing_epoch": manifest.get("routing_epoch", 0),
-        "generation": manifest.get("generation", 0),
+        "routing_epoch": manifest["routing_epoch"],
+        "generation": manifest["generation"],
         "wal_present": os.path.exists(sharded_wal_file_name(directory)),
         "per_shard": per_shard,
         "imbalance": {

@@ -11,28 +11,28 @@ Snapshot format (JSON lines, UTF-8):
 
 * Line 1 is the **header**::
 
-      {"record": "header", "format": "seda-snapshot", "version": 2,
-       "meta": {...}}
+      {"record": "header", "format": "seda-snapshot", "version": 5,
+       "meta": {...}, "crcs": {record_name: crc32, ...},
+       "sidecar": {"file": ..., "bytes": N, "crc32": ...}}
 
   ``format`` and ``version`` gate compatibility: readers reject files
-  whose format string differs or whose version is not a supported one
-  (there is no cross-version migration; re-save from source data
-  instead).  Version 2 added the optional ``streams`` record and the
-  inverted index's precomputed node lengths; version 3 added the
-  optional ``obs`` record (the retained query-statistics registry);
-  version 4 added the binary **sidecar** (below) holding the compact
-  byte columns; version 5 added integrity checksums -- the header
-  carries ``"crcs": {record_name: crc32}`` over each record line's
-  UTF-8 bytes, and the sidecar announcement carries a ``crc32`` over
-  the whole blob, all verified on load so any single corrupted byte
-  raises :class:`SnapshotError` instead of decoding into silently
-  wrong answers.  Version 1-4 files are still readable -- the
-  additions are derived, rebuilt lazily, or simply absent (pre-v5
-  files carry no checksums and load unverified, as before).  ``meta``
-  carries system-level configuration -- collection name, ``max_hops``,
-  the dataguide merge threshold, the analyzer configuration, and any
-  value-link specs -- everything needed to reconstruct
-  behavior-affecting settings.
+  whose format string differs or whose version is not
+  :data:`SNAPSHOT_VERSION`.  There is no cross-version migration: a
+  file written in an older format is rebuilt from its source XML and
+  saved again.  ``crcs`` holds a CRC32 over each record line's UTF-8
+  bytes and the sidecar announcement (present when the file has byte
+  columns, see below) one over the whole blob; all are verified on
+  load, so any single corrupted byte raises :class:`SnapshotError`
+  instead of decoding into silently wrong answers.  ``meta`` carries
+  system-level configuration -- collection name, ``max_hops``, the
+  dataguide merge threshold, the analyzer configuration, any
+  value-link specs, and ``wal_seq`` (the write-ahead batches the file
+  absorbed) -- everything needed to reconstruct behavior-affecting
+  settings.
+
+* Line 2 is the **integrity seal**, ``{"record": "integrity",
+  "header_crc": N}``: a CRC32 over the header line's bytes, the one
+  line the ``crcs`` table cannot protect.
 
 * Each following line is one **component record**::
 
@@ -44,11 +44,11 @@ Snapshot format (JSON lines, UTF-8):
   with positions and per-node token counts), ``path_index``
   (keyword/tag -> path tables), ``node_store`` (Dewey-ordered streams),
   ``dataguides`` (the exact :meth:`DataguideSet.to_dict` payload, same
-  as its standalone ``save`` format), and ``registry`` (fact/dimension
-  definitions); optionally followed by ``streams`` (the materialized
-  impact-ordered per-term score streams at the saved graph version, so
-  a reloaded system serves its hot terms without rebuilding them) and
-  ``obs`` (the serialized
+  as its standalone ``save`` format), ``registry`` (fact/dimension
+  definitions), and ``streams`` (the materialized impact-ordered
+  per-term score streams at the saved graph version, so a reloaded
+  system serves its hot terms without rebuilding them); optionally
+  followed by ``obs`` (the serialized
   :class:`~repro.obs.registry.StatsRegistry` -- per-fingerprint query
   statistics and the slow-query log -- so a reloaded service keeps its
   observability history).
@@ -64,16 +64,16 @@ power cut, never leaves a torn snapshot at the committed name.  A
 crash *does* leave stale ``*.tmp`` files behind; ``repro fsck``
 reports them and they are safe to delete.
 
-The binary sidecar (version 4)
-------------------------------
+The binary sidecar
+------------------
 
 A component payload may carry its bulk data as compact byte columns
 under a ``columns_inline`` key (``{name: bytes}``).  The writer strips
 those out of the JSON, concatenates the blobs (sorted by name) into one
 binary sidecar file next to the snapshot (``<file>.cols``), and
 substitutes a ``columns`` table of ``[offset, length]`` windows.  The
-header then records ``"sidecar": {"file": <basename>, "bytes": N}``;
-readers validate the sidecar's size against ``bytes`` (torn-state
+header then records ``"sidecar": {"file": <basename>, "bytes": N,
+"crc32": C}``; readers validate the sidecar's size and checksum (torn-state
 detection -- the sidecar is staged at ``<file>.cols.tmp`` before the
 main file commits and only renamed into place afterwards, so the main
 file's rename is the single commit point; a reader that finds the
@@ -84,8 +84,7 @@ interrupted rename itself) and attach it as a read-only
 per-key windows lazily and zero-copy; a caller may instead pass its own
 pre-attached buffer (e.g. a ``multiprocessing.shared_memory`` segment
 shared by many worker processes) to :func:`read_snapshot`.  A snapshot
-without columnar records has no sidecar and no header key -- and any
-version-4 reader still accepts the version 1-3 records verbatim.
+without byte columns has no sidecar and no header key.
 
 Sharded snapshots
 -----------------
@@ -105,16 +104,24 @@ A sharded collection (:mod:`repro.shard`) persists as a **directory**:
   (``shard-0000.g1.snapshot``), so the old manifest keeps pointing at
   intact old files until the new manifest commits::
 
-      {"format": "seda-sharded-snapshot", "version": 1,
+      {"format": "seda-sharded-snapshot", "version": 2,
+       "generation": G, "routing_epoch": E,
+       "shard_doc_bases": [B0, B1, ...],
        "meta": {"collection": ..., "shards": N, "partitioner": ...,
                 "value_links": [...]},
        "documents": [[name, shard_index, node_count], ...],
        "shard_files": ["shard-0000.snapshot", ...]}
 
-  ``documents`` lists every document in **global** order; the
-  ``node_count`` column is what lets a reader reconstruct the global
-  node-id space (and therefore translate per-shard result ids) without
-  opening a single shard file -- the basis of lazy per-shard restore.
+  ``documents`` lists every document in **global** order -- the
+  explicit document->shard assignment map; the ``node_count`` column
+  is what lets a reader reconstruct the global node-id space (and
+  therefore translate per-shard result ids) without opening a single
+  shard file -- the basis of lazy per-shard restore.
+  ``routing_epoch`` is bumped by every topology operation, and
+  ``shard_doc_bases`` records per shard the global document count when
+  that shard's file was written (write-ahead records at or past it
+  are replayed onto the shard).  Every field is required; a manifest
+  of another version is rejected like a snapshot of another version.
 
 Caveat: a shard file's impact streams carry content scores computed
 against *corpus-wide* idf.  Restored through the manifest they are
@@ -137,14 +144,8 @@ except ImportError:  # pragma: no cover - environment-dependent
     _fastjson = None
 
 SNAPSHOT_FORMAT = "seda-snapshot"
+#: The one format version this reader accepts (and the writer emits).
 SNAPSHOT_VERSION = 5
-
-#: Versions this reader accepts.  Version 1 lacked the ``streams``
-#: record and the inverted index's node lengths; version 2 lacked the
-#: ``obs`` record; version 3 lacked the binary sidecar; version 4
-#: lacked the record/sidecar checksums.  All of those restore as
-#: empty/derived/unverified, so old files load unchanged.
-SUPPORTED_VERSIONS = (1, 2, 3, 4, SNAPSHOT_VERSION)
 
 #: Pseudo-record under which :func:`read_snapshot` returns the attached
 #: sidecar buffer (never present in the file itself).
@@ -164,10 +165,11 @@ REQUIRED_RECORDS = (
     "node_store",
     "dataguides",
     "registry",
+    "streams",
 )
 
 #: Component records a snapshot may carry but a reader must not demand.
-OPTIONAL_RECORDS = ("streams", "obs")
+OPTIONAL_RECORDS = ("obs",)
 
 _KNOWN_RECORDS = frozenset(REQUIRED_RECORDS) | frozenset(OPTIONAL_RECORDS)
 
@@ -325,16 +327,24 @@ def _read_header(line, path):
             f"{path}: not a {SNAPSHOT_FORMAT} file "
             f"(format={header.get('format')!r})"
         )
-    if header.get("version") not in SUPPORTED_VERSIONS:
+    if header.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"{path}: unsupported snapshot version "
-            f"{header.get('version')!r} "
-            f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})"
+            f"{header.get('version')!r}; this release reads version "
+            f"{SNAPSHOT_VERSION} only -- rebuild the snapshot from its "
+            f"source XML and save it again"
         )
+    for key in ("meta", "crcs"):
+        if not isinstance(header.get(key), dict):
+            raise SnapshotError(
+                f"{path}: header has no {key!r} table -- corrupt "
+                f"snapshot; restore from backup"
+            )
     return header
 
 
-def _complete_sidecar_commit(path, sidecar_path, announced, repair):
+def _complete_sidecar_commit(path, sidecar_path, expected, expected_crc,
+                             repair):
     """Finish a sidecar rename a crash interrupted, or return ``None``.
 
     :func:`write_snapshot` commits the main file *between* staging the
@@ -350,10 +360,6 @@ def _complete_sidecar_commit(path, sidecar_path, announced, repair):
     ``repair=False`` (fsck's verification-only mode) serves the staged
     buffer without touching the filesystem.
     """
-    expected = announced.get("bytes", 0)
-    expected_crc = announced.get("crc32")
-    if expected_crc is None:  # pre-v5 header: cannot verify, never guess
-        return None
     staged = f"{sidecar_path}.tmp"
     try:
         buffer = Sidecar.from_file(staged)
@@ -387,76 +393,67 @@ def _complete_sidecar_commit(path, sidecar_path, announced, repair):
 
 
 def _attach_sidecar(header, path, sidecar, repair=True):
-    """The sidecar buffer a version-4 header calls for, or ``None``.
+    """The sidecar buffer the header announces, or ``None``.
 
     ``sidecar`` is an optional caller-provided pre-attached buffer
     (e.g. a shared-memory segment holding the same bytes); otherwise
     the announced file is memory-mapped.  Either way the buffer must
     cover the announced byte count -- a short file means the snapshot
-    pair is torn.  When the announced file is missing or fails its
-    checksum but a staged ``<sidecar>.tmp`` matches the announced CRC,
-    the interrupted commit is completed instead of failing (see
+    pair is torn -- and match the announced CRC.  When the announced
+    file is missing, short, or fails its checksum but a staged
+    ``<sidecar>.tmp`` matches the announced CRC, the interrupted commit
+    is completed instead of failing (see
     :func:`_complete_sidecar_commit`).
     """
     announced = header.get("sidecar")
     if announced is None:
         return None
-    version = header.get("version")
-    expected = announced.get("bytes", 0)
+    try:
+        name = announced["file"]
+        expected, expected_crc = announced["bytes"], announced["crc32"]
+    except (TypeError, KeyError):
+        raise SnapshotError(
+            f"{path}: malformed sidecar announcement {announced!r} -- "
+            f"corrupt snapshot; restore from backup"
+        ) from None
     from_file = sidecar is None
-    if sidecar is None:
+    problem = None
+    if from_file:
         sidecar_path = os.path.join(
-            os.path.dirname(os.fspath(path)) or ".", announced["file"]
+            os.path.dirname(os.fspath(path)) or ".", name
         )
         try:
             sidecar = Sidecar.from_file(sidecar_path)
         except FileNotFoundError:
-            sidecar = _complete_sidecar_commit(path, sidecar_path,
-                                               announced, repair)
-            if sidecar is None:
-                raise SnapshotError(
-                    f"{path}: missing sidecar file {announced['file']!r} "
-                    f"(format version {version}, expected {expected} "
-                    f"bytes; the snapshot/sidecar pair must move "
-                    f"together)"
-                ) from None
-            return sidecar
-    if len(sidecar) < expected:
-        replacement = None
-        if from_file:
-            replacement = _complete_sidecar_commit(
-                path, sidecar_path, announced, repair
+            problem = (
+                f"missing sidecar file {name!r} (expected {expected} "
+                f"bytes; the snapshot/sidecar pair must move together)"
             )
-        if replacement is None:
-            raise SnapshotError(
-                f"{path}: sidecar {announced['file']!r} holds "
-                f"{len(sidecar)} bytes, header (format version "
-                f"{version}) announces {expected} -- torn snapshot "
-                f"pair, not a wrong file; restore both files from the "
-                f"same save"
-            )
-        sidecar.close()
-        return replacement
-    expected_crc = announced.get("crc32")
-    if expected_crc is not None:
+    if problem is None and len(sidecar) < expected:
+        problem = (
+            f"sidecar {name!r} holds {len(sidecar)} bytes, header "
+            f"announces {expected} -- torn snapshot pair, not a wrong "
+            f"file; restore both files from the same save"
+        )
+    if problem is None:
         actual_crc = sidecar.crc32(expected)
-        if actual_crc != expected_crc:
-            replacement = None
-            if from_file:
-                replacement = _complete_sidecar_commit(
-                    path, sidecar_path, announced, repair
-                )
-            if replacement is None:
-                raise SnapshotError(
-                    f"{path}: sidecar {announced['file']!r} fails its "
-                    f"checksum over {expected} bytes (stored "
-                    f"{expected_crc}, computed {actual_crc}) -- the "
-                    f"column payload is corrupt; restore from backup "
-                    f"or re-save from source"
-                )
-            sidecar.close()
-            sidecar = replacement
-    return sidecar
+        if actual_crc == expected_crc:
+            return sidecar
+        problem = (
+            f"sidecar {name!r} fails its checksum over {expected} bytes "
+            f"(stored {expected_crc}, computed {actual_crc}) -- the "
+            f"column payload is corrupt; restore from backup or re-save "
+            f"from source"
+        )
+    if from_file:
+        replacement = _complete_sidecar_commit(
+            path, sidecar_path, expected, expected_crc, repair
+        )
+        if replacement is not None:
+            if sidecar is not None:
+                sidecar.close()
+            return replacement
+    raise SnapshotError(f"{path}: {problem}")
 
 
 def read_snapshot(path, sidecar=None, repair=True):
@@ -472,22 +469,15 @@ def read_snapshot(path, sidecar=None, repair=True):
     ``RuntimeWarning``); ``repair=False`` verifies the staged bytes
     without renaming them -- fsck's read-only mode.
     """
-    meta, records, crcs = None, {}, None
-    header_line, seal_pending = None, False
+    header, header_line, sealed, records = None, None, False, {}
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in _utf8_lines(handle, path):
             line = line.strip()
             if not line:
                 continue
-            if meta is None:
+            if header is None:
                 header = _read_header(line, path)
                 header_line = line
-                meta = header.get("meta", {})
-                crcs = header.get("crcs")  # version >= 5; else None
-                seal_pending = header.get("version", 0) >= 5
-                attached = _attach_sidecar(header, path, sidecar, repair)
-                if attached is not None:
-                    records[SIDECAR_KEY] = attached
                 continue
             try:
                 record = _loads(line)
@@ -496,26 +486,26 @@ def read_snapshot(path, sidecar=None, repair=True):
                     f"{path}:{number}: torn record (invalid JSON)"
                 ) from error
             name = record.get("record") if isinstance(record, dict) else None
-            if name == "integrity":
+            if not sealed:
                 # The seal's CRC covers the header's raw bytes -- the
                 # one line the crcs table cannot protect (it lives
                 # inside it).  Any flip in meta, the crcs table, or the
-                # sidecar announcement lands here as a mismatch.
+                # sidecar announcement lands here as a mismatch, before
+                # the announcement is trusted to attach anything.
+                if name != "integrity":
+                    break
                 stored = record.get("header_crc")
                 actual = zlib.crc32(header_line.encode("utf-8"))
-                if not seal_pending:
-                    raise SnapshotError(
-                        f"{path}:{number}: integrity seal on a "
-                        f"pre-checksum snapshot -- header version field "
-                        f"is corrupt; restore from backup"
-                    )
                 if stored != actual:
                     raise SnapshotError(
                         f"{path}:{number}: header fails its integrity "
                         f"seal (stored {stored}, computed {actual}) -- "
                         f"corrupt snapshot; restore from backup"
                     )
-                seal_pending = False
+                sealed = True
+                attached = _attach_sidecar(header, path, sidecar, repair)
+                if attached is not None:
+                    records[SIDECAR_KEY] = attached
                 continue
             if name not in _KNOWN_RECORDS:
                 raise SnapshotError(
@@ -525,39 +515,37 @@ def read_snapshot(path, sidecar=None, repair=True):
                 raise SnapshotError(
                     f"{path}:{number}: record {name!r} has no payload"
                 )
-            if crcs is not None:
-                stored = crcs.get(name)
-                actual = zlib.crc32(line.encode("utf-8"))
-                if stored != actual:
-                    raise SnapshotError(
-                        f"{path}:{number}: record {name!r} fails its "
-                        f"checksum (stored {stored}, computed {actual}) "
-                        f"-- corrupt snapshot; restore from backup"
-                    )
+            stored = header["crcs"].get(name)
+            actual = zlib.crc32(line.encode("utf-8"))
+            if stored != actual:
+                raise SnapshotError(
+                    f"{path}:{number}: record {name!r} fails its "
+                    f"checksum (stored {stored}, computed {actual}) "
+                    f"-- corrupt snapshot; restore from backup"
+                )
             records[name] = record["payload"]
-    if meta is None:
+    if header is None:
         raise SnapshotError(f"{path}: empty snapshot file")
-    if seal_pending:
+    if not sealed:
         raise SnapshotError(
-            f"{path}: version-5 snapshot is missing its integrity seal "
-            f"-- truncated or corrupt; restore from backup"
+            f"{path}: snapshot is missing its integrity seal after the "
+            f"header -- truncated or corrupt; restore from backup"
         )
     missing = [name for name in REQUIRED_RECORDS if name not in records]
     if missing:
         raise SnapshotError(f"{path}: missing records: {missing}")
-    return meta, records
+    return header["meta"], records
 
 
 SHARDED_FORMAT = "seda-sharded-snapshot"
-#: Version 2 adds the manifest-owned routing state: ``routing_epoch``
-#: (bumped by every topology operation -- split/merge/rebalance) and
-#: ``shard_doc_bases`` (per shard, the global document count at the
-#: moment that shard's file was written; write-ahead records with
-#: ``base >= shard_doc_bases[s]`` are *not* absorbed by shard ``s``'s
-#: file and must be replayed onto it).  Version-1 manifests read as
-#: epoch 0 with every base at the full document count.
+#: The one manifest version this reader accepts (and the writer
+#: emits); its routing state is ``routing_epoch`` (bumped by every
+#: topology operation -- split/merge/rebalance) and ``shard_doc_bases``
+#: (per shard, the global document count at the moment that shard's
+#: file was written; write-ahead records with ``base >=
+#: shard_doc_bases[s]`` are *not* absorbed by shard ``s``'s file and
+#: must be replayed onto it).
 SHARDED_VERSION = 2
-SHARDED_SUPPORTED_VERSIONS = (1, 2)
 SHARDED_MANIFEST = "manifest.json"
 
 #: Shard files are named by zero-padded shard index; re-saves into a
@@ -638,8 +626,10 @@ def read_sharded_manifest(directory):
     """Read and validate ``manifest.json``; returns the manifest dict.
 
     Raises :class:`SnapshotError` on a missing manifest, a foreign
-    format string, an unsupported version, or a manifest whose listed
-    shard files are absent.
+    format string, another version, a field of the wrong shape (every
+    field is required and type-checked here, once, so no reader
+    downstream meets a shape it does not expect), or a manifest whose
+    listed shard files are absent.
     """
     path = os.path.join(directory, SHARDED_MANIFEST)
     try:
@@ -660,15 +650,31 @@ def read_sharded_manifest(directory):
             f"{path}: not a {SHARDED_FORMAT} manifest "
             f"(format={manifest.get('format') if isinstance(manifest, dict) else None!r})"
         )
-    if manifest.get("version") not in SHARDED_SUPPORTED_VERSIONS:
+    if manifest.get("version") != SHARDED_VERSION:
         raise SnapshotError(
             f"{path}: unsupported sharded snapshot version "
-            f"{manifest.get('version')!r} "
-            f"(supported: {list(SHARDED_SUPPORTED_VERSIONS)})"
+            f"{manifest.get('version')!r}; this release reads version "
+            f"{SHARDED_VERSION} only -- rebuild the collection from its "
+            f"source XML and save it again"
         )
-    for name in ("documents", "shard_files"):
-        if not isinstance(manifest.get(name), list):
-            raise SnapshotError(f"{path}: manifest is missing {name!r}")
+
+    def require(name, valid, need):
+        if name not in manifest or not valid(manifest[name]):
+            raise SnapshotError(
+                f"{path}: malformed {name} {manifest.get(name)!r} "
+                f"(need {need})"
+            )
+
+    def count(value):
+        return isinstance(value, int) and value >= 0
+
+    require("meta", lambda meta: isinstance(meta, dict), "an object")
+    require("shard_files", lambda files: isinstance(files, list) and all(
+        isinstance(name, str) for name in files
+    ), "a list of file names")
+    require("documents", lambda rows: isinstance(rows, list), "a list")
+    require("generation", count, "int >= 0")
+    require("routing_epoch", count, "int >= 0")
     shard_count = len(manifest["shard_files"])
     for row in manifest["documents"]:
         if not (
@@ -680,29 +686,11 @@ def read_sharded_manifest(directory):
                 f"{path}: malformed document row {row!r} "
                 f"(need [name, shard_index < {shard_count}, node_count])"
             )
-    # Normalize the version-2 routing state so every reader sees it: a
-    # version-1 manifest predates topology operations, so its epoch is
-    # 0 and every shard file absorbed the whole document table.
     document_count = len(manifest["documents"])
-    epoch = manifest.setdefault("routing_epoch", 0)
-    if not (isinstance(epoch, int) and epoch >= 0):
-        raise SnapshotError(
-            f"{path}: malformed routing_epoch {epoch!r} (need int >= 0)"
-        )
-    bases = manifest.setdefault(
-        "shard_doc_bases", [document_count] * shard_count
-    )
-    if not (
+    require("shard_doc_bases", lambda bases: (
         isinstance(bases, list) and len(bases) == shard_count
-        and all(
-            isinstance(base, int) and 0 <= base <= document_count
-            for base in bases
-        )
-    ):
-        raise SnapshotError(
-            f"{path}: malformed shard_doc_bases {bases!r} (need "
-            f"{shard_count} ints in [0, {document_count}])"
-        )
+        and all(count(base) and base <= document_count for base in bases)
+    ), f"{shard_count} ints in [0, {document_count}]")
     missing = [
         shard_file for shard_file in manifest["shard_files"]
         if not os.path.exists(os.path.join(directory, shard_file))
@@ -780,24 +768,14 @@ def sharded_snapshot_info(directory):
             (shard_file, size, per_shard_docs[index], per_shard_nodes[index])
         )
     return {
-        "meta": manifest.get("meta", {}),
+        "meta": manifest["meta"],
         "shards": shards,
         "documents": len(documents),
         "nodes": sum(per_shard_nodes),
         "total_bytes": total,
-        "routing_epoch": manifest.get("routing_epoch", 0),
-        "generation": manifest.get("generation", 0),
+        "routing_epoch": manifest["routing_epoch"],
+        "generation": manifest["generation"],
     }
-
-
-def _snapshot_version(path):
-    """The header's format version, or ``None`` when unreadable."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline().strip()
-        return _read_header(first, path).get("version")
-    except (OSError, UnicodeDecodeError, SnapshotError):
-        return None
 
 
 def _verify_snapshot_file(path, problems, warnings, checked, label=None):
@@ -815,15 +793,6 @@ def _verify_snapshot_file(path, problems, warnings, checked, label=None):
     import warnings as warnmod
 
     label = label or os.fspath(path)
-    version = _snapshot_version(path)
-    if version is not None:
-        checked[label] = {"version": version}
-        if version < SNAPSHOT_VERSION:
-            warnings.append(
-                f"{label}: format version {version} carries no checksums"
-                f"{' beyond the sidecar byte count' if version >= 4 else ''}"
-                f"; re-save to upgrade to version {SNAPSHOT_VERSION}"
-            )
     try:
         with warnmod.catch_warnings(record=True) as caught:
             warnmod.simplefilter("always")
@@ -839,13 +808,13 @@ def _verify_snapshot_file(path, problems, warnings, checked, label=None):
         if issubclass(entry.category, RuntimeWarning):
             warnings.append(str(entry.message))
             staged = f"{sidecar_file_name(path)}.tmp"
+    checked[label] = {"version": SNAPSHOT_VERSION, "records": sorted(
+        name for name in records if name != SIDECAR_KEY
+    )}
     attached = records.get(SIDECAR_KEY)
     if attached is not None:
         checked[label]["sidecar_bytes"] = len(attached)
         attached.close()
-    checked[label]["records"] = sorted(
-        name for name in records if name != SIDECAR_KEY
-    )
     documents = [
         (record["name"], len(record["parents"]))
         for record in records["collection"]["documents"]
@@ -922,10 +891,11 @@ def _verify_shard_assignment(directory, manifest, shard_documents,
         except Exception:  # noqa: BLE001 - WAL check reports separately
             records = []
         for record in records:
-            base = record.get("base", 0)
-            covered.update(
-                range(base, base + len(record.get("documents", ())))
-            )
+            base = record.get("base")
+            if isinstance(base, int):  # replay rejects the others
+                covered.update(
+                    range(base, base + len(record.get("documents", ())))
+                )
         lost = [index for index in unabsorbed if index not in covered]
         if lost:
             names = [rows[index][0] for index in lost[:3]]
@@ -953,8 +923,8 @@ def fsck_report(path):
     "warnings", "checked"}``: ``problems`` are integrity failures
     (checksum mismatches, torn pairs, missing files -- the snapshot
     set cannot be trusted), ``warnings`` are survivable findings
-    (torn WAL tail, stale ``*.tmp`` leftovers, pre-checksum format
-    versions), and ``checked`` summarizes what was examined.  Never
+    (torn WAL tail, stale ``*.tmp`` leftovers, an interrupted sidecar
+    rename), and ``checked`` summarizes what was examined.  Never
     modifies anything -- WAL torn tails are reported, not repaired.
     """
     from repro.storage.wal import sharded_wal_file_name, wal_file_name
@@ -969,8 +939,8 @@ def fsck_report(path):
             manifest = None
         if manifest is not None:
             checked[os.path.join(path, SHARDED_MANIFEST)] = {
-                "generation": manifest.get("generation", 0),
-                "routing_epoch": manifest.get("routing_epoch", 0),
+                "generation": manifest["generation"],
+                "routing_epoch": manifest["routing_epoch"],
                 "shards": len(manifest["shard_files"]),
                 "documents": len(manifest["documents"]),
             }
@@ -1041,9 +1011,9 @@ def snapshot_info(path):
     Returns ``{"meta": ..., "records": [(name, bytes), ...],
     "total_bytes": N, "sidecar_bytes": N}`` -- what ``repro snapshot
     info`` prints.  ``total_bytes`` is the JSON file alone;
-    ``sidecar_bytes`` (0 for pre-version-4 files) is the binary column
-    payload riding alongside it.  Streams the file line by line, so
-    inspecting a large snapshot stays cheap.
+    ``sidecar_bytes`` (0 when the file has no byte columns) is the
+    binary column payload riding alongside it.  Streams the file line
+    by line, so inspecting a large snapshot stays cheap.
     """
     meta = None
     sizes = []
@@ -1057,7 +1027,7 @@ def snapshot_info(path):
             total += len(line.encode("utf-8"))
             if meta is None:
                 header = _read_header(stripped, path)
-                meta = header.get("meta", {})
+                meta = header["meta"]
                 sidecar_bytes = header.get("sidecar", {}).get("bytes", 0)
                 continue
             try:

@@ -20,8 +20,17 @@ Little-endian prefixes; ``crc32`` (zlib) covers the payload bytes.
 Payloads are UTF-8 JSON dictionaries -- for document batches::
 
     {"op": "add_documents",
+     "seq": N,                                  # single-file log, or
+     "base": N, "epoch": E,                     # collection-level log
      "documents": [[name_or_null, xml_text], ...],
-     "value_links": [spec.to_dict(), ...]}      # only when specs rode along
+     "value_links": [spec.to_dict(), ...]}
+
+``seq`` counts the batches a single system ever acknowledged (a
+snapshot stamps how many it absorbed); ``base`` is a sharded
+collection's global document count when the batch was acknowledged.
+Replay skips what the snapshot already holds by that number, so a
+record without it is rejected (:func:`batch_record`) instead of being
+guessed at.
 
 Recovery semantics (:func:`replay_wal`):
 
@@ -49,6 +58,7 @@ import os
 import struct
 import zlib
 
+from repro.model.links import ValueLinkSpec
 from repro.storage import durable
 from repro.storage.snapshot import SnapshotError
 
@@ -230,6 +240,34 @@ def replay_wal(path, repair=True):
             handle.truncate(offset)
             durable.fsync_file(handle)
     return records, warning
+
+
+def batch_record(record, position_key):
+    """Unpack one replayed ``add_documents`` record.
+
+    Returns ``(position, pairs, specs)``: ``record[position_key]``
+    (``"seq"`` in a single-file log, ``"base"`` in a sharded one), the
+    ``(name, xml)`` pairs, and the :class:`ValueLinkSpec` list.  Raises
+    :class:`WALError` for any other operation or a record without an
+    integer position -- replay cannot tell what it already absorbed.
+    """
+    op = record.get("op")
+    if op != "add_documents":
+        raise WALError(
+            f"write-ahead log holds unknown operation {op!r}; "
+            f"written by a newer version?"
+        )
+    position = record.get(position_key)
+    if not isinstance(position, int):
+        raise WALError(
+            f"write-ahead batch has no integer {position_key!r} "
+            f"(found {position!r}); replay cannot tell whether the "
+            f"snapshot absorbed it -- restore from snapshot/backup"
+        )
+    pairs = [tuple(pair) for pair in record.get("documents", ())]
+    specs = [ValueLinkSpec.from_dict(payload)
+             for payload in record.get("value_links", ())]
+    return position, pairs, specs
 
 
 def verify_wal(path):

@@ -43,7 +43,12 @@ from repro.search.topk import TopKSearcher
 from repro.service.query_service import QueryService
 from repro.storage.node_store import NodeStore
 from repro.storage.snapshot import SIDECAR_KEY, read_snapshot, write_snapshot
-from repro.storage.wal import WriteAheadLog, replay_wal, wal_file_name
+from repro.storage.wal import (
+    WriteAheadLog,
+    batch_record,
+    replay_wal,
+    wal_file_name,
+)
 from repro.summaries.connection import ConnectionSummaryGenerator
 from repro.summaries.context import ContextSummaryGenerator
 from repro.summaries.dataguide import DataguideBuilder, DataguideSet
@@ -77,7 +82,7 @@ class Seda:
     """One SEDA instance over a document collection."""
 
     def __init__(self, collection, value_links=(), dataguide_threshold=0.4,
-                 analyzer=None, max_hops=12, compact_indexes=True):
+                 analyzer=None, max_hops=12):
         graph = DataGraph(collection)
         discoverer = LinkDiscoverer(graph)
         discoverer.discover_all(value_specs=value_links)
@@ -85,8 +90,7 @@ class Seda:
         # One shared path trie: the path index and every dataguide store
         # paths as small int ids over a single interned label table.
         trie = PathTrie()
-        builder = IndexBuilder(collection, analyzer=analyzer, trie=trie,
-                               compact=compact_indexes)
+        builder = IndexBuilder(collection, analyzer=analyzer, trie=trie)
         inverted, path_index = builder.build()
         node_store = NodeStore(collection)
         dataguide_builder = DataguideBuilder(dataguide_threshold, trie=trie)
@@ -264,18 +268,17 @@ class Seda:
         records = {
             "collection": self.collection.to_dict(),
             "graph": self.graph.to_dict(),
-            # Columnar index forms: the byte columns ride the snapshot's
-            # binary sidecar instead of being exploded into JSON lists.
-            "inverted": self.inverted.to_dict(columnar=True),
-            "path_index": self.path_index.to_dict(columnar=True),
+            # The indexes' byte columns ride the snapshot's binary
+            # sidecar instead of being exploded into JSON lists.
+            "inverted": self.inverted.to_dict(),
+            "path_index": self.path_index.to_dict(),
             "node_store": self.node_store.to_dict(),
             "dataguides": self.dataguides.to_dict(),
             "registry": self.registry.to_dict(),
             # Materialized impact streams for the current graph version:
             # a reloaded system answers its hot terms from these without
             # re-enumerating or re-scoring candidates.
-            "streams": self.streams.to_dict(version=self.graph.version,
-                                            columnar=True),
+            "streams": self.streams.to_dict(version=self.graph.version),
         }
         if self.obs is not None:
             # Retained query statistics survive the snapshot: a reloaded
@@ -344,10 +347,10 @@ class Seda:
         try:
             system = cls.from_payload(meta, records)
         except (KeyError, TypeError, ValueError, AttributeError) as error:
-            # Version-5 checksums catch corruption before we get here;
-            # older snapshots can only fail structurally.  Either way a
-            # broken file must surface as SnapshotError, never as a
-            # bare reconstruction traceback.
+            # The checksums catch corruption before we get here, so
+            # this is a record set no writer of this format produced;
+            # it must surface as SnapshotError, never as a bare
+            # reconstruction traceback.
             from repro.storage.snapshot import SnapshotError
 
             raise SnapshotError(
@@ -373,29 +376,14 @@ class Seda:
         if warning is not None:
             warnings.warn(warning, stacklevel=3)
         for record in wal_records:
-            op = record.get("op")
-            if op != "add_documents":
-                from repro.storage.wal import WALError
-
-                raise WALError(
-                    f"write-ahead log holds unknown operation {op!r}; "
-                    f"written by a newer version?"
-                )
-            seq = record.get("seq")
-            if seq is not None:
-                if seq < self._wal_seq:
-                    # The snapshot already absorbed this batch: the
-                    # crash hit between its commit and the log
-                    # truncation.  Replaying it would double-apply.
-                    continue
-                self._wal_seq = seq + 1
-            else:
-                self._wal_seq += 1  # legacy record without a sequence
-            self._ingest(
-                [tuple(pair) for pair in record.get("documents", ())],
-                [ValueLinkSpec.from_dict(payload)
-                 for payload in record.get("value_links", ())],
-            )
+            seq, pairs, specs = batch_record(record, "seq")
+            if seq < self._wal_seq:
+                # The snapshot already absorbed this batch: the crash
+                # hit between its commit and the log truncation.
+                # Replaying it would double-apply.
+                continue
+            self._wal_seq = seq + 1
+            self._ingest(pairs, specs)
 
     def enable_durability(self, snapshot_path):
         """Attach a write-ahead log beside the snapshot at ``snapshot_path``.
@@ -436,17 +424,13 @@ class Seda:
         builder = IndexBuilder(
             collection, analyzer=analyzer, inverted=inverted,
             paths=path_index, built_upto=len(collection.documents),
-            compact=True,
         )
         value_links = tuple(
             ValueLinkSpec.from_dict(record)
             for record in meta.get("value_links", ())
         )
-        streams = (
-            ImpactStreamStore.from_dict(records["streams"], sidecar=sidecar)
-            if "streams" in records
-            else None  # version-1 snapshot: start with an empty store
-        )
+        streams = ImpactStreamStore.from_dict(records["streams"],
+                                              sidecar=sidecar)
         system = cls.__new__(cls)
         system._wire(
             collection=collection, graph=graph, builder=builder,
@@ -460,7 +444,7 @@ class Seda:
             from repro.obs.registry import StatsRegistry
 
             system.obs = StatsRegistry.from_dict(records["obs"])
-        system._wal_seq = meta.get("wal_seq", 0)
+        system._wal_seq = meta["wal_seq"]
         return system
 
     # -- introspection ------------------------------------------------------------
@@ -469,9 +453,8 @@ class Seda:
         """Per-index estimated resident memory (``repro info``).
 
         Cheap structural estimates -- table sizes and encoded column
-        bytes -- not a heap profiler: the point is comparing the compact
-        representations against what the legacy object layout would
-        cost, and watching them as a corpus grows.
+        bytes -- not a heap profiler: the point is watching the compact
+        representations as a corpus grows.
         """
         trie = self.path_index.trie
         labels = trie.labels

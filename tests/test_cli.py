@@ -162,72 +162,6 @@ class TestQueryFileParsing:
         assert _parse_query_line("*:canada") == [("*", "canada")]
 
 
-class TestServiceCommands:
-    def test_serve_batch_builtin_queries(self):
-        out = io.StringIO()
-        code = main(
-            ["serve-batch", "--scale", "0.01", "--workers", "2", "-k", "3"],
-            out=out,
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "query [topk]" in text
-        assert "batch:" in text
-        assert "2 workers" in text
-
-    def test_serve_batch_query_file(self, tmp_path):
-        queries = tmp_path / "queries.txt"
-        queries.write_text(
-            "# hot queries\n"
-            "\n"
-            '*:"United States" ;; trade_country:*\n'
-            "*:canada\n"
-        )
-        out = io.StringIO()
-        code = main(
-            ["serve-batch", "--scale", "0.01",
-             "--queries", str(queries), "--workers", "2"],
-            out=out,
-        )
-        assert code == 0
-        assert out.getvalue().count("query [") == 2
-
-    def test_serve_batch_rejects_empty_query_file(self, tmp_path):
-        queries = tmp_path / "queries.txt"
-        queries.write_text("# only comments\n\n")
-        with pytest.raises(SystemExit, match="no queries"):
-            main(["serve-batch", "--queries", str(queries)],
-                 out=io.StringIO())
-
-    def test_bench_queries_reports_and_verifies(self):
-        out = io.StringIO()
-        code = main(
-            ["bench-queries", "--scale", "0.01", "--workers", "2",
-             "--repeat", "2", "-k", "5"],
-            out=out,
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "sequential:" in text
-        assert "batch" in text
-        assert "identical to" in text
-        assert "MISMATCH" not in text
-
-    def test_bench_queries_shards_equality_gate(self):
-        out = io.StringIO()
-        code = main(
-            ["bench-queries", "--scale", "0.01", "--workers", "2",
-             "--repeat", "2", "-k", "5", "--shards", "2"],
-            out=out,
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "sharded" in text
-        assert "shard 0:" in text and "shard 1:" in text
-        assert "scatter-gather answers identical" in text
-        assert "MISMATCH" not in text
-
-
 class TestShardCommands:
     def test_build_info_search(self, tmp_path):
         target = tmp_path / "factbook.shards"
@@ -310,6 +244,12 @@ class TestObservabilityCommands:
         assert "*:canada ;; year:* [k=10]" in text
         assert "trade_country:* [k=10]" in text
         assert "slow queries" in text
+
+    def test_stats_rejects_empty_query_file(self, tmp_path):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("# only comments\n\n")
+        with pytest.raises(SystemExit, match="no queries"):
+            main(["stats", "--queries", str(queries)], out=io.StringIO())
 
     def test_stats_json_matches_scripted_workload(self, tmp_path):
         out = io.StringIO()

@@ -7,8 +7,10 @@ column decode in :class:`~repro.index.inverted.InvertedIndex` stays
 race-free under concurrent lock-free readers (the S3 surface).
 """
 
+import json
 import struct
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,16 +22,16 @@ from repro.compact import (
     decode_postings,
     decode_sorted_ids,
     decode_stream,
-    deep_sizeof,
     encode_postings,
     encode_sorted_ids,
     encode_stream,
     posting_count,
     publish_shared_memory,
 )
-from repro.index.builder import IndexBuilder
+from repro.datasets.factbook import FactbookGenerator
 from repro.index.inverted import InvertedIndex
 from repro.index.path_index import PathIndex
+from repro.shard import ShardedSeda, publish_shared_payload
 from repro.text.analyzer import Analyzer
 
 
@@ -163,23 +165,6 @@ class TestPathTrie:
         assert len(labels) == 4  # "", country, year, name -- each once
 
 
-class TestDeepSizeof:
-    def test_shared_objects_count_once(self):
-        shared = ["x" * 100]
-        assert deep_sizeof([shared, shared]) < 2 * deep_sizeof([shared])
-
-    def test_memoryview_counts_the_view_only(self):
-        blob = b"z" * 100_000
-        assert deep_sizeof(memoryview(blob)) < 1000
-
-    def test_walks_slots_and_containers(self):
-        trie = PathTrie()
-        empty = deep_sizeof(trie)
-        for i in range(50):
-            trie.insert(f"/a/b{i}/c")
-        assert deep_sizeof(trie) > empty
-
-
 class TestSidecar:
     def test_from_bytes_views(self):
         sidecar = Sidecar.from_bytes(b"abcdef")
@@ -283,7 +268,15 @@ class TestCodecProperties:
 # -- S3: lazy column decode under concurrent lock-free readers ---------------
 
 def _built_indexes(collection):
-    inverted, paths = IndexBuilder(collection).build()
+    """Hot (never compacted) indexes over ``collection``: the object
+    layout the compact columns must read back exactly."""
+    inverted = InvertedIndex(Analyzer())
+    paths = PathIndex(inverted.analyzer)
+    for document in collection.documents:
+        for node in document.nodes:
+            paths.add_node(node.path, node.tag, node.direct_text)
+            if node.direct_text:
+                inverted.add_node(node.node_id, node.direct_text)
     return inverted, paths
 
 
@@ -338,16 +331,17 @@ class TestLazyDecodeConcurrency:
         # payload in a minimal sidecar pair instead.
         cold_source, _ = _built_indexes(figure2_collection)
         cold_source.compact()
-        payload = cold_source.to_dict(columnar=True)
+        payload = cold_source.to_dict()
         path = tmp_path / "inverted.snapshot"
         write_snapshot(str(path), {"collection": "t"}, {
             "collection": {"name": "t", "documents": []},
             "graph": {"version": 0, "edges": []},
             "inverted": payload,
-            "path_index": {"all_paths": [], "content": {}, "tags": {}},
+            "path_index": {"all_paths": [], "columns_inline": {}},
             "node_store": {"nodes": {}},
             "dataguides": {"threshold": 0.4, "guides": [], "links": []},
             "registry": {"definitions": []},
+            "streams": {"streams": [], "columns_inline": {}},
         })
         _meta, records = read_snapshot(str(path))
         cold = InvertedIndex.from_dict(
@@ -399,3 +393,71 @@ class TestEstimatedMemory:
         assert stats["paths"] == len(paths) > 0
         assert stats["trie_nodes"] >= stats["paths"]
         assert stats["column_bytes"] > 0
+
+
+# -- shared-memory payload across worker processes ------------------------
+
+#: Query 1 variant whose match-all terms tie on score (deterministic
+#: tie-breaking has to survive the process boundary too).
+SHARED_QUERY = [("trade_country", "*"), ("percentage", "*")]
+K = 10
+
+
+def _canonical(results):
+    """Byte-exact serialization of one query's full result list."""
+    return json.dumps(
+        [
+            [list(r.node_ids), list(r.content_scores), r.compactness,
+             r.score]
+            for r in results
+        ],
+        separators=(",", ":"),
+    ).encode("utf-8")
+
+
+def _attach_and_search(args):
+    """Worker-process leg: attach the shared payload, answer a query.
+
+    Returns the sidecar sources every shard actually reads from (the
+    proof the columns came out of the published segments, not private
+    file maps) plus the canonical answer bytes.
+    """
+    directory, pairs, k = args
+    sharded = ShardedSeda.load(directory, shared_payload=True)
+    sources = sorted(
+        slot.get().inverted._sidecar.source for slot in sharded._slots
+    )
+    return sources, _canonical(sharded.search(pairs, k=k))
+
+
+def test_sharded_workers_share_one_payload(tmp_path):
+    """N loaders attach the same segments and answer byte-identically."""
+    pairs = list(FactbookGenerator(scale=0.05).documents())
+    sharded = ShardedSeda.from_documents(pairs, shards=2, parallel=False)
+    directory = str(tmp_path / "mem.shards")
+    sharded.save(directory)
+
+    expected = _canonical(sharded.search(SHARED_QUERY, k=K))
+
+    payload = publish_shared_payload(directory)
+    try:
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            reports = list(pool.map(
+                _attach_and_search,
+                [(directory, SHARED_QUERY, K)] * 2,
+            ))
+    finally:
+        payload.unlink()
+
+    sources = [report[0] for report in reports]
+    assert all(
+        source.startswith("shm:") for report in sources for source in report
+    ), f"a worker fell back to file-backed sidecars: {sources}"
+    assert sources[0] == sources[1], (
+        f"workers attached different segments: {sources}"
+    )
+    published = {f"shm:{name}" for name in payload.segment_names.values()}
+    assert set(sources[0]) == published
+    assert all(report[1] == expected for report in reports), (
+        "a shared-payload worker answered differently from the live system"
+    )

@@ -97,22 +97,6 @@ class TestInvertedIndex:
         restored = InvertedIndex.from_dict(index.to_dict(), Analyzer())
         assert restored.node_length(1) == 3
 
-    def test_node_lengths_derived_for_old_snapshots(self):
-        """A payload without the node_lengths field (snapshot version 1)
-        rebuilds the table from the postings: every token occurrence is
-        exactly one position."""
-        index = InvertedIndex(Analyzer())
-        index.add_node(1, "alpha beta alpha")
-        index.add_node(2, "beta")
-        payload = index.to_dict()
-        del payload["node_lengths"]
-        restored = InvertedIndex.from_dict(payload, Analyzer())
-        assert restored.node_length(1) == 3
-        assert restored.node_length(2) == 1
-        # Incremental builds after the lazy derivation keep counting.
-        restored.add_node(3, "gamma gamma")
-        assert restored.node_length(3) == 2
-
     def test_term_frequency_random_access(self):
         index = InvertedIndex(Analyzer())
         index.add_node(1, "alpha beta alpha")

@@ -13,7 +13,11 @@ from repro.shard import (
     resolve_partitioner,
     round_robin_partition,
 )
-from repro.storage.snapshot import SnapshotError, sharded_snapshot_info
+from repro.storage.snapshot import (
+    SnapshotError,
+    fsck_report,
+    sharded_snapshot_info,
+)
 from repro.system import Seda
 
 DOCS = [
@@ -373,18 +377,52 @@ class TestShardedSnapshots:
         )
 
     def test_out_of_range_shard_index_rejected(self, sharded, tmp_path):
+        """Damaged manifests are SnapshotErrors, never tracebacks.
+
+        Each case is ``(damage, message, shape_error)``: shape errors
+        are caught by the manifest reader itself, so manifest-only
+        readers (``sharded_snapshot_info``, fsck) reject them too.
+        """
         import json
 
+        def set_row_shard(manifest):
+            manifest["documents"][0][1] = 5  # only 3 shard files exist
+
+        def version_1(manifest):
+            manifest["version"] = 1
+            del manifest["routing_epoch"]
+            del manifest["shard_doc_bases"]
+
+        cases = [
+            (set_row_shard, "malformed document row", True),
+            (lambda m: m.update(meta=[]), "malformed meta", True),
+            (lambda m: m.update(shard_files=[1, 2]),
+             "malformed shard_files", True),
+            (lambda m: m.update(generation="1"), "malformed generation",
+             True),
+            (lambda m: m.pop("routing_epoch"), "malformed routing_epoch",
+             True),
+            (version_1, "reads version 2 only -- rebuild", True),
+            (lambda m: m["meta"].update(value_links=[1]),
+             "does not reconstruct", False),
+        ]
         target = tmp_path / "damaged.shards"
         sharded.save(str(target))
         manifest_path = target / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["documents"][0][1] = 5  # only 3 shard files exist
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="malformed document row"):
-            ShardedSeda.load(str(target))
-        with pytest.raises(SnapshotError, match="malformed document row"):
-            sharded_snapshot_info(str(target))
+        pristine = manifest_path.read_text()
+        for damage, message, shape_error in cases:
+            manifest = json.loads(pristine)
+            damage(manifest)
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(SnapshotError, match=message):
+                ShardedSeda.load(str(target))
+            if shape_error:
+                with pytest.raises(SnapshotError, match=message):
+                    sharded_snapshot_info(str(target))
+                report = fsck_report(str(target))
+                assert not report["ok"], message
+                assert any(message in problem
+                           for problem in report["problems"])
 
     def test_foreign_manifest_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text(

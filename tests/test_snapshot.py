@@ -2,6 +2,8 @@
 ``Seda.load`` equivalence, version gating, and incremental ingestion."""
 
 import json
+import os
+import zlib
 
 import pytest
 
@@ -15,9 +17,11 @@ from repro.model.graph import DataGraph, EdgeKind
 from repro.model.links import ValueLinkSpec
 from repro.storage.node_store import NodeStore
 from repro.storage.snapshot import (
+    SHARDED_VERSION,
     SNAPSHOT_VERSION,
     SnapshotError,
     read_snapshot,
+    sidecar_file_name,
     snapshot_info,
 )
 from repro.summaries.dataguide import DataguideSet
@@ -117,11 +121,17 @@ class TestComponentRoundTrips:
             )
 
     def test_inverted_index_resave_keeps_raw_terms(self, seda):
-        restored = InvertedIndex.from_dict(
-            seda.inverted.to_dict(), seda.analyzer
-        )
+        """Terms never decoded (still raw column bytes) survive a
+        re-save byte for byte beside a materialized one."""
+        payload = seda.inverted.to_dict()
+        restored = InvertedIndex.from_dict(payload, seda.analyzer)
         restored.postings("united")  # materialize one term only
-        again = InvertedIndex.from_dict(restored.to_dict(), seda.analyzer)
+        resaved = restored.to_dict()
+        for term in ("china", "mexico"):
+            assert resaved["columns_inline"][term] == (
+                payload["columns_inline"][term]
+            )
+        again = InvertedIndex.from_dict(resaved, seda.analyzer)
         assert again.vocabulary() == seda.inverted.vocabulary()
         for term in ("united", "china", "mexico"):
             assert again.postings(term) == seda.inverted.postings(term)
@@ -294,15 +304,26 @@ class TestSystemSnapshot:
         assert restored.version == graph.version
         assert restored.version != len(restored.edges)
 
-    def test_pre_version_snapshot_defaults_to_edge_count(self, seda):
-        payload = seda.graph.to_dict()
-        del payload["version"]
-        restored = DataGraph.from_dict(payload, seda.collection)
-        assert restored.version == len(restored.edges)
+    def test_current_version_is_five(self):
+        # One format each: the reader accepts exactly these versions.
+        assert SNAPSHOT_VERSION == 5
+        assert SHARDED_VERSION == 2
+
+    def test_current_save_load_round_trip(self, seda, tmp_path):
+        path = str(tmp_path / "current.snapshot")
+        seda.save(path)
+        with open(path, "r", encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        assert header["version"] == SNAPSHOT_VERSION == 5
+        info = snapshot_info(path)
+        assert info["sidecar_bytes"] == os.path.getsize(
+            sidecar_file_name(path)
+        ) > 0
+        assert _topk_bytes(Seda.load(path)) == _topk_bytes(seda)
 
 
 class TestImpactStreamPersistence:
-    """Materialized per-term streams survive save/load (version 2)."""
+    """Materialized per-term streams survive save/load."""
 
     def test_streams_persist_and_serve_identically(self, seda, tmp_path):
         seda.search(QUERY_1, k=10)  # materialize the query's streams
@@ -319,28 +340,6 @@ class TestImpactStreamPersistence:
         assert _topk_bytes(loaded) == _topk_bytes(seda)
         assert loaded.streams.hits >= 1
         assert loaded.streams.misses <= 2
-
-    def test_version1_snapshot_without_streams_loads(self, seda, tmp_path):
-        """Old snapshots (no streams record, no node lengths) restore
-        with an empty store and identical answers."""
-        path = tmp_path / "sys.snapshot"
-        seda.save(path)
-        # A genuine version-1 file has no streams record, no integrity
-        # seal, and no crcs table -- strip all three, not just streams.
-        lines = [
-            line for line in path.read_text().splitlines()
-            if not line.startswith('{"record":"streams"')
-            and not line.startswith('{"record":"integrity"')
-        ]
-        header = json.loads(lines[0])
-        header["version"] = 1
-        header.pop("crcs", None)
-        lines[0] = json.dumps(header, separators=(",", ":"))
-        old = tmp_path / "old.snapshot"
-        old.write_text("\n".join(lines) + "\n")
-        loaded = Seda.load(old)
-        assert len(loaded.streams) == 0
-        assert _topk_bytes(loaded) == _topk_bytes(seda)
 
     def test_streams_of_stale_versions_not_persisted(self, seda, tmp_path):
         seda.search(QUERY_1, k=10)
@@ -361,12 +360,50 @@ class TestSnapshotErrors:
         lines[0] = json.dumps(header)
         out_path.write_text("\n".join(lines) + "\n")
 
+    def _resealed(self, path, out_path, edit):
+        """Copy ``path`` with ``edit(header)`` applied and the integrity
+        seal recomputed, so only the edit itself can be rejected."""
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        lines[1] = json.dumps({
+            "record": "integrity",
+            "header_crc": zlib.crc32(lines[0].encode("utf-8")),
+        }, separators=(",", ":"))
+        out_path.write_text("\n".join(lines) + "\n")
+
     def test_version_mismatch_rejected(self, seda, tmp_path):
+        """A newer and an older (pre-checksum, version 4) header are
+        both rejected, naming the one readable version."""
         path = tmp_path / "sys.snapshot"
         seda.save(path)
         bad = tmp_path / "bad.snapshot"
-        self._tamper_header(path, bad, version=SNAPSHOT_VERSION + 1)
-        with pytest.raises(SnapshotError, match="version"):
+        for version in (SNAPSHOT_VERSION + 1, 4):
+            self._tamper_header(path, bad, version=version)
+            with pytest.raises(SnapshotError,
+                               match="reads version 5 only -- rebuild"):
+                Seda.load(bad)
+
+    def test_header_without_checksums_rejected(self, seda, tmp_path):
+        path = tmp_path / "sys.snapshot"
+        seda.save(path)
+        bad = tmp_path / "bad.snapshot"
+        self._resealed(path, bad, lambda header: header.pop("crcs"))
+        with pytest.raises(SnapshotError, match="no 'crcs' table"):
+            Seda.load(bad)
+        self._resealed(path, bad,
+                       lambda header: header["sidecar"].pop("crc32"))
+        with pytest.raises(SnapshotError, match="malformed sidecar"):
+            Seda.load(bad)
+
+    def test_missing_seal_rejected(self, seda, tmp_path):
+        path = tmp_path / "sys.snapshot"
+        seda.save(path)
+        lines = path.read_text().splitlines()
+        bad = tmp_path / "bad.snapshot"
+        bad.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        with pytest.raises(SnapshotError, match="integrity seal"):
             Seda.load(bad)
 
     def test_wrong_format_rejected(self, seda, tmp_path):

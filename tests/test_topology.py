@@ -45,10 +45,13 @@ from repro.shard import (
     skew_report,
 )
 from repro.storage.snapshot import (
+    SnapshotError,
     fsck_report,
     read_sharded_manifest,
+    read_snapshot,
     sharded_snapshot_info,
 )
+from repro.testing.faults import FaultInjector
 from repro.system import Seda
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -379,6 +382,46 @@ class TestDurableTopology:
         assert not report["ok"]
         assert any("assignment map" in problem
                    for problem in report["problems"])
+
+    def test_resave_refuses_a_corrupt_never_loaded_shard(self, tmp_path):
+        """A generational re-save byte-copies never-loaded shards; the
+        copy checks the header seal instead of re-sealing whatever the
+        header now says, and the old manifest stays in charge."""
+        directory = str(tmp_path / "seda.shards")
+        ShardedSeda.from_documents(DOCS, shards=2, parallel=False).save(
+            directory
+        )
+        victim = os.path.join(directory, "shard-0000.snapshot")
+        with open(victim, "rb") as handle:
+            blob = handle.read()
+        assert b'"max_hops":12' in blob
+        with open(victim, "wb") as handle:
+            handle.write(blob.replace(b'"max_hops":12', b'"max_hops":13', 1))
+        with pytest.raises(SnapshotError, match="integrity seal"):
+            read_snapshot(victim)
+        manifest_path = os.path.join(directory, "manifest.json")
+        with open(manifest_path, "rb") as handle:
+            manifest_before = handle.read()
+        with pytest.raises(SnapshotError, match="integrity seal"):
+            ShardedSeda.load(directory).save(directory)
+        with open(manifest_path, "rb") as handle:
+            assert handle.read() == manifest_before
+        assert not os.path.exists(
+            os.path.join(directory, "shard-0000.g1.snapshot")
+        )
+
+    def test_resave_copies_never_loaded_shards_durably(self, tmp_path):
+        directory = str(tmp_path / "seda.shards")
+        _build_sharded().save(directory)
+        system = ShardedSeda.load(directory)
+        with FaultInjector() as faults:
+            system.save(directory)
+        copied = [name for name in os.listdir(directory)
+                  if name.startswith("shard-") and ".g1." in name]
+        assert len(copied) == 6  # three snapshot + sidecar pairs
+        # One fsync per copied file, plus the manifest commit.
+        assert faults.per_seam["fsync_file"] >= len(copied) + 1
+        assert _canon(ShardedSeda.load(directory)) == _canon(system)
 
     def test_skew_report_shape(self, tmp_path):
         directory = str(tmp_path / "seda.shards")

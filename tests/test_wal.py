@@ -202,6 +202,18 @@ class TestSedaDurability:
         with pytest.raises(WALError, match="unknown operation"):
             Seda.load(path)
 
+    def test_batch_without_seq_raises(self, tmp_path):
+        """Replay cannot tell whether the snapshot absorbed a batch
+        without its sequence number, so it refuses to guess."""
+        path = str(tmp_path / "s.snapshot")
+        Seda.from_documents(DOCS).save(path)
+        log = WriteAheadLog(wal_file_name(path))
+        log.append({"op": "add_documents",
+                    "documents": [list(BATCH[0])]})
+        log.close()
+        with pytest.raises(WALError, match="no integer 'seq'"):
+            Seda.load(path)
+
     def test_replayed_value_links_survive(self, tmp_path):
         from repro.model.links import ValueLinkSpec
 
@@ -250,6 +262,18 @@ class TestShardedDurability:
         assert (records, warning) == ([], None)
         recovered = ShardedSeda.load(directory)
         assert _sharded_answers(recovered) == _sharded_answers(system)
+
+    def test_batch_without_base_raises(self, tmp_path):
+        directory = str(tmp_path / "s.shards")
+        ShardedSeda.from_documents(DOCS, shards=2, parallel=False).save(
+            directory
+        )
+        log = WriteAheadLog(sharded_wal_file_name(directory))
+        log.append({"op": "add_documents",
+                    "documents": [list(BATCH[0])]})
+        log.close()
+        with pytest.raises(WALError, match="no integer 'base'"):
+            ShardedSeda.load(directory)
 
     def test_replay_matches_unsharded_answers(self, tmp_path):
         directory = str(tmp_path / "s.shards")
