@@ -459,8 +459,7 @@ class ServingApp:
             system = load_serving_system(self.snapshot_path)
             # The old system's WAL handle must not outlive the swap:
             # two appenders on one log would interleave records.
-            if getattr(old, "_wal", None) is not None:
-                old._wal.close()
+            old.close()
             self._attach(system)
             documents = self.document_count()
             generation = self.generation()

@@ -45,12 +45,12 @@ are dropped, which cannot change the merged top-k.
 """
 
 import bisect
+import functools
 import json
 import os
 import secrets
 import threading
 import time
-import warnings
 import zlib
 
 from repro.compact.shm import Sidecar, publish_shared_memory
@@ -75,13 +75,8 @@ from repro.storage.snapshot import (
     write_sharded_manifest,
     write_snapshot,
 )
-from repro.storage.wal import (
-    WriteAheadLog,
-    batch_record,
-    replay_wal,
-    sharded_wal_file_name,
-)
-from repro.system import Seda, _normalize_documents
+from repro.storage.wal import sharded_wal_file_name
+from repro.system import Seda, WriteProtocol, _normalize_documents
 
 #: Mapping from shard file to published shared-memory segment, written
 #: next to the manifest by :func:`publish_shared_payload` (advisory,
@@ -253,8 +248,7 @@ class _ShardSlot:
                             if self.shared_segment is not None
                             else None
                         )
-                        seda = Seda.load(self.path, sidecar=sidecar,
-                                         durable=False)
+                        seda = Seda._restore(self.path, sidecar=sidecar)
                     if self.on_load is not None:
                         # Wire global statistics before publishing the
                         # shard, so no reader ever scores locally.
@@ -281,7 +275,7 @@ class _ShardSlot:
         if self._seda is None and self.pending_bumps:
             self.get()
         if self._seda is not None:
-            self._seda.save(path, durable=False)
+            write_snapshot(path, *self._seda.snapshot_payload())
             return
         with self._lock:
             if self._seda is not None:
@@ -296,7 +290,7 @@ class _ShardSlot:
                     return  # saving over its own source file
                 _copy_snapshot(self.path, path)
                 return
-        self._seda.save(path, durable=False)
+        write_snapshot(path, *self._seda.snapshot_payload())
 
 
 def _copy_snapshot(source, target):
@@ -374,7 +368,7 @@ class ShardedCollectionView:
         return f"ShardedCollectionView({self._sharded!r})"
 
 
-class ShardedSeda:
+class ShardedSeda(WriteProtocol):
     """N independent SEDA shards behind one scatter-gather facade."""
 
     def __init__(self, slots, documents, name, value_links,
@@ -401,7 +395,6 @@ class ShardedSeda:
                 self._wire_shard(slot.get())
         self._service = None
         self.obs = None  # StatsRegistry; enable_observability() attaches one
-        self._wal = None  # WriteAheadLog; enable_durability() attaches one
         #: Per shard, the global document count when that shard's
         #: backing file was written: write-ahead records with ``base >=
         #: _shard_doc_bases[s]`` are not in shard ``s``'s file and must
@@ -849,46 +842,22 @@ class ShardedSeda:
         """Rehydrate shard ``index`` from its snapshot + write-ahead log.
 
         Drops the broken in-memory system, restores the shard from its
-        backing snapshot file, and re-applies every acknowledged
-        write-ahead batch routed to it (re-running each batch's
-        recorded routing), so the recovered shard reaches the exact
-        pre-crash state.  Invalidates the global term statistics and
-        the serving cache, and bumps :attr:`recovery_epoch`.
+        backing snapshot file in the home directory, and replays the
+        home's log onto it through :meth:`_apply_covered_batch` -- the
+        path load replay takes, restricted to this shard -- so the
+        recovered shard reaches the exact pre-crash state.  Invalidates
+        the global term statistics and the serving cache, and bumps
+        :attr:`recovery_epoch`.
         """
         slot = self._slots[index]
         slot.reset()
         seda = slot.get()  # on_load rewires the global statistics
-        if self._wal is not None:
-            records, _warning = replay_wal(self._wal.path, repair=False)
-            mutated = False
-            stale_stats = False
-            for record in records:
-                base, pairs, specs = batch_record(record, "base")
-                if base < self._shard_doc_bases[index]:
-                    # Absorbed by the shard file this slot restores
-                    # from (leftover of a crash between manifest commit
-                    # and log truncation); re-applying would duplicate.
-                    continue
-                # Route by the assignment map, never by partitioner
-                # arithmetic: batches logged under an older routing
-                # epoch (before a split/merge/rebalance) land exactly
-                # where the document table says they live now.
-                routed = [
-                    pair for offset, pair in enumerate(pairs)
-                    if base + offset < len(self._docs)
-                    and self._docs[base + offset][1] == index
-                ]
-                if routed or specs:
-                    seda.add_documents(routed, value_links=specs or None)
-                    mutated = True
-                else:
-                    # The batch landed entirely on other shards, but it
-                    # still moved the corpus-wide ``df``/``N`` after
-                    # this shard's file was written: the restored
-                    # streams carry scores for the old statistics.
-                    stale_stats = True
-            if stale_stats and not mutated:
-                seda.graph.bump_version()
+        if self._home is not None:
+            self._replay(
+                self._home,
+                functools.partial(self._apply_covered_batch, shards=[index]),
+                repair=False,
+            )
         self.stats.invalidate()
         self._recovery_epoch += 1
         if self._service is not None:
@@ -962,75 +931,52 @@ class ShardedSeda:
         results, _stats = service.execute_batch(parsed, k=k)
         return results
 
-    # -- ingestion ------------------------------------------------------------
+    # -- the write protocol (see repro.system.WriteProtocol) -----------------
 
-    def add_documents(self, documents, value_links=None):
-        """Route new documents to their shards; keep global scoring exact.
+    #: A record's position is ``base``, the global document count when
+    #: it was acknowledged (``epoch``, the routing epoch, is
+    #: diagnostic); the manifest's ``shard_doc_bases`` watermarks say
+    #: which batches each shard file absorbed.
+    _POSITION_KEY = "base"
+    _log_path = staticmethod(sharded_wal_file_name)
 
-        Every shard is invalidated even when it receives no documents:
-        new documents change the corpus-wide ``df``/``N`` behind idf,
-        so the global statistics cache is dropped and every shard's
-        graph version is bumped -- which is what expires the per-shard
-        impact streams and result caches holding scores computed
-        against the old statistics.  Shards still deferred (lazy
-        restore) are not rehydrated for this: their bump is recorded
-        on the slot and applied at materialization (or before a
-        save).  New ``value_links`` specs are propagated to every
-        shard's link discovery, mirroring the unsharded system.
-        Returns the created documents in global input order (their
-        ``doc_id``/node ids are shard-local).
+    def _log_position(self):
+        return {"base": len(self._docs), "epoch": self._routing_epoch}
+
+    def _batch(self, documents):
+        """Normalized pairs, unnamed documents named by global index.
+
+        Rejects the batch when it cannot be routed, so it never
+        reaches the log (replay would re-raise).
         """
+        if self._partitioner is None:
+            raise ValueError(
+                "this sharded collection was saved with a custom "
+                "partitioner; reload it with ShardedSeda.load(path, "
+                "partitioner=...) before adding documents"
+            )
         base = len(self._docs)
-        pairs = [
+        return [
             (doc_name if doc_name is not None else f"doc-{base + index}",
              source)
             for index, (doc_name, source)
             in enumerate(_normalize_documents(documents))
         ]
-        specs = tuple(value_links) if value_links else ()
-        if self._partitioner is None:
-            # Reject before logging: a batch that cannot be routed must
-            # not enter the write-ahead log (replay would re-raise --
-            # or worse, double-apply once a partitioner is supplied).
-            raise ValueError(
-                "this sharded collection was saved with a custom "
-                "partitioner; reload it with ShardedSeda.load(path, "
-                "partitioner=...) before adding documents"
-            )
-        if self._wal is not None:
-            # Append-before-mutate, exactly as in Seda.add_documents:
-            # the batch is fsynced before any shard index changes.
-            # ``base`` (the global document count when the batch was
-            # acknowledged) lets single-shard recovery re-run the
-            # routing of this batch without replaying the others.
-            # ``epoch`` is diagnostic: replay routes covered batches by
-            # the manifest's assignment map and fresh batches by the
-            # current partitioner, so records written under an older
-            # routing epoch still land correctly after a topology
-            # change (every topology commit covers all live documents).
-            self._wal.append({
-                "op": "add_documents",
-                "base": base,
-                "epoch": self._routing_epoch,
-                "documents": [list(pair) for pair in pairs],
-                "value_links": [spec.to_dict() for spec in specs],
-            })
-        return self._ingest(pairs, specs)
 
-    def _ingest(self, pairs, new_specs):
-        """Apply one normalized ``(name, xml)`` batch across the shards.
+    def _apply(self, pairs, specs):
+        """Route one batch to its shards; keep global scoring exact.
 
-        The mutation body of :meth:`add_documents`, shared with WAL
-        replay.  Routing is deterministic in (name, global index, shard
-        count), so a replayed batch lands on the same shards the
-        original call did.
+        Routing is deterministic in (name, global index, shard count),
+        so a replayed batch lands where the original call did.  Every
+        shard is invalidated even when it receives no documents: new
+        documents change the corpus-wide ``df``/``N`` behind idf, so
+        the global statistics cache is dropped and every shard's graph
+        version is bumped, expiring the per-shard impact streams and
+        result caches.  Deferred shards record the bump on the slot
+        instead of rehydrating.  New ``value_links`` specs reach every
+        shard's link discovery.  Returns the created documents in
+        global input order (their ids are shard-local).
         """
-        if self._partitioner is None:
-            raise ValueError(
-                "this sharded collection was saved with a custom "
-                "partitioner; reload it with ShardedSeda.load(path, "
-                "partitioner=...) before adding documents"
-            )
         base = len(self._docs)
         shards = len(self._slots)
         routed = [[] for _ in range(shards)]
@@ -1039,17 +985,13 @@ class ShardedSeda:
             shard = self._partitioner(doc_name, base + offset, shards) % shards
             order.append((shard, len(routed[shard])))
             routed[shard].append((doc_name, source))
-        if new_specs:
-            self.value_links = self.value_links + new_specs
-        added_per_shard = []
-        for index, slot in enumerate(self._slots):
-            if routed[index] or new_specs:
-                added = slot.get().add_documents(
-                    routed[index], value_links=new_specs or None
-                )
-            else:
-                added = []
-            added_per_shard.append(added)
+        if specs:
+            self.value_links = self.value_links + specs
+        added_per_shard = [
+            slot.get()._apply(routed[index], specs)
+            if routed[index] or specs else []
+            for index, slot in enumerate(self._slots)
+        ]
         added_global = []
         for offset, (doc_name, _source) in enumerate(pairs):
             shard, position = order[offset]
@@ -1067,168 +1009,37 @@ class ShardedSeda:
             self._service.invalidate()
         return added_global
 
-    # -- snapshots ------------------------------------------------------------
-
-    def save(self, directory):
-        """Persist the whole sharded collection to one directory.
-
-        One ordinary snapshot file per shard plus ``manifest.json``
-        written last -- the manifest is the commit record, so a crash
-        mid-save never leaves a directory that parses.  Re-saving into
-        a directory that already holds a snapshot writes the shard
-        files under a new *generation* (the old manifest keeps
-        pointing at intact old files until the new manifest atomically
-        replaces it), then deletes the superseded files.  Shards that
-        are still deferred are written without being rehydrated: a
-        lazily loaded collection can be re-saved (backed up,
-        relocated) at file-copy cost.  The post-commit cleanup of
-        superseded generations assumes this instance is the
-        directory's only live handle -- another process lazily loaded
-        from the same directory would lose the files its slots still
-        point at (see docs/OPERATIONS.md).  See
-        :mod:`repro.storage.snapshot` for the layout.
-        """
-        os.makedirs(directory, exist_ok=True)
-        generation = next_shard_generation(directory)
-        shard_files = []
-        for index, slot in enumerate(self._slots):
-            shard_file = shard_file_name(index, generation)
-            slot.save_to(os.path.join(directory, shard_file))
-            shard_files.append(shard_file)
-        meta = {
-            "collection": self.name,
-            "shards": len(self._slots),
-            "partitioner": self._partitioner_name,
-            "value_links": [spec.to_dict() for spec in self.value_links],
-        }
-        # A full save rewrites every shard file, so every watermark
-        # advances to the full document count; the routing epoch is
-        # carried forward unchanged (it only moves on topology
-        # operations).
-        write_sharded_manifest(
-            directory, meta, self._docs, shard_files, generation=generation,
-            routing_epoch=self._routing_epoch,
-            shard_doc_bases=[len(self._docs)] * len(self._slots),
-        )
-        # Observability history rides alongside the manifest (advisory:
-        # written after the commit record, never required to load).  A
-        # re-save with observability off clears any stale history.
-        if self.obs is not None:
-            write_obs_state(directory, self.obs.to_dict())
+    def _replay_batch(self, base, pairs, specs):
+        if base < len(self._docs):
+            # The manifest absorbed this batch, but a topology commit
+            # rewrites only the affected shards' files: bring the
+            # shards whose files predate it up to date.
+            self._apply_covered_batch(base, pairs, specs)
         else:
-            clear_obs_state(directory)
-        # Repoint slots whose backing file lives in *this* directory:
-        # the re-save supersedes (and below, deletes) the generation
-        # they were loaded from.  Slots backed by a different source
-        # directory keep it -- saving a backup must not migrate the
-        # live system onto the backup.  Slots with no backing file at
-        # all (live-built) are anchored here: the saved files are what
-        # crashed-shard recovery (:meth:`_recover_shard`) restores
-        # from.
-        target = os.path.abspath(directory)
-        for slot, shard_file in zip(self._slots, shard_files):
-            if slot.path is None or (
-                os.path.dirname(os.path.abspath(slot.path)) == target
-            ):
-                slot.path = os.path.join(directory, shard_file)
-        # The new manifest is committed; superseded generations (and
-        # their column sidecars) are dead weight (best-effort cleanup
-        # -- leftovers are harmless).  A shared-payload mapping from a
-        # previous generation names segments holding superseded
-        # columns, so it goes too.
-        keep = set(shard_files) | {f"{name}.cols" for name in shard_files}
-        for name in os.listdir(directory):
-            if (name.startswith("shard-")
-                    and (name.endswith(".snapshot")
-                         or name.endswith(".snapshot.cols"))
-                    and name not in keep):
-                try:
-                    os.remove(os.path.join(directory, name))
-                except OSError:  # pragma: no cover - fs-dependent
-                    pass
-        try:
-            os.remove(os.path.join(directory, SHARED_PAYLOAD_FILE))
-        except OSError:
-            pass
-        # The committed manifest + shard files absorb every logged
-        # batch; truncate only after the commit (a crash in between
-        # replays batches the new snapshot already contains).
-        wal_path = sharded_wal_file_name(directory)
-        if self._wal is not None and self._wal.path == wal_path:
-            self._wal.truncate()
-        elif os.path.exists(wal_path):
-            WriteAheadLog(wal_path).truncate()
-        # Everything on disk now includes every live document; shard
-        # recovery must not re-apply logged batches below these marks.
-        self._shard_doc_bases = [len(self._docs)] * len(self._slots)
-        # A saved collection is durable at that directory from here on
-        # (the log file itself only appears on the first append).
-        self.enable_durability(directory)
+            # Fresh batches were written under the current topology
+            # (every topology commit covers all live documents), so
+            # the partitioner reproduces their routing exactly.
+            self._apply(self._batch(pairs), specs)
 
-    def enable_durability(self, directory):
-        """Attach a write-ahead log inside the snapshot ``directory``.
-
-        Same contract as :meth:`Seda.enable_durability`: afterwards
-        every :meth:`add_documents` batch is appended to
-        ``<directory>/wal.log`` -- checksummed and fsynced -- before
-        any shard mutates, :meth:`save` to that directory truncates the
-        log after the manifest commits, and :meth:`load` replays it.
-        Returns the :class:`~repro.storage.wal.WriteAheadLog`.
-        """
-        wal_path = sharded_wal_file_name(directory)
-        if self._wal is not None:
-            if self._wal.path == wal_path:
-                return self._wal
-            self._wal.close()
-        os.makedirs(directory, exist_ok=True)
-        self._wal = WriteAheadLog(wal_path)
-        return self._wal
-
-    def _replay_wal_records(self, wal_records, warning):
-        """Apply replayed write-ahead batches to the restored shards."""
-        if warning is not None:
-            warnings.warn(warning, stacklevel=3)
-        for record in wal_records:
-            base, pairs, specs = batch_record(record, "base")
-            if base < len(self._docs):
-                # ``base`` is the global document count when the batch
-                # was acknowledged; the restored manifest already
-                # counts past it, so the *manifest* absorbed this batch
-                # -- but a topology commit rewrites only the affected
-                # shards' files, so an unaffected shard's file may
-                # still predate the batch.  Apply it to exactly those
-                # stale shards, routed by the assignment map.
-                self._apply_covered_batch(base, pairs, specs)
-                continue
-            # A fresh batch (past the manifest) was necessarily written
-            # under the *current* topology -- every topology operation
-            # commits a manifest covering all live documents -- so the
-            # current partitioner reproduces its routing exactly.
-            self._ingest(pairs, tuple(specs))
-
-    def _apply_covered_batch(self, base, pairs, specs):
+    def _apply_covered_batch(self, base, pairs, specs, shards=None):
         """Re-apply a manifest-covered batch to shards whose files missed it.
 
-        The manifest's document table already lists the batch's
-        documents (so neither ``self._docs`` nor ``self.value_links``
-        changes here -- the manifest meta carries the merged specs),
-        but any shard whose ``shard_doc_bases`` watermark is at or
-        below ``base`` restored from a file written *before* the batch.
-        Those shards get their missing documents back -- routed by the
-        assignment map, never by partitioner arithmetic, so batches
-        logged under an older routing epoch land exactly where the
-        table says.  A stale shard that receives no documents still
-        saw the corpus-wide ``df``/``N`` move under its persisted
-        streams, so it is version-bumped (deferred slots record the
-        bump for materialization).
+        The document table already lists the batch's documents (so
+        neither ``self._docs`` nor ``self.value_links`` changes here),
+        but any shard -- of ``shards``, default all -- whose watermark
+        is at or below ``base`` restored from a file written *before*
+        the batch.  Those shards get their documents back, routed by
+        the assignment map, never by partitioner arithmetic, so batches
+        logged under an older routing epoch land where the table says.
+        A stale shard receiving no documents still saw ``df``/``N``
+        move under its persisted streams, so it is version-bumped.
         """
         stale = [index for index, mark in enumerate(self._shard_doc_bases)
-                 if base >= mark]
+                 if base >= mark and (shards is None or index in shards)]
         if not stale:
             return
         routed = {index: [] for index in stale}
-        for offset, pair in enumerate(pairs):
-            row = self._docs[base + offset]
+        for pair, row in zip(pairs, self._docs[base:base + len(pairs)]):
             if row[1] in routed:
                 routed[row[1]].append((pair, row))
         for index in stale:
@@ -1240,9 +1051,8 @@ class ShardedSeda:
                 else:
                     slot.pending_bumps += 1
                 continue
-            added = slot.get().add_documents(
-                [pair for pair, _row in shard_pairs],
-                value_links=specs or None,
+            added = slot.get()._apply(
+                [pair for pair, _row in shard_pairs], specs
             )
             for document, (pair, row) in zip(added, shard_pairs):
                 if len(document.nodes) != row[2]:
@@ -1254,10 +1064,77 @@ class ShardedSeda:
                     )
         self.stats.invalidate()
 
+    def _write_snapshot(self, directory):
+        """Every shard file plus the manifest, as one new generation.
+
+        Shards that are still deferred are written without being
+        rehydrated (file-copy cost).  The cleanup of superseded files
+        assumes this instance is the directory's only live handle
+        (see docs/OPERATIONS.md).
+        """
+        os.makedirs(directory, exist_ok=True)
+        self._commit(directory, range(len(self._slots)))
+
+    def _commit(self, directory, rewrite):
+        """Write one manifest generation into ``directory``.
+
+        The one sharded commit, for :meth:`save` and the topology
+        operations: (1) the shards in ``rewrite`` are written under the
+        next file generation -- every other shard keeps its file in
+        ``directory``; (2) the manifest, the single commit point; (3)
+        ``obs.json`` written or cleared; (4) every slot repointed at its
+        file; (5) the files the new manifest no longer references
+        deleted, best-effort.  A rewritten shard absorbs every batch so
+        far, so its watermark becomes the full document count; the
+        others keep theirs.  A crash before (2) leaves the old
+        generation in charge, intact.
+        """
+        generation = next_shard_generation(directory)
+        shard_files = []
+        for index, slot in enumerate(self._slots):
+            if index in rewrite:
+                shard_file = shard_file_name(index, generation)
+                slot.save_to(os.path.join(directory, shard_file))
+            else:
+                shard_file = os.path.basename(slot.path)
+            shard_files.append(shard_file)
+        bases = [len(self._docs) if index in rewrite else mark
+                 for index, mark in enumerate(self._shard_doc_bases)]
+        meta = {
+            "collection": self.name,
+            "shards": len(self._slots),
+            "partitioner": self._partitioner_name,
+            "value_links": [spec.to_dict() for spec in self.value_links],
+        }
+        write_sharded_manifest(
+            directory, meta, self._docs, shard_files, generation=generation,
+            routing_epoch=self._routing_epoch, shard_doc_bases=bases,
+        )
+        self._shard_doc_bases = bases
+        if self.obs is not None:
+            write_obs_state(directory, self.obs.to_dict())
+        else:
+            clear_obs_state(directory)
+        for slot, shard_file in zip(self._slots, shard_files):
+            slot.path = os.path.join(directory, shard_file)
+        # A shared-payload mapping names segments holding superseded
+        # columns, so it goes with the superseded files.
+        keep = set(shard_files) | {f"{name}.cols" for name in shard_files}
+        for name in os.listdir(directory):
+            if (name == SHARED_PAYLOAD_FILE or (
+                    name.startswith("shard-")
+                    and name.endswith((".snapshot", ".snapshot.cols"))
+                    and name not in keep)):
+                try:
+                    os.remove(os.path.join(directory, name))
+                except OSError:  # pragma: no cover - fs-dependent
+                    pass
+
     @classmethod
     def load(cls, directory, lazy=True, partitioner=None,
              shared_payload=False):
-        """Restore a sharded collection saved by :meth:`save`.
+        """Restore a sharded collection saved by :meth:`save`; make
+        ``directory`` home.
 
         With ``lazy=True`` (the default) only the manifest is read;
         each shard snapshot is restored on first use -- the topology
@@ -1275,10 +1152,8 @@ class ShardedSeda:
         Raises :class:`SnapshotError` when no mapping has been
         published.
 
-        When a write-ahead log sits beside the manifest (``wal.log``,
-        see :meth:`enable_durability`), its acknowledged batches are
-        replayed on top of the restored shards and durability stays
-        attached; a torn final record is truncated with a warning.
+        Every acknowledged batch in ``wal.log`` beside the manifest is
+        replayed on top of the restored shards.
         """
         manifest = read_sharded_manifest(directory)
         meta = manifest["meta"]
@@ -1345,12 +1220,7 @@ class ShardedSeda:
             from repro.obs.registry import StatsRegistry
 
             system.obs = StatsRegistry.from_dict(obs_payload)
-        wal_path = sharded_wal_file_name(directory)
-        if os.path.exists(wal_path):
-            system._replay_wal_records(*replay_wal(wal_path))
-        # Durability is attached whether or not a log existed: batches
-        # added to the restored collection are logged in the directory.
-        system.enable_durability(directory)
+        system._open_home(directory)
         if not lazy:
             for slot in slots:
                 slot.get()

@@ -30,14 +30,9 @@ Three properties carry every operation:
 import os
 
 from repro.storage.snapshot import (
-    clear_obs_state,
-    next_shard_generation,
     read_obs_state,
     read_sharded_manifest,
-    shard_file_name,
     sidecar_file_name,
-    write_obs_state,
-    write_sharded_manifest,
 )
 from repro.storage.wal import sharded_wal_file_name
 from repro.system import Seda
@@ -160,83 +155,18 @@ def _rebuild_shard(system, shard_index, pairs, expected_counts, reference):
 
 # -- commit protocol ----------------------------------------------------------
 
-def _commit(system, affected, superseded):
-    """Persist a topology change; the manifest write is the commit point.
-
-    Writes each affected shard's new snapshot under the next file
-    generation, then the new manifest (document table = assignment map,
-    bumped ``routing_epoch``, per-shard watermarks), then best-effort
-    deletes the superseded files.  Unaffected shards' files are
-    untouched -- the whole point -- which requires every unaffected
-    slot to be backed by a file in the snapshot directory; when one is
-    not (never-saved collection, slots loaded from elsewhere), the
-    operation falls back to a full :meth:`ShardedSeda.save`.  With no
-    write-ahead log attached the collection has no home directory and
-    the change stays purely in memory (``committed: False``).
-
-    The write-ahead log is deliberately *not* truncated: unaffected
-    shard files keep their old watermarks, so batches they have not
-    absorbed must survive for replay.
-    """
-    if system._wal is None:
-        return False
-    directory = os.path.dirname(system._wal.path)
-    target = os.path.abspath(directory)
-    for index, slot in enumerate(system._slots):
-        if index in affected:
-            continue
-        if slot.path is None or (
-            os.path.dirname(os.path.abspath(slot.path)) != target
-        ):
-            system.save(directory)
-            return True
-    generation = next_shard_generation(directory)
-    shard_files = []
-    for index, slot in enumerate(system._slots):
-        if index in affected:
-            shard_file = shard_file_name(index, generation)
-            slot.save_to(os.path.join(directory, shard_file))
-        else:
-            shard_file = os.path.basename(slot.path)
-        shard_files.append(shard_file)
-    meta = {
-        "collection": system.name,
-        "shards": len(system._slots),
-        "partitioner": system._partitioner_name,
-        "value_links": [spec.to_dict() for spec in system.value_links],
-    }
-    write_sharded_manifest(
-        directory, meta, system._docs, shard_files, generation=generation,
-        routing_epoch=system._routing_epoch,
-        shard_doc_bases=system._shard_doc_bases,
-    )
-    if system.obs is not None:
-        write_obs_state(directory, system.obs.to_dict())
-    else:
-        clear_obs_state(directory)
-    for index in affected:
-        system._slots[index].path = os.path.join(
-            directory, shard_files[index]
-        )
-    # The new manifest no longer references the superseded files (the
-    # affected shards' previous generations, a merged-away shard's
-    # file); remove them and their sidecars best-effort -- leftovers
-    # only cost disk and an fsck warning.
-    for path in superseded:
-        for stale in (path, sidecar_file_name(path)):
-            try:
-                os.remove(stale)
-            except OSError:
-                pass
-    return True
-
-
-def _install(system, new_slots, new_bases, affected, superseded):
+def _install(system, new_slots, new_bases, affected):
     """Swap the new topology into the live system and commit it.
 
     ``new_slots``/``new_bases`` are the full post-operation slot and
     watermark lists; ``affected`` the post-operation indexes of rebuilt
-    shards.  The routing epoch bumps exactly once per operation.
+    shards.  The routing epoch bumps exactly once per operation.  The
+    commit (:meth:`ShardedSeda._commit` into the system's home) rewrites
+    only the affected shards, advancing their watermarks, and keeps the
+    write-ahead log: unaffected shard files keep their watermarks, so
+    batches they have not absorbed must survive for replay.  A system
+    without a home (never saved or loaded) changes in memory only:
+    returns ``False``.
     """
     system._slots = new_slots
     for index in affected:
@@ -249,12 +179,10 @@ def _install(system, new_slots, new_bases, affected, superseded):
     system._routing_epoch += 1
     if system._service is not None:
         system._service.invalidate()
-    return _commit(system, affected, superseded)
-
-
-def _slot_file(slot):
-    """The absolute path behind a slot, or ``None`` for live-only slots."""
-    return None if slot.path is None else os.path.abspath(slot.path)
+    if system._home is None:
+        return False
+    system._commit(system._home, affected)
+    return True
 
 
 # -- operations ---------------------------------------------------------------
@@ -304,8 +232,6 @@ def split(system, shard_id):
         else:
             pairs_keep.append(pair)
             counts_keep.append(row[2])
-    superseded = [p for p in (_slot_file(system._slots[shard_id]),)
-                  if p is not None]
     from repro.shard.sharded import _ShardSlot
 
     new_slots = list(system._slots)
@@ -315,12 +241,8 @@ def split(system, shard_id):
     new_slots.append(_ShardSlot(seda=_rebuild_shard(
         system, new_index, pairs_move, counts_move, reference
     )))
-    new_bases = list(system._shard_doc_bases)
-    new_bases[shard_id] = len(system._docs)
-    new_bases.append(len(system._docs))
-    committed = _install(
-        system, new_slots, new_bases, {shard_id, new_index}, superseded
-    )
+    new_bases = system._shard_doc_bases + [len(system._docs)]
+    committed = _install(system, new_slots, new_bases, {shard_id, new_index})
     return {
         "op": "split",
         "shard": shard_id,
@@ -362,11 +284,6 @@ def merge(system, a, b):
             row[1] = lo
         elif row[1] > hi:
             row[1] -= 1
-    superseded = [
-        p for p in (_slot_file(system._slots[lo]),
-                    _slot_file(system._slots[hi]))
-        if p is not None
-    ]
     from repro.shard.sharded import _ShardSlot
 
     new_slots = list(system._slots)
@@ -375,9 +292,8 @@ def merge(system, a, b):
     )
     del new_slots[hi]
     new_bases = list(system._shard_doc_bases)
-    new_bases[lo] = len(system._docs)
     del new_bases[hi]
-    committed = _install(system, new_slots, new_bases, {lo}, superseded)
+    committed = _install(system, new_slots, new_bases, {lo})
     return {
         "op": "merge",
         "merged": [lo, hi],
@@ -459,19 +375,14 @@ def rebalance(system, plan):
         )
     for global_index, target in moves.items():
         system._docs[global_index][1] = target
-    superseded = [
-        p for p in (_slot_file(system._slots[index]) for index in affected)
-        if p is not None
-    ]
     from repro.shard.sharded import _ShardSlot
 
     new_slots = list(system._slots)
     for index, seda in rebuilt.items():
         new_slots[index] = _ShardSlot(seda=seda)
-    new_bases = list(system._shard_doc_bases)
-    for index in affected:
-        new_bases[index] = len(system._docs)
-    committed = _install(system, new_slots, new_bases, affected, superseded)
+    committed = _install(
+        system, new_slots, system._shard_doc_bases, affected
+    )
     return {
         "op": "rebalance",
         "moved_documents": len(moves),

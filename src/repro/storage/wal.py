@@ -3,11 +3,13 @@
 Snapshots make cold starts cheap, but between snapshots every
 ``add_documents`` batch lives only in process memory -- a crash loses
 it even though the caller was told it succeeded.  The write-ahead log
-closes that window: the durable systems append each ingestion batch
-here -- fsynced -- *before* any index mutates, truncate the log when a
-snapshot save commits (the snapshot now contains those batches), and
-replay it on load, so recovery always lands on snapshot + every
-acknowledged batch since.
+closes that window.  This module is the log itself: the file format,
+appends, truncation, and replay.  The protocol around it -- append
+before apply, truncate after the snapshot commit, replay on load, all
+beside the system's *home* (the location it was last saved to or
+loaded from) -- is :class:`repro.system.WriteProtocol`, which
+:class:`~repro.system.Seda` (``<path>.wal``) and
+:class:`~repro.shard.ShardedSeda` (``<dir>/wal.log``) share.
 
 File format (binary)::
 
@@ -45,8 +47,8 @@ Recovery semantics (:func:`replay_wal`):
   :class:`~repro.storage.snapshot.SnapshotError`): silently dropping
   an acknowledged batch, or replaying garbage, would both be silent
   wrong answers.
-* A missing file replays as empty: durability was simply not enabled
-  (or the log was truncated by a snapshot save).
+* A missing file replays as empty: no batch was logged since the
+  location became a home (the file appears on the first append).
 
 Appends go through the :mod:`repro.storage.durable` seams (write,
 flush+fsync), so the fault-injection harness can tear an append at any
@@ -126,14 +128,11 @@ class WriteAheadLog:
     def truncate(self):
         """Reset the log to empty (a snapshot save absorbed its records).
 
-        The file is cut back to the bare magic in place -- truncation
-        after a successful rename-committed snapshot needs no atomicity
-        of its own: replaying the old records over the new snapshot is
-        prevented by the truncate happening only after the snapshot
-        commit, and a crash *between* commit and truncate merely
-        replays batches the snapshot already contains, which
-        :meth:`~repro.system.Seda.save` callers guard by truncating
-        before acknowledging the save.
+        The file is cut back to the bare magic in place.  It needs no
+        atomicity of its own: callers truncate only after the snapshot
+        commit, and a crash *between* commit and truncate leaves
+        records whose positions the new snapshot already covers, which
+        replay skips.
         """
         self.close()
         with open(self.path, "wb") as handle:
@@ -145,12 +144,6 @@ class WriteAheadLog:
         if self._handle is not None and not self._handle.closed:
             self._handle.close()
         self._handle = None
-
-    # -- reading --------------------------------------------------------------
-
-    def records(self):
-        """Replay this log; see :func:`replay_wal`."""
-        return replay_wal(self.path)
 
     def __repr__(self):
         return f"WriteAheadLog({self.path!r})"

@@ -42,7 +42,12 @@ from repro.search.scoring import ScoringModel
 from repro.search.topk import TopKSearcher
 from repro.service.query_service import QueryService
 from repro.storage.node_store import NodeStore
-from repro.storage.snapshot import SIDECAR_KEY, read_snapshot, write_snapshot
+from repro.storage.snapshot import (
+    SIDECAR_KEY,
+    SnapshotError,
+    read_snapshot,
+    write_snapshot,
+)
 from repro.storage.wal import (
     WriteAheadLog,
     batch_record,
@@ -78,7 +83,103 @@ def _normalize_documents(documents):
     return pairs
 
 
-class Seda:
+class WriteProtocol:
+    """The durable write path, written once for :class:`Seda` and
+    :class:`~repro.shard.ShardedSeda`: log -> apply -> commit -> truncate.
+
+    ``add_documents`` appends the batch to the write-ahead log (fsynced)
+    before anything mutates, then applies it; ``save(location)``
+    commits a snapshot, then truncates the log beside it; ``load``
+    restores a snapshot and replays that log.  One *home* rule: the
+    location last saved or loaded owns the log and every file recovery
+    restores from.  A system that was never saved or loaded has no
+    home and logs nothing.  Each system supplies ``_POSITION_KEY``,
+    ``_log_path(location)``, ``_log_position()``, ``_apply(pairs,
+    specs)``, ``_replay_batch(position, pairs, specs)`` (which skips
+    what the snapshot absorbed) and ``_write_snapshot(location)``.
+    """
+
+    _home = None
+    _wal = None
+
+    def _batch(self, documents):
+        """The ``(name, xml)`` pairs a batch logs and applies."""
+        return _normalize_documents(documents)
+
+    def add_documents(self, documents, value_links=None):
+        """Ingest documents into the live system without a full rebuild.
+
+        ``documents`` takes the same forms as ``from_documents`` and
+        must not be empty; ``value_links`` extends the specs the system
+        was built with.  With a home, the batch is fsynced into the
+        write-ahead log first: once this returns it survives a crash.
+        Returns the created documents in input order.
+        """
+        pairs = self._batch(documents)
+        if not pairs:
+            raise ValueError("add_documents needs at least one document")
+        specs = tuple(value_links) if value_links else ()
+        if self._wal is not None:
+            self._wal.append({
+                "op": "add_documents",
+                **self._log_position(),
+                "documents": [list(pair) for pair in pairs],
+                "value_links": [spec.to_dict() for spec in specs],
+            })
+        return self._apply(pairs, specs)
+
+    def save(self, location):
+        """Commit a snapshot at ``location`` and make it home.
+
+        The log beside ``location`` is truncated only *after* the
+        snapshot commits, so a crash in between replays batches the
+        snapshot already absorbed -- which replay skips by position.
+        Later batches are logged there.
+        """
+        self._write_snapshot(location)
+        # A log already attached here is truncated even if no batch
+        # created its file yet; one merely lying there is stale now.
+        attached = (self._wal is not None
+                    and self._wal.path == self._log_path(location))
+        log = self._set_home(location)
+        if attached or os.path.exists(log.path):
+            log.truncate()
+
+    def close(self):
+        """Close the write-ahead log's file handle (a later write reopens
+        it); call before another instance takes over the same home."""
+        if self._wal is not None:
+            self._wal.close()
+
+    def _set_home(self, location):
+        self._home = location
+        path = self._log_path(location)
+        if self._wal is None or self._wal.path != path:
+            self.close()
+            self._wal = WriteAheadLog(path)
+        return self._wal
+
+    def _replay(self, location, apply, repair=True):
+        """Feed every batch logged beside ``location`` to ``apply``.
+
+        A torn final record (crash mid-append, never acknowledged) is
+        dropped with a warning -- and cut from the file unless
+        ``repair=False``.
+        """
+        records, warning = replay_wal(self._log_path(location), repair=repair)
+        if warning is not None:
+            warnings.warn(warning, stacklevel=4)
+        for record in records:
+            position, pairs, specs = batch_record(record, self._POSITION_KEY)
+            apply(position, pairs, tuple(specs))
+
+    def _open_home(self, location):
+        """Replay the log beside a restored snapshot; make it home."""
+        self._replay(location, self._replay_batch)
+        self._set_home(location)
+
+
+class Seda(WriteProtocol):
     """One SEDA instance over a document collection."""
 
     def __init__(self, collection, value_links=(), dataguide_threshold=0.4,
@@ -129,8 +230,7 @@ class Seda:
         self.topk = self.new_searcher()
         self._service = None  # created lazily by query_service()
         self.obs = None  # StatsRegistry; enable_observability() attaches one
-        self._wal = None  # WriteAheadLog; enable_durability() attaches one
-        self._wal_seq = 0  # batches ever acknowledged; stamps WAL records
+        self._batches = 0  # batches ever applied; stamps WAL records
         self.context_generator = ContextSummaryGenerator(self.matcher)
         self._refresh_generators()
 
@@ -183,43 +283,38 @@ class Seda:
                 collection.add_document(document)
         return cls(collection, value_links=value_links, **kwargs)
 
-    # -- incremental ingestion ---------------------------------------------------
+    # -- the write protocol (see WriteProtocol) -------------------------------
 
-    def add_documents(self, documents, value_links=None):
-        """Ingest documents into the live system without a full rebuild.
+    #: A record's position is ``seq``, the count of batches applied
+    #: before it; a snapshot stamps the count it absorbed (``wal_seq``).
+    _POSITION_KEY = "seq"
+    _log_path = staticmethod(wal_file_name)
 
-        ``documents`` takes the same forms as :meth:`from_documents`.
-        ``value_links`` defaults to the specs the system was built with;
-        pass a sequence to extend them.  Each component is extended
-        incrementally: the index builder picks up only the new
-        documents, link discovery skips already-present edges, the new
-        dataguides merge into the mined set, and search caches keyed on
-        graph size invalidate automatically.
-        """
-        pairs = _normalize_documents(documents)
-        specs = tuple(value_links) if value_links else ()
-        if self._wal is not None:
-            # Append-before-mutate: once this returns, the batch is
-            # fsynced on disk.  A crash at any later point replays it
-            # from the log; a crash before it never acknowledged.  The
-            # sequence number makes replay idempotent: a snapshot stamps
-            # the count of batches it absorbed, so a crash between
-            # snapshot commit and log truncation cannot double-apply.
-            self._wal.append({
-                "op": "add_documents",
-                "seq": self._wal_seq,
-                "documents": [list(pair) for pair in pairs],
-                "value_links": [spec.to_dict() for spec in specs],
-            })
-        self._wal_seq += 1
-        return self._ingest(pairs, specs)
+    def _log_position(self):
+        return {"seq": self._batches}
 
-    def _ingest(self, pairs, specs):
+    def _replay_batch(self, seq, pairs, specs):
+        if seq < self._batches:
+            # The snapshot absorbed this batch: the crash hit between
+            # its commit and the log truncation.
+            return
+        self._batches = seq
+        self._apply(pairs, specs)
+
+    def _write_snapshot(self, path):
+        """One versioned snapshot file; see :mod:`repro.storage.snapshot`."""
+        write_snapshot(path, *self.snapshot_payload())
+
+    def _apply(self, pairs, specs):
         """Apply one normalized ``(name, xml)`` batch to every component.
 
-        The mutation body of :meth:`add_documents`, shared with WAL
-        replay (which must not re-log the batch it is replaying).
+        The apply step of :meth:`add_documents` and replay -- and what
+        a :class:`~repro.shard.ShardedSeda` drives its shards through.
+        Each component grows incrementally: the index builder picks up
+        only the new documents, link discovery skips present edges, and
+        the new dataguides merge into the mined set.
         """
+        self._batches += 1
         added = [
             self.collection.add_document(source, name=doc_name)
             for doc_name, source in pairs
@@ -263,7 +358,7 @@ class Seda:
             # Batches absorbed by this snapshot: replay skips write-ahead
             # records below this mark (crash between snapshot commit and
             # log truncation leaves absorbed records behind).
-            "wal_seq": self._wal_seq,
+            "wal_seq": self._batches,
         }
         records = {
             "collection": self.collection.to_dict(),
@@ -286,123 +381,40 @@ class Seda:
             records["obs"] = self.obs.to_dict()
         return meta, records
 
-    def save(self, path, durable=True):
-        """Persist the whole system to one versioned snapshot file.
-
-        See :mod:`repro.storage.snapshot` for the format.  Everything a
-        cold start would otherwise recompute -- parsed nodes, link
-        edges, both indexes, the node store, dataguides, and the cube
-        registry -- is written out, so :meth:`load` restores in one pass.
-
-        ``durable=False`` writes the snapshot without touching
-        write-ahead-log state -- for systems whose durability is owned
-        elsewhere (a shard inside a :class:`~repro.shard.ShardedSeda`
-        logs to the collection-level ``wal.log``, never per shard).
-        """
-        meta, records = self.snapshot_payload()
-        write_snapshot(path, meta, records)
-        if not durable:
-            return
-        # The snapshot now contains every batch the log holds; truncate
-        # it only *after* the rename commit above, so a crash in
-        # between merely replays batches the snapshot already absorbed
-        # (re-adding the same documents to a snapshot that predates
-        # them -- exactly the pre-save state).
-        wal_path = wal_file_name(path)
-        if self._wal is not None and self._wal.path == wal_path:
-            self._wal.truncate()
-        elif os.path.exists(wal_path):
-            # A log paired with this snapshot path by convention but
-            # not attached here is stale the moment the new snapshot
-            # commits: replaying it would double-apply old batches.
-            WriteAheadLog(wal_path).truncate()
-        # A saved system is durable at that path from here on: every
-        # later batch is logged beside the snapshot it extends.  (The
-        # log file itself only appears on the first append.)
-        self.enable_durability(path)
-
     @classmethod
-    def load(cls, path, sidecar=None, durable=True):
-        """Restore a system saved by :meth:`save`.
+    def load(cls, path, sidecar=None):
+        """Restore a system saved by :meth:`save` and make ``path`` home.
 
         Bypasses XML parsing, link discovery, index building, and
         dataguide mining entirely: every component is reconstructed
         from its serialized form.  ``sidecar`` substitutes an
         already-attached column buffer (e.g. a shared-memory segment)
-        for the snapshot's own ``.cols`` file.
-
-        When a write-ahead log sits beside the snapshot (``<path>.wal``,
-        see :meth:`enable_durability`), every acknowledged batch in it
-        is replayed on top of the restored snapshot and durability
-        stays attached -- recovery after a crash lands on snapshot plus
-        everything that was ever acknowledged.  A torn final record
-        (crash mid-append) is truncated away with a warning; it was
-        never acknowledged.  ``durable=False`` restores the snapshot
-        alone -- no replay, no log attach (shard-internal loads).
-        Raises
+        for the snapshot's own ``.cols`` file.  Every acknowledged batch
+        in ``<path>.wal`` is replayed on top, so recovery after a crash
+        lands on snapshot plus everything ever acknowledged.  Raises
         :class:`~repro.storage.snapshot.SnapshotError` on incompatible,
         torn, or corrupt files.
         """
+        system = cls._restore(path, sidecar)
+        system._open_home(path)
+        return system
+
+    @classmethod
+    def _restore(cls, path, sidecar=None):
+        """The snapshot at ``path`` alone: no replay, no home."""
         meta, records = read_snapshot(path, sidecar=sidecar)
         try:
-            system = cls.from_payload(meta, records)
+            return cls.from_payload(meta, records)
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             # The checksums catch corruption before we get here, so
             # this is a record set no writer of this format produced;
             # it must surface as SnapshotError, never as a bare
             # reconstruction traceback.
-            from repro.storage.snapshot import SnapshotError
-
             raise SnapshotError(
                 f"{path}: snapshot records do not reconstruct a system "
                 f"({type(error).__name__}: {error}); corrupt or "
                 f"incompatible file"
             ) from error
-        if not durable:
-            # Pure snapshot restore: no replay, no log attach.  The
-            # caller owns recovery (sharded collections replay their
-            # own collection-level log across the shards).
-            return system
-        wal_path = wal_file_name(path)
-        if os.path.exists(wal_path):
-            system._replay_wal_records(*replay_wal(wal_path))
-        # Durability is attached whether or not a log existed: batches
-        # added to the restored system are logged beside its snapshot.
-        system.enable_durability(path)
-        return system
-
-    def _replay_wal_records(self, wal_records, warning):
-        """Apply replayed write-ahead batches; shared with shard recovery."""
-        if warning is not None:
-            warnings.warn(warning, stacklevel=3)
-        for record in wal_records:
-            seq, pairs, specs = batch_record(record, "seq")
-            if seq < self._wal_seq:
-                # The snapshot already absorbed this batch: the crash
-                # hit between its commit and the log truncation.
-                # Replaying it would double-apply.
-                continue
-            self._wal_seq = seq + 1
-            self._ingest(pairs, specs)
-
-    def enable_durability(self, snapshot_path):
-        """Attach a write-ahead log beside the snapshot at ``snapshot_path``.
-
-        Afterwards every :meth:`add_documents` batch is appended to
-        ``<snapshot_path>.wal`` -- checksummed and fsynced -- *before*
-        any index mutates, :meth:`save` to that path truncates the log
-        once the snapshot commit absorbs its batches, and :meth:`load`
-        replays it, so no acknowledged batch survives only in RAM.
-        Idempotent for the same path; switching paths re-attaches.
-        Returns the :class:`~repro.storage.wal.WriteAheadLog`.
-        """
-        wal_path = wal_file_name(snapshot_path)
-        if self._wal is not None:
-            if self._wal.path == wal_path:
-                return self._wal
-            self._wal.close()
-        self._wal = WriteAheadLog(wal_path)
-        return self._wal
 
     @classmethod
     def from_payload(cls, meta, records):
@@ -444,7 +456,7 @@ class Seda:
             from repro.obs.registry import StatsRegistry
 
             system.obs = StatsRegistry.from_dict(records["obs"])
-        system._wal_seq = meta["wal_seq"]
+        system._batches = meta["wal_seq"]
         return system
 
     # -- introspection ------------------------------------------------------------

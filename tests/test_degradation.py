@@ -9,8 +9,10 @@ import time
 
 import pytest
 
+from repro.query.term import Query
 from repro.shard import ShardedSeda
 from repro.shard.sharded import ShardSearchTimeout
+from repro.system import Seda
 
 DOCS = [
     ("alpha", "<r><a>red blue</a><b>green</b></r>"),
@@ -105,6 +107,37 @@ class TestRetryAndRecovery:
         system.configure_degradation(retries=1, backoff=0)
         assert _canon(system.search(QUERY, k=10)) == expected
         assert system.recovery_epoch == 2
+
+    def test_recovery_after_saving_elsewhere(self, tmp_path):
+        """``save(backup)`` makes the backup home: recovery restores the
+        shards from the files that save just wrote, which hold the
+        batch acknowledged before it (the previous home's files do
+        not)."""
+        documents = DOCS + [
+            ("foxtrot", "<r><b>blue</b><a>green red</a></r>"),
+            ("golf", "<r><a>red red</a><c>blue</c></r>"),
+            ("hotel", "<r><c>green</c><b>red blue</b></r>"),
+            ("india", "<r><a>blue green</a></r>"),
+        ]
+        batch = [
+            ("juliet", "<r><a>red</a><b>green blue</b></r>"),
+            ("kilo", "<r><c>red green</c></r>"),
+        ]
+        home = str(tmp_path / "home.shards")
+        ShardedSeda.from_documents(documents, shards=2,
+                                   parallel=False).save(home)
+        system = ShardedSeda.load(home, lazy=False)
+        system.add_documents(batch)
+        system.save(str(tmp_path / "backup.shards"))
+        _inject(system, {0: _BrokenSearcher(), 1: _BrokenSearcher()})
+        system.configure_degradation(retries=1, backoff=0)
+        offline = Seda.from_documents(documents + batch)
+        assert _canon(system.search(QUERY, k=10)) == _canon(
+            offline.topk.search(Query.parse(QUERY), k=10)
+        )
+        assert system.recovery_epoch == 2
+        assert sum(len(shard.collection.documents)
+                   for shard in system.shards) == len(documents + batch)
 
     def test_disabling_restores_fail_fast(self, saved):
         system = ShardedSeda.load(saved)

@@ -243,14 +243,14 @@ class TestCorruptedSnapshotMatrix:
         victim = snapshot_pair if target == "snapshot" \
             else snapshot_pair + ".cols"
         pristine = open(victim, "rb").read()
-        expected = self._answers(Seda.load(snapshot_pair, durable=False))
+        expected = self._answers(Seda.load(snapshot_pair))
         for offset in self._offsets(len(pristine)):
             blob = bytearray(pristine)
             blob[offset] ^= 0x01
             with open(victim, "wb") as handle:
                 handle.write(bytes(blob))
             try:
-                loaded = Seda.load(snapshot_pair, durable=False)
+                loaded = Seda.load(snapshot_pair)
             except SnapshotError:
                 continue
             assert self._answers(loaded) == expected, (
@@ -259,7 +259,7 @@ class TestCorruptedSnapshotMatrix:
             )
         with open(victim, "wb") as handle:
             handle.write(pristine)
-        Seda.load(snapshot_pair, durable=False)  # matrix left it intact
+        Seda.load(snapshot_pair)  # matrix left it intact
 
     @pytest.mark.parametrize("target", ["snapshot", "cols"])
     def test_truncations_are_detected(self, snapshot_pair, target):
@@ -268,12 +268,12 @@ class TestCorruptedSnapshotMatrix:
         victim = snapshot_pair if target == "snapshot" \
             else snapshot_pair + ".cols"
         pristine = open(victim, "rb").read()
-        expected = self._answers(Seda.load(snapshot_pair, durable=False))
+        expected = self._answers(Seda.load(snapshot_pair))
         for keep in self._offsets(len(pristine)):
             with open(victim, "wb") as handle:
                 handle.write(pristine[:keep])
             try:
-                loaded = Seda.load(snapshot_pair, durable=False)
+                loaded = Seda.load(snapshot_pair)
             except SnapshotError:
                 continue
             assert self._answers(loaded) == expected, (
@@ -282,7 +282,7 @@ class TestCorruptedSnapshotMatrix:
             )
         with open(victim, "wb") as handle:
             handle.write(pristine)
-        Seda.load(snapshot_pair, durable=False)
+        Seda.load(snapshot_pair)
 
     def test_missing_sidecar_is_detected(self, snapshot_pair, tmp_path):
         import os
@@ -291,7 +291,7 @@ class TestCorruptedSnapshotMatrix:
 
         os.remove(snapshot_pair + ".cols")
         with pytest.raises(SnapshotError):
-            Seda.load(snapshot_pair, durable=False)
+            Seda.load(snapshot_pair)
 
 
 class TestInjectedIOErrors:
@@ -316,7 +316,7 @@ class TestInjectedIOErrors:
             fresh = Seda.from_documents(self.DOCS + self.BATCH)
             with FaultInjector(fail_at=fail_at) as faults:
                 try:
-                    fresh.save(path, durable=False)
+                    fresh.save(path)
                 except OSError:
                     pass
                 else:

@@ -263,13 +263,15 @@ class TestShardedSnapshots:
         backup = tmp_path / "backup.shards"
         lazy.save(str(backup))
         assert all(not slot.loaded for slot in lazy._slots)
-        # The live system stays backed by its source: deleting the
-        # backup must not strand it.
-        shutil.rmtree(backup)
+        # save() makes the backup home: the live system is backed by
+        # the copies it just wrote, so deleting the source strands
+        # nothing.
+        assert all(os.path.dirname(slot.path) == str(backup)
+                   for slot in lazy._slots)
+        shutil.rmtree(source)
         assert _canon(lazy.search(QUERIES[0], k=5)) == _canon(
             sharded.search(QUERIES[0], k=5)
         )
-        lazy.save(str(backup))  # recreate for the restore checks below
         # A parallel build's payload-backed shards save the same way.
         parallel = ShardedSeda.from_documents(
             DOCS, shards=2, parallel=True, max_workers=2

@@ -333,6 +333,26 @@ class TestDurableTopology:
         assert recovered.shard_count == 4
         assert _canon(recovered) == oracle_with_batch
 
+    def test_shard_recovery_after_a_topology_commit(self, tmp_path,
+                                                    oracle_with_batch):
+        """Single-shard recovery replays through the manifest-covered
+        path: the untouched shards' files predate the first batch, the
+        rebuilt shards' files do not, and every shard recovers exactly."""
+        directory = str(tmp_path / "seda.shards")
+        _build_sharded().save(directory)
+
+        system = ShardedSeda.load(directory)
+        system.add_documents(BATCH[:1])          # WAL only, base 10
+        assert system.split(0)["committed"] is True
+        system.add_documents(BATCH[1:])          # WAL only, base 11
+        assert read_sharded_manifest(directory)["shard_doc_bases"] == [
+            11, 10, 10, 11
+        ]
+        for index in range(system.shard_count):
+            system._recover_shard(index)
+        assert system.recovery_epoch == system.shard_count
+        assert _canon(system) == oracle_with_batch
+
     def test_ingest_after_topology_change(self, tmp_path,
                                           oracle_with_batch):
         directory = str(tmp_path / "seda.shards")

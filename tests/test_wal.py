@@ -1,10 +1,12 @@
 """Write-ahead log: format, torn-tail recovery, replay equivalence."""
 
+import json
 import os
-import warnings
 
 import pytest
 
+from repro.datasets.factbook import FactbookGenerator
+from repro.model.links import ValueLinkSpec
 from repro.query.term import Query
 from repro.shard import ShardedSeda
 from repro.storage.wal import (
@@ -17,6 +19,7 @@ from repro.storage.wal import (
     wal_file_name,
 )
 from repro.system import Seda
+from repro.xmlio import serialize
 
 DOCS = [
     ("alpha", "<r><a>red blue</a><b>green</b></r>"),
@@ -215,8 +218,6 @@ class TestSedaDurability:
             Seda.load(path)
 
     def test_replayed_value_links_survive(self, tmp_path):
-        from repro.model.links import ValueLinkSpec
-
         path = str(tmp_path / "s.snapshot")
         system = Seda.from_documents(DOCS)
         system.save(path)
@@ -286,3 +287,101 @@ class TestShardedDurability:
             assert _canon(recovered.search(pairs, k=10)) == _canon(
                 plain.topk.search(Query.parse(pairs), k=10)
             )
+
+
+class TestEmptyBatchRejected:
+    """A batch without documents would leave the sharded position
+    (``base``) where it was, so replay could not tell it was absorbed;
+    both systems reject it before anything is logged."""
+
+    SPEC = ValueLinkSpec("/r/a", "/r/c", label="empty-batch")
+
+    def _assert_rejected(self, system, log_path):
+        system.add_documents(BATCH)
+        with open(log_path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(ValueError, match="at least one document"):
+            system.add_documents([], value_links=[self.SPEC])
+        with open(log_path, "rb") as handle:
+            assert handle.read() == before
+        assert len(replay_wal(log_path)[0]) == 1
+        assert self.SPEC not in system.value_links
+
+    def test_seda(self, tmp_path):
+        path = str(tmp_path / "s.snapshot")
+        system = Seda.from_documents(DOCS)
+        system.save(path)
+        self._assert_rejected(system, wal_file_name(path))
+
+    def test_sharded(self, tmp_path):
+        directory = str(tmp_path / "s.shards")
+        system = ShardedSeda.from_documents(DOCS, shards=2, parallel=False)
+        system.save(directory)
+        self._assert_rejected(system, sharded_wal_file_name(directory))
+
+
+QUERY_1 = [
+    ("*", '"United States"'),
+    ("trade_country", "*"),
+    ("percentage", "*"),
+]
+
+
+def _topk_bytes(results):
+    return json.dumps([
+        [list(r.node_ids), list(r.content_scores), r.compactness, r.score]
+        for r in results
+    ]).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def factbook():
+    """The Factbook as serialized documents: an initial build and three
+    post-save batches."""
+    documents = [
+        (name, serialize(root))
+        for name, root in FactbookGenerator(scale=0.05).documents()
+    ]
+    split = int(len(documents) * 0.8)
+    initial, tail = documents[:split], documents[split:]
+    return initial, [tail[i::3] for i in range(3)]
+
+
+class TestFactbookReplay:
+    """Recovery from snapshot + log replay answers byte-identical to the
+    live system that never crashed, on a corpus with value links."""
+
+    def test_wal_replay_is_byte_identical(self, factbook, tmp_path):
+        initial, batches = factbook
+        path = str(tmp_path / "factbook.snapshot")
+        live = Seda.from_documents(
+            initial, value_links=FactbookGenerator.value_link_specs(),
+            name="world-factbook",
+        )
+        live.save(path)
+        for batch in batches:
+            live.add_documents(batch)
+        assert len(replay_wal(wal_file_name(path))[0]) == len(batches)
+        recovered = Seda.load(path)
+        assert _topk_bytes(recovered.search(QUERY_1, k=10).results) == (
+            _topk_bytes(live.search(QUERY_1, k=10).results)
+        )
+
+    def test_sharded_wal_replay_is_byte_identical(self, factbook, tmp_path):
+        initial, batches = factbook
+        directory = str(tmp_path / "factbook.shards")
+        live = ShardedSeda.from_documents(
+            initial, shards=2, parallel=False,
+            value_links=FactbookGenerator.value_link_specs(),
+            name="world-factbook",
+        )
+        live.save(directory)
+        for batch in batches:
+            live.add_documents(batch)
+        assert len(replay_wal(sharded_wal_file_name(directory))[0]) == (
+            len(batches)
+        )
+        recovered = ShardedSeda.load(directory)
+        assert _topk_bytes(recovered.search(QUERY_1, k=10)) == (
+            _topk_bytes(live.search(QUERY_1, k=10))
+        )
