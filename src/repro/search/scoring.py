@@ -38,11 +38,11 @@ rebuilds; one lock collapses concurrent rebuilds into a single build.
 Searchers hold none of it -- every searcher over one scoring model
 reads the same structures, and a graph mutation expires all three.
 
-``precomputed=False`` is the escape hatch that disables every
-query-time cache (tf tables, distance memo -- and, in the top-k unit,
-stream caching and bound-based pruning).  It exists so the benchmark
-suite can prove the fast path returns byte-identical answers to the
-recompute-everything path; production paths never set it.
+There is one scoring path.  Its oracles live with the tests: the
+exhaustive :class:`~repro.search.naive.NaiveSearcher`, a seed-style
+re-analysis of each node's text checked against every impact stream
+(``tests/test_properties_random.py``), and an unbounded search
+(``k=None``: no pruning, no early stop) cut to ``k``.
 """
 
 import collections
@@ -55,16 +55,13 @@ class ScoringModel:
     """Computes content scores, compactness, and combined tuple scores."""
 
     def __init__(self, collection, inverted, graph, max_hops=12,
-                 content_weight=1.0, structure_weight=1.0, precomputed=True):
+                 content_weight=1.0, structure_weight=1.0):
         self.collection = collection
         self.inverted = inverted
         self.graph = graph
         self.max_hops = max_hops
         self.content_weight = content_weight
         self.structure_weight = structure_weight
-        #: When False, every query-time cache in the scoring pipeline is
-        #: bypassed (the benchmark equivalence baseline).
-        self.precomputed = precomputed
         # name -> (graph version, value); see "Version-keyed
         # structures" above.  Mutations are externally serialized with
         # queries (single writer / many readers), so a version flip
@@ -146,8 +143,6 @@ class ScoringModel:
         unchanged.  ``None`` ("not connectable") is cached too -- it is
         just as expensive to rediscover.
         """
-        if not self.precomputed:
-            return self._pair_distance(node_a, node_b)
         cache = self.pair_cache()
         key = (node_a, node_b) if node_a <= node_b else (node_b, node_a)
         value = cache.get(key, _MISSING)
@@ -223,15 +218,9 @@ class ScoringModel:
         could also drift from the indexed positions).  Match-all terms
         score a constant 1.0: they constrain context only, so every
         candidate is equally relevant content-wise.
-
-        With ``precomputed=False`` this *is* the seed's algorithm --
-        re-analyze, count, normalize -- kept as the benchmark baseline
-        and equivalence oracle.
         """
         if term.is_match_all:
             return 1.0
-        if not self.precomputed:
-            return self._content_score_seed(node_id, term)
         length = self.inverted.node_length(node_id)
         if not length:
             return 0.0
@@ -241,20 +230,6 @@ class ScoringModel:
             if tf:
                 score += tf * self.inverted.inverse_document_frequency(word)
         return score / (length ** 0.5)
-
-    def _content_score_seed(self, node_id, term):
-        """The seed's per-query recomputation (slow-path oracle)."""
-        node = self.collection.node(node_id)
-        tokens = self.inverted.analyzer.terms(node.direct_text)
-        if not tokens:
-            return 0.0
-        norm = len(tokens) ** 0.5
-        score = 0.0
-        for word in term.search.terms():
-            tf = tokens.count(word)
-            if tf:
-                score += tf * self.inverted.inverse_document_frequency(word)
-        return score / norm
 
     # -- structure -----------------------------------------------------------
 

@@ -40,11 +40,9 @@ Hot-path engineering on top of the paper's algorithm:
   skipped.  Only strictly-worse bounds are pruned, so tied tuples
   still reach the deterministic tie-break and answers are unchanged.
   The TA stopping threshold keeps the seed's compactness-1 cap (on
-  top of the corner bound above).
-
-Both optimizations are disabled when the scoring model runs with
-``precomputed=False`` -- the benchmark equivalence baseline that
-recomputes everything per query, seed-style.
+  top of the corner bound above).  An unbounded search (``k=None``)
+  neither prunes nor stops early, so ``search(q, k=None)[:k]`` is the
+  exhaustive reference a bounded search must equal byte for byte.
 
 Scatter-gather support: ``search`` accepts an optional
 :class:`SharedBound` -- a monotone lower bound on the k-th best score
@@ -266,12 +264,10 @@ class TopKSearcher:
     def _stream(self, term):
         """Impact-ordered stream for ``term``, cached per graph version.
 
-        With precomputation on, the stream is built at most once per
-        ``(term, graph version)`` across every searcher sharing the
-        store; repeated queries get the columnar arrays back in O(1).
+        The stream is built at most once per ``(term, graph version)``
+        across every searcher sharing the store; repeated queries get
+        the columnar arrays back in O(1).
         """
-        if not self.scoring.precomputed:
-            return self._build_stream(term)
         version = self.scoring.graph.version
         key = term.cache_key()
         cached = self.streams.get(key, version)
@@ -336,17 +332,6 @@ class TopKSearcher:
                 return "triple"
         return "general"
 
-    def warm(self):
-        """Build the scoring model's graph-derived structures now.
-
-        Searches build them on first use anyway; benchmarks call this
-        so a timed run starts from the same state as a serving system.
-        (Impact streams warm lazily, term by term.)
-        """
-        self.scoring.document_reachability()
-        self.scoring._edge_index()
-        return self
-
     def _combine_pair(self, i, node_id, score, seen_scores, partners,
                       heap, k, prune, floor):
         """The two-term hot loop, with tail pruning.
@@ -369,7 +354,7 @@ class TopKSearcher:
         ordered = sorted(
             partners, key=lambda partner: (-scores_j[partner], partner)
         )
-        cache = scoring.pair_cache() if scoring.precomputed else None
+        cache = scoring.pair_cache()
         memo_hits = 0
         for index, partner in enumerate(ordered):
             if partner == node_id:
@@ -388,18 +373,15 @@ class TopKSearcher:
                         1 for tail in ordered[index:] if tail != node_id
                     )
                     break
-            if cache is None:
+            key = (
+                (node_id, partner) if node_id <= partner
+                else (partner, node_id)
+            )
+            distance = cache.get(key, _MISSING)
+            if distance is _MISSING:
                 distance = scoring.pair_distance(node_id, partner)
             else:
-                key = (
-                    (node_id, partner) if node_id <= partner
-                    else (partner, node_id)
-                )
-                distance = cache.get(key, _MISSING)
-                if distance is _MISSING:
-                    distance = scoring.pair_distance(node_id, partner)
-                else:
-                    memo_hits += 1
+                memo_hits += 1
             stats["tuples_scored"] += 1
             if distance is None:
                 continue
@@ -462,7 +444,7 @@ class TopKSearcher:
             partner_lists[j2], key=lambda p: (-scores_2[p], p)
         )
         best_second = scores_2[second[0]]
-        cache = scoring.pair_cache() if scoring.precomputed else None
+        cache = scoring.pair_cache()
         memo_hits = 0
         third = 1.0 / 3.0
         for outer_index, a in enumerate(first):
@@ -524,36 +506,27 @@ class TopKSearcher:
                         break
                 anchor = combo[0]
                 other_1, other_2 = combo[1], combo[2]
-                if cache is None:
+                key = (
+                    (anchor, other_1) if anchor <= other_1
+                    else (other_1, anchor)
+                )
+                distance_1 = cache.get(key, _MISSING)
+                if distance_1 is _MISSING:
                     distance_1 = scoring.pair_distance(anchor, other_1)
-                    distance_2 = (
-                        None if distance_1 is None
-                        else scoring.pair_distance(anchor, other_2)
-                    )
+                else:
+                    memo_hits += 1
+                if distance_1 is None:
+                    distance_2 = None
                 else:
                     key = (
-                        (anchor, other_1) if anchor <= other_1
-                        else (other_1, anchor)
+                        (anchor, other_2) if anchor <= other_2
+                        else (other_2, anchor)
                     )
-                    distance_1 = cache.get(key, _MISSING)
-                    if distance_1 is _MISSING:
-                        distance_1 = scoring.pair_distance(anchor, other_1)
+                    distance_2 = cache.get(key, _MISSING)
+                    if distance_2 is _MISSING:
+                        distance_2 = scoring.pair_distance(anchor, other_2)
                     else:
                         memo_hits += 1
-                    if distance_1 is None:
-                        distance_2 = None
-                    else:
-                        key = (
-                            (anchor, other_2) if anchor <= other_2
-                            else (other_2, anchor)
-                        )
-                        distance_2 = cache.get(key, _MISSING)
-                        if distance_2 is _MISSING:
-                            distance_2 = scoring.pair_distance(
-                                anchor, other_2
-                            )
-                        else:
-                            memo_hits += 1
                 stats["tuples_scored"] += 1
                 if distance_1 is None or distance_2 is None:
                     continue
@@ -648,7 +621,7 @@ class TopKSearcher:
         scoring = self.scoring
         stats = self.stats
         allow_repeats = self.allow_repeats
-        prune = scoring.precomputed and k is not None
+        prune = k is not None
         # m distinct nodes are pairwise at distance >= 1, so the star
         # approximation's size is at least m - 1 and compactness at most
         # 1/m; with repeats allowed nodes can coincide and the cap is 1.

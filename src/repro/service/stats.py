@@ -4,8 +4,10 @@ The paper's Section 8 tracks *user* effort per exploration; the query
 service tracks *system* effort per served query: wall-clock latency,
 whether the result came from the cache, and the top-k unit's own
 counters (sorted accesses, tuples scored, early termination).  Batch
-execution aggregates these into throughput and hit-rate numbers -- the
-series ``benchmarks/test_bench_service.py`` reports.
+execution aggregates these into throughput and hit-rate numbers; the
+system benchmark (``bench/``) reports the serving-side series as
+``service.cache_hit_ratio``, ``service.execute_hit_ms`` and
+``service.execute_miss_ms``.
 
 A scatter-gather query runs one top-k search *per shard*, so
 :class:`QueryStats` keeps the per-shard breakdown beside the totals and

@@ -101,17 +101,18 @@ def parse_query_payload(value):
     )
 
 
-def parse_k(body):
-    """The request's ``k`` (default 10): an integer, or a 400.
+def parse_int(body, key, default=None):
+    """The request's integer ``key`` (``k``, ``shard``, ``a``, ``b``), or
+    a 400; ``default`` stands in for a missing key.
 
     JSON numbers also decode to bools, floats and infinities;
     ``int()`` would silently truncate the first two and overflow on
     the last, so anything but a plain integer is rejected here.
     """
-    k = body.get("k", 10)
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"k must be an integer, not {k!r}")
-    return k
+    value = body.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return value
 
 
 def _json_clean(token):
@@ -312,7 +313,7 @@ class ServingApp:
 
     def _endpoint_search(self, body, params):
         query = parse_query_payload(body["query"])
-        k = parse_k(body)
+        k = parse_int(body, "k", 10)
         with self.lock.read():
             generation = self.generation()
             results, stats = self.service.execute(query, k=k)
@@ -326,7 +327,7 @@ class ServingApp:
 
     def _endpoint_search_many(self, body, params):
         queries = [parse_query_payload(value) for value in body["queries"]]
-        k = parse_k(body)
+        k = parse_int(body, "k", 10)
         with self.lock.read():
             generation = self.generation()
             results, stats = self.service.execute_batch(queries, k=k)
@@ -345,7 +346,7 @@ class ServingApp:
 
     def _endpoint_explain(self, body, params):
         query = parse_query_payload(body["query"])
-        k = parse_k(body)
+        k = parse_int(body, "k", 10)
         with self.lock.read():
             if self.sharded:
                 payload = {"sharded": True, "per_shard": [
@@ -492,9 +493,11 @@ class ServingApp:
         op = body.get("op")
         with self.lock.write():
             if op == "split":
-                summary = self.system.split(int(body["shard"]))
+                summary = self.system.split(parse_int(body, "shard"))
             elif op == "merge":
-                summary = self.system.merge(int(body["a"]), int(body["b"]))
+                summary = self.system.merge(
+                    parse_int(body, "a"), parse_int(body, "b")
+                )
             elif op == "rebalance":
                 if "moves" in body:
                     plan = {"moves": body["moves"]}

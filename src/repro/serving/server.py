@@ -74,7 +74,11 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         if not raw:
             return None
-        return json.loads(raw.decode("utf-8"))
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            self.close_connection = True
+            raise ValueError("the JSON body nests too deeply") from None
 
     def _serve(self, method):
         split = urllib.parse.urlsplit(self.path)

@@ -306,20 +306,38 @@ def merge(system, a, b):
     }
 
 
+def _plan_int(value):
+    """One index of a move plan: an integer or a digit string."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(
+            f"a move names a document index and a shard as integers, "
+            f"not {value!r}"
+        )
+    return value
+
+
 def rebalance(system, plan):
     """Move documents between shards according to ``plan``.
 
-    ``plan`` is ``{"moves": {global_document_index: target_shard}}``
-    (JSON-string keys accepted -- plans round-trip through the CLI and
-    the serving endpoint).  Every co-location unit must move
-    all-or-nothing to a single target; violating moves raise
-    :class:`ValueError` before anything changes.  Moves onto a
-    document's current shard are dropped; an effectively empty plan is
-    a no-op that does not bump the routing epoch.  All shards that
-    gain or lose documents are rebuilt; the rest keep their files.
+    ``plan`` is ``{"moves": {global_document_index: target_shard}}``;
+    indexes are integers or digit strings (plans round-trip through
+    JSON via the CLI and the serving endpoint), never bools or floats.
+    Every co-location unit must move all-or-nothing to a single
+    target; violating moves raise :class:`ValueError` before anything
+    changes.  Moves onto a document's current shard are dropped; an
+    effectively empty plan is a no-op that does not bump the routing
+    epoch.  All shards that gain or lose documents are rebuilt; the
+    rest keep their files.
     """
     shards = len(system._slots)
-    raw_moves = plan.get("moves", {}) if isinstance(plan, dict) else {}
+    if not isinstance(plan, dict):
+        raise ValueError(
+            "a rebalance plan is a mapping with a 'moves' entry, not "
+            f"{type(plan).__name__}"
+        )
+    raw_moves = plan.get("moves", {})
     if not isinstance(raw_moves, dict):
         raise ValueError(
             "a rebalance plan's 'moves' must map document index to "
@@ -327,7 +345,7 @@ def rebalance(system, plan):
         )
     moves = {}
     for key, value in raw_moves.items():
-        global_index, target = int(key), int(value)
+        global_index, target = _plan_int(key), _plan_int(value)
         if not 0 <= global_index < len(system._docs):
             raise ValueError(f"no document with global index {global_index}")
         if not 0 <= target < shards:

@@ -59,6 +59,7 @@ from repro.summaries.context import ContextSummaryGenerator
 from repro.summaries.dataguide import DataguideBuilder, DataguideSet
 from repro.text import Analyzer
 from repro.twig.complete import CompleteResultGenerator
+from repro.xmlio import parse
 
 
 def _normalize_documents(documents):
@@ -113,11 +114,18 @@ class WriteProtocol:
         must not be empty; ``value_links`` extends the specs the system
         was built with.  With a home, the batch is fsynced into the
         write-ahead log first: once this returns it survives a crash.
-        Returns the created documents in input order.
+        A batch with a document that does not parse raises
+        :class:`~repro.xmlio.XMLSyntaxError` (a ``ValueError``) before
+        anything is logged or applied.  Returns the created documents
+        in input order.
         """
         pairs = self._batch(documents)
         if not pairs:
             raise ValueError("add_documents needs at least one document")
+        # Parse the very text the log records, once, and apply those
+        # trees: a record replay cannot apply would leave a home that
+        # no longer loads.
+        trees = [(doc_name, parse(source)) for doc_name, source in pairs]
         specs = tuple(value_links) if value_links else ()
         if self._wal is not None:
             self._wal.append({
@@ -126,7 +134,7 @@ class WriteProtocol:
                 "documents": [list(pair) for pair in pairs],
                 "value_links": [spec.to_dict() for spec in specs],
             })
-        return self._apply(pairs, specs)
+        return self._apply(trees, specs)
 
     def save(self, location):
         """Commit a snapshot at ``location`` and make it home.
@@ -306,7 +314,8 @@ class Seda(WriteProtocol):
         write_snapshot(path, *self.snapshot_payload())
 
     def _apply(self, pairs, specs):
-        """Apply one normalized ``(name, xml)`` batch to every component.
+        """Apply one ``(name, xml text or parsed tree)`` batch to every
+        component.
 
         The apply step of :meth:`add_documents` and replay -- and what
         a :class:`~repro.shard.ShardedSeda` drives its shards through.

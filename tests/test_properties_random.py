@@ -146,13 +146,21 @@ class TestTopKEquivalence:
         topk = TopKSearcher(matcher, scoring)
         naive = NaiveSearcher(matcher, scoring, max_combinations=10**6)
         query = Query.parse([("*", word) for word in words])
-        ta_scores = [
-            round(result.score, 9) for result in topk.search(query, k=5)
-        ]
+        bounded = topk.search(query, k=5)
+        ta_scores = [round(result.score, 9) for result in bounded]
         naive_scores = [
             round(result.score, 9) for result in naive.search(query, k=5)
         ]
         assert ta_scores == naive_scores
+        # The unbounded search (no pruning, no early stop) cut to k is
+        # the bounded search, byte for byte.
+        assert [
+            (r.node_ids, r.content_scores, r.compactness, r.score)
+            for r in topk.search(query, k=None)[:5]
+        ] == [
+            (r.node_ids, r.content_scores, r.compactness, r.score)
+            for r in bounded
+        ]
 
     @given(_random_collection(),
            st.sampled_from(["red", "blue", "green", "red blue"]))
@@ -160,7 +168,7 @@ class TestTopKEquivalence:
     def test_impact_stream_scores_equal_naive_content_scores(
         self, collection, words
     ):
-        """The precomputed impact stream must carry exactly the scores a
+        """The impact stream must carry exactly the scores a
         seed-style recomputation (re-analyzing each node's direct text)
         would produce -- same floats, impact-sorted."""
         inverted, _paths, _store, matcher = _wire(collection)
@@ -188,11 +196,6 @@ class TestTopKEquivalence:
         assert dict(zip(stream.node_ids, stream.scores)) == expected
         pairs = stream.pairs()
         assert pairs == sorted(pairs, key=lambda pair: (-pair[0], pair[1]))
-        # The precomputed=False escape hatch builds identical streams.
-        slow = TopKSearcher(matcher, ScoringModel(
-            collection, inverted, graph, precomputed=False,
-        ))
-        assert slow._stream(term).pairs() == pairs
 
     @given(_random_collection())
     @settings(max_examples=30, deadline=None)

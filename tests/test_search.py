@@ -32,6 +32,33 @@ QUERY_1 = [
     ("percentage", "*"),
 ]
 
+#: Multi-term Factbook queries: Query 1's terms and variants.
+FACTBOOK_QUERIES = [
+    [("*", '"United States"'), ("trade_country", "*")],
+    [("trade_country", "*"), ("percentage", "*")],
+    QUERY_1,
+    [("*", "canada"), ("year", "*")],
+    [("*", "germany"), ("percentage", "*")],
+]
+
+
+def _canon(results):
+    return [
+        (r.node_ids, r.content_scores, r.compactness, r.score)
+        for r in results
+    ]
+
+
+@pytest.fixture(scope="module")
+def factbook_seda():
+    from repro.datasets.factbook import FactbookGenerator
+    from repro.system import Seda
+
+    return Seda(
+        FactbookGenerator(scale=0.05).build_collection(),
+        value_links=FactbookGenerator.value_link_specs(),
+    )
+
 
 class TestScoring:
     def test_match_all_scores_one(self, figure2_collection, searchers):
@@ -298,7 +325,7 @@ class TestVersionedCaches:
         scoring = ScoringModel(
             figure2_collection, figure2_matcher.inverted, graph
         )
-        first = TopKSearcher(figure2_matcher, scoring).warm()
+        first = TopKSearcher(figure2_matcher, scoring)
         reach = scoring.document_reachability()
         edges = scoring._edge_index()
         memo = scoring.pair_cache()
@@ -399,16 +426,6 @@ class TestPairDistance:
         graph.add_edge(tags["b"], tags["e"], EdgeKind.VALUE)
         assert scoring.pair_distance(tags["b"], tags["e"]) == 1
 
-    def test_precomputed_false_bypasses_memo(self):
-        collection, graph, tags = self._two_documents()
-        graph.add_edge(tags["b"], tags["e"], EdgeKind.VALUE)
-        scoring = self._scoring(collection, graph, precomputed=False)
-        assert scoring.pair_distance(tags["b"], tags["e"]) == 1
-        assert scoring.pair_distance(tags["b"], tags["e"]) == 1
-        assert scoring.pair_hits == 0
-        assert scoring.pair_misses == 0
-        assert scoring.pair_cache() == {}
-
 
 class TestBoundPruning:
     """The content-score upper bound must skip provably losing combos
@@ -420,13 +437,11 @@ class TestBoundPruning:
     #: so the weaker (c, b) combo's bound falls strictly below it.
     DOC = "<root><a>x x x x<b>y</b></a><c>x</c></root>"
 
-    def _searcher(self, precomputed=True):
+    def _searcher(self):
         collection = DocumentCollection(name="prune")
         collection.add_document(self.DOC, name="doc")
         matcher, graph = _wire_collection(collection)
-        scoring = ScoringModel(
-            collection, matcher.inverted, graph, precomputed=precomputed
-        )
+        scoring = ScoringModel(collection, matcher.inverted, graph)
         return TopKSearcher(matcher, scoring)
 
     def test_prunes_weak_combo(self):
@@ -436,15 +451,17 @@ class TestBoundPruning:
         assert searcher.stats["pruned"] == 1
 
     def test_pruning_changes_no_answer(self):
-        query = [("*", "x"), ("*", "y")]
-        fast = self._searcher().search(Query.parse(query), k=1)
-        slow_searcher = self._searcher(precomputed=False)
-        slow = slow_searcher.search(Query.parse(query), k=1)
-        assert slow_searcher.stats["pruned"] == 0  # escape hatch: no pruning
+        query = Query.parse([("*", "x"), ("*", "y")])
+        searcher = self._searcher()
+        bounded = searcher.search(query, k=1)
+        assert searcher.stats["pruned"] == 1
+        # The unbounded search neither prunes nor stops early.
+        unbounded = searcher.search(query, k=None)
+        assert searcher.stats["pruned"] == 0
         assert [(r.node_ids, r.content_scores, r.compactness, r.score)
-                for r in fast] == [
+                for r in bounded] == [
             (r.node_ids, r.content_scores, r.compactness, r.score)
-            for r in slow
+            for r in unbounded[:1]
         ]
 
     def test_unbounded_k_never_prunes(self):
@@ -470,31 +487,6 @@ class TestImpactStreams:
         rebuilt = searcher._stream(term)
         assert rebuilt is not stream
         assert rebuilt.pairs() == stream.pairs()  # same content
-
-    def test_slow_path_bypasses_store(self, figure2_collection,
-                                      figure2_matcher):
-        scoring = ScoringModel(
-            figure2_collection, figure2_matcher.inverted,
-            DataGraph(figure2_collection), precomputed=False,
-        )
-        searcher = TopKSearcher(figure2_matcher, scoring)
-        searcher.search(Query.parse([("*", "canada")]), k=3)
-        assert len(searcher.streams) == 0
-
-    def test_streams_equal_across_paths(self, figure2_collection,
-                                        figure2_matcher):
-        graph = DataGraph(figure2_collection)
-        fast = TopKSearcher(figure2_matcher, ScoringModel(
-            figure2_collection, figure2_matcher.inverted, graph,
-        ))
-        slow = TopKSearcher(figure2_matcher, ScoringModel(
-            figure2_collection, figure2_matcher.inverted, graph,
-            precomputed=False,
-        ))
-        for pairs in ([("*", "canada")], [("*", '"United States"')],
-                      [("trade_country", "*")]):
-            term = Query.parse(pairs).terms[0]
-            assert fast._stream(term).pairs() == slow._stream(term).pairs()
 
     def test_store_roundtrip_preserves_bytes(self):
         store = ImpactStreamStore()
@@ -523,6 +515,32 @@ class TestImpactStreams:
         worker.search(Query.parse([("*", "canada")]), k=3)
         assert worker.streams is source.streams
         assert store.misses == misses  # served from the shared store
+
+    def test_cold_and_warm_caches_answer_identically(self, factbook_seda):
+        """A repeated Factbook workload on a fresh scoring model and
+        stream store, run twice: the run that builds streams and
+        distances and the run that only reads them back give identical
+        bytes, and both equal the unbounded search cut to k."""
+        seda = factbook_seda
+        scoring = ScoringModel(
+            seda.collection, seda.inverted, seda.graph,
+            max_hops=seda.max_hops,
+        )
+        searcher = TopKSearcher(
+            seda.matcher, scoring, streams=ImpactStreamStore()
+        )
+        workload = [Query.parse(pairs) for _ in range(6)
+                    for pairs in FACTBOOK_QUERIES]
+        cold = [_canon(searcher.search(query, k=10)) for query in workload]
+        assert searcher.streams.hits > 0
+        assert scoring.pair_hits > 0
+        misses = (searcher.streams.misses, scoring.pair_misses)
+        warm = [_canon(searcher.search(query, k=10)) for query in workload]
+        assert warm == cold
+        assert (searcher.streams.misses, scoring.pair_misses) == misses
+        for pairs, answer in zip(FACTBOOK_QUERIES, cold):
+            unbounded = searcher.search(Query.parse(pairs), k=None)
+            assert _canon(unbounded[:10]) == answer
 
 
 class TestTopKAgainstNaive:

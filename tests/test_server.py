@@ -291,6 +291,24 @@ class TestServingAppProtocol:
 # -- the real socket ---------------------------------------------------------------
 
 
+def _raw_post(server, content_length, tail):
+    """``POST /search`` over a raw socket; every byte the server sends
+    until it closes its side."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=10
+    ) as connection:
+        connection.sendall(
+            b"POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + content_length.encode("ascii") + b"\r\n\r\n" + tail
+        )
+        received = b""
+        while True:
+            chunk = connection.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
 @pytest.fixture
 def served(tmp_path):
     """A started server over a fresh snapshot; stops on teardown."""
@@ -396,23 +414,40 @@ class TestServerLifecycle:
         connection's next request: the 400 closes the connection."""
         _, server = served
         smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as connection:
-            connection.sendall(
-                b"POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: "
-                + content_length.encode("ascii") + b"\r\n\r\n" + smuggled
-            )
-            received = b""
-            while True:  # ends only when the server closes its side
-                chunk = connection.recv(65536)
-                if not chunk:
-                    break
-                received += chunk
+        received = _raw_post(server, content_length, smuggled)
         head = received.partition(b"\r\n\r\n")[0]
         assert head.startswith(b"HTTP/1.1 400")
         assert b"connection: close" in head.lower()
         assert received.count(b"HTTP/1.1 ") == 1  # nothing served after it
+
+    def test_malformed_batch_leaves_no_trace(self, served):
+        """One unparsable document fails the whole batch with a 400 that
+        logged and applied nothing, so the snapshot still cold-starts."""
+        snapshot, server = served
+        with ServingClient(server.host, server.port) as client:
+            before = client.search(QUERY)["results"]
+            with pytest.raises(ServerError) as raised:
+                client.add_documents([["c", "<r><x>ok</x></r>"],
+                                      ["d", "<r><x>broken"]])
+            assert raised.value.status == 400
+            assert "unclosed element" in raised.value.payload["error"]
+            assert client.healthz()["documents"] == len(BASE_DOCS)
+            assert client.search(QUERY)["results"] == before
+        assert verify_wal(wal_file_name(snapshot))["records"] == 0
+        assert len(Seda.load(snapshot).collection.documents) == len(BASE_DOCS)
+
+    def test_deeply_nested_body_is_a_400(self, served):
+        """A body nested past the JSON decoder's recursion limit is
+        answered 400 and the connection closed, not dropped silently."""
+        _, server = served
+        body = b"[" * 50_000
+        received = _raw_post(server, str(len(body)), body)
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"connection: close" in head.lower()
+        assert b"bad request body" in payload
+        with ServingClient(server.host, server.port) as client:
+            assert client.healthz()["status"] == "serving"
 
     def test_metrics_exposition(self, served):
         _, server = served
@@ -527,6 +562,8 @@ class TestShardedServerLifecycle:
                 assert results == [
                     result_to_dict(result) for result in offline
                 ]
+                # ... which is the unsharded oracle's answer too.
+                assert results == _offline_results(BASE_DOCS + [extra])
 
                 report = client.explain(QUERY, k=5)
                 assert report["sharded"] is True

@@ -127,9 +127,7 @@ class TestQueryServiceStress:
             system,
             service,
             lambda: system.graph.version,
-            lambda: (
-                lambda searcher: searcher.search
-            )(TopKSearcher(system.matcher, system.scoring).warm()),
+            lambda: TopKSearcher(system.matcher, system.scoring).search,
         )
         assert errors == []
         assert len(served) == READERS * ROUNDS * len(QUERIES)

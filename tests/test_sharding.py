@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.query.term import Query
-from repro.search.topk import SharedBound
+from repro.search.topk import SharedBound, TopKSearcher
 from repro.service.query_service import QueryService
 from repro.shard import (
     ShardedSeda,
@@ -57,6 +57,35 @@ def sharded():
     return ShardedSeda.from_documents(DOCS, shards=3, parallel=False)
 
 
+#: Factbook query shapes: Query 1's terms and variants.  The match-all
+#: pairs produce long runs of tied scores, so the merge's tie-break is
+#: exercised across shard boundaries.
+FACTBOOK_QUERIES = [
+    [("*", '"United States"'), ("trade_country", "*")],
+    [("trade_country", "*"), ("percentage", "*")],
+    [("*", '"United States"'), ("trade_country", "*"), ("percentage", "*")],
+    [("*", "canada"), ("year", "*")],
+    [("*", "germany"), ("percentage", "*")],
+    [("percentage", "*")],
+]
+
+
+@pytest.fixture(scope="module")
+def factbook():
+    """The Factbook at pipeline scale, unsharded and on three shards.
+
+    Built without value links: the hash partitioner does not co-locate
+    value-linked documents (see docs/ARCHITECTURE.md, "Sharding").
+    """
+    from repro.datasets.factbook import FactbookGenerator
+
+    corpus = list(FactbookGenerator(scale=0.05).documents())
+    return (
+        Seda.from_documents(corpus),
+        ShardedSeda.from_documents(corpus, shards=3, parallel=False),
+    )
+
+
 class TestFactoryRouting:
     def test_seda_from_documents_routes_to_sharded(self):
         system = Seda.from_documents(DOCS, shards=2)
@@ -92,6 +121,37 @@ class TestMergeEquivalence:
                 assert _canon(sharded.search(pairs, k=k)) == _canon(
                     unsharded.topk.search(query, k=k)
                 ), f"diverged on {pairs} k={k}"
+
+    def test_factbook_sweep_byte_identical_to_unsharded(self, factbook):
+        """Every query shape at every k, k beyond the corpus included;
+        per-shard searches with a fresh, never-offered bound each merge
+        to the same answer; so does the service, computed and cached."""
+        plain, sharded = factbook
+        for pairs in FACTBOOK_QUERIES:
+            query = Query.parse(pairs)
+            for k in (1, 3, 10, 10_000, None):
+                assert _canon(sharded.search(pairs, k=k)) == _canon(
+                    plain.topk.search(query, k=k)
+                ), f"diverged on {pairs} k={k}"
+            independent = sharded._merge(
+                [
+                    TopKSearcher(
+                        shard.matcher, shard.scoring, streams=shard.streams
+                    ).search(query, k=10, shared_bound=SharedBound())
+                    for shard in sharded.shards
+                ],
+                10,
+            )
+            assert _canon(independent) == _canon(
+                plain.topk.search(query, k=10)
+            )
+        service = QueryService(sharded, workers=2)
+        expected = [_canon(plain.topk.search(Query.parse(pairs), k=10))
+                    for pairs in FACTBOOK_QUERIES]
+        for _round in range(2):  # computed, then from the result cache
+            answers, stats = service.execute_batch(FACTBOOK_QUERIES, k=10)
+            assert [_canon(answer) for answer in answers] == expected
+        assert stats.hit_rate == 1.0
 
     def test_every_shard_count_agrees(self, unsharded):
         baseline = [

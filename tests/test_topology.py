@@ -311,6 +311,38 @@ class TestDurableTopology:
 
         assert _canon(ShardedSeda.load(directory)) == oracle
 
+    def test_bounded_rebalance_rewrites_only_affected_shards(self, tmp_path,
+                                                             oracle):
+        """A few documents from one donor to one receiver: only those
+        two shards' files are rewritten."""
+        directory = str(tmp_path / "seda.shards")
+        ShardedSeda.from_documents(
+            DOCS, shards=4, parallel=False, partitioner="round-robin"
+        ).save(directory)
+        before = _shard_file_bytes(directory)
+        before_files = read_sharded_manifest(directory)["shard_files"]
+
+        system = ShardedSeda.load(directory)
+        donor, receiver = 0, 3
+        moves = {g: receiver for g in system._shard_docs[donor][:2]}
+        summary = system.rebalance({"moves": moves})
+        assert summary["committed"] is True
+        assert summary["moved_documents"] == 2
+        assert summary["affected_shards"] == [donor, receiver]
+
+        after = _shard_file_bytes(directory)
+        for index, shard_file in enumerate(before_files):
+            if index in (donor, receiver):
+                assert shard_file not in after
+            else:
+                assert after[shard_file] == before[shard_file]
+                assert (after[f"{shard_file}.cols"]
+                        == before[f"{shard_file}.cols"])
+        assert _canon(system) == oracle
+        report = fsck_report(directory)
+        assert report["ok"], report["problems"]
+        assert _canon(ShardedSeda.load(directory)) == oracle
+
     def test_wal_batch_from_the_old_epoch_replays(self, tmp_path,
                                                   oracle_with_batch):
         directory = str(tmp_path / "seda.shards")
@@ -536,6 +568,26 @@ class TestRebalanceEndpoint:
         assert app.handle("POST", "/admin/rebalance",
                           body={"op": "split", "shard": 99}).status == 400
         assert app.handle("GET", "/admin/rebalance").status == 405
+
+        # Shard and document indexes are integers: not an overflowing
+        # float (JSON 1e400), not a fraction, not a bool.
+        for body in (
+            {"op": "split", "shard": float("inf")},
+            {"op": "split", "shard": True},
+            {"op": "merge", "a": float("inf"), "b": 0},
+            {"op": "merge", "a": 0, "b": 2.0},
+            {"op": "rebalance", "moves": {"0": float("inf")}},
+            {"op": "rebalance", "moves": {"0": 1.7}},
+            {"op": "rebalance", "moves": {"0": True}},
+            {"op": "rebalance", "moves": {"first": 1}},
+        ):
+            response = app.handle("POST", "/admin/rebalance", body=body)
+            assert response.status == 400, body
+            assert "integer" in response.payload["error"], body
+        with pytest.raises(ValueError, match="a rebalance plan is a mapping"):
+            app.system.rebalance([("0", 1)])
+        assert app.system.shard_count == 3
+        assert app.system.routing_epoch == 0
 
         snapshot = str(tmp_path / "seda.snapshot")
         Seda.from_documents(DOCS).save(snapshot)

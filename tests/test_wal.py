@@ -320,6 +320,52 @@ class TestEmptyBatchRejected:
         self._assert_rejected(system, sharded_wal_file_name(directory))
 
 
+class TestMalformedBatchRejected:
+    """Every document of a batch parses before anything is logged or
+    applied: one malformed document rejects the batch whole, so the log
+    never holds a record replay cannot apply and the home still loads."""
+
+    MALFORMED = [("echo", "<r><x>ok</x></r>"), ("foxtrot", "<r><x>broken")]
+
+    def _assert_rejected(self, system, log_path, documents, answers,
+                         reload):
+        system.add_documents(BATCH)
+        size = os.path.getsize(log_path)
+        count = documents(system)
+        expected = answers(system)
+        with pytest.raises(ValueError, match="unclosed element"):
+            system.add_documents(self.MALFORMED)
+        assert os.path.getsize(log_path) == size
+        assert documents(system) == count
+        assert answers(system) == expected
+        assert answers(reload()) == expected
+
+    def test_seda(self, tmp_path):
+        path = str(tmp_path / "s.snapshot")
+        system = Seda.from_documents(DOCS)
+        system.save(path)
+        self._assert_rejected(
+            system, wal_file_name(path),
+            lambda s: len(s.collection.documents), _seda_answers,
+            lambda: Seda.load(path),
+        )
+
+    def test_sharded(self, tmp_path):
+        directory = str(tmp_path / "s.shards")
+        system = ShardedSeda.from_documents(
+            DOCS, shards=2, parallel=False, partitioner="round-robin"
+        )
+        system.save(directory)
+        self._assert_rejected(
+            system, sharded_wal_file_name(directory),
+            lambda s: (s.document_count, [
+                len(shard.collection.documents) for shard in s.shards
+            ]),
+            _sharded_answers,
+            lambda: ShardedSeda.load(directory),
+        )
+
+
 QUERY_1 = [
     ("*", '"United States"'),
     ("trade_country", "*"),
