@@ -1,4 +1,4 @@
-"""Shared benchmark fixtures: paper-scale collections, built once.
+"""Shared fixtures of the paper reproductions: collections, built once.
 
 Every module here regenerates one table or figure of the paper (its
 docstring names which; README.md's "Benchmarks" section lists them);
@@ -22,8 +22,8 @@ from repro.datasets.recipeml import RecipeMLGenerator
 from repro.system import Seda
 
 FULL_SCALE = float(os.environ.get("SEDA_BENCH_SCALE", "1.0"))
-# The interactive-pipeline benchmarks use a smaller slice so that each
-# benchmark iteration stays sub-second; Table 1 uses FULL_SCALE.
+# The interactive-pipeline tests use a smaller slice so that each stays
+# sub-second; Table 1 uses FULL_SCALE.
 PIPELINE_SCALE = min(FULL_SCALE, 0.05)
 
 

@@ -29,9 +29,9 @@ def result_table(factbook_seda):
     )
 
 
-def test_step1_matching(benchmark, factbook_seda, result_table):
+def test_step1_matching(factbook_seda, result_table):
     matcher = ResultMatcher(factbook_seda.registry)
-    report = benchmark(matcher.match, result_table)
+    report = matcher.match(result_table)
     print(
         f"\nR(q) rows={len(result_table)}; matched facts="
         f"{[f.name for f in report.facts]}, dims="
@@ -40,14 +40,14 @@ def test_step1_matching(benchmark, factbook_seda, result_table):
     assert report.facts
 
 
-def test_step2_augmentation(benchmark, factbook_seda, result_table):
+def test_step2_augmentation(factbook_seda, result_table):
     report = ResultMatcher(factbook_seda.registry).match(result_table)
     augmenter = Augmenter(
         factbook_seda.collection, factbook_seda.node_store,
         factbook_seda.registry,
     )
-    augmented = benchmark(
-        augmenter.augment, result_table, report.facts, report.dimensions
+    augmented = augmenter.augment(
+        result_table, report.facts, report.dimensions
     )
     print(
         f"\nadded key columns: {sorted(augmented.added_columns)}; "
@@ -56,7 +56,7 @@ def test_step2_augmentation(benchmark, factbook_seda, result_table):
     assert "/country/year" in augmented.added_columns
 
 
-def test_step3_extraction(benchmark, factbook_seda, result_table):
+def test_step3_extraction(factbook_seda, result_table):
     report = ResultMatcher(factbook_seda.registry).match(result_table)
     augmenter = Augmenter(
         factbook_seda.collection, factbook_seda.node_store,
@@ -69,26 +69,23 @@ def test_step3_extraction(benchmark, factbook_seda, result_table):
         factbook_seda.collection, factbook_seda.node_store,
         factbook_seda.registry,
     )
-    schema = benchmark(
-        extractor.extract, augmented, report.facts, dimensions
-    )
+    schema = extractor.extract(augmented, report.facts, dimensions)
     fact = schema.fact("import-trade-percentage")
     print(f"\nfact rows: {len(fact)}; dims: {sorted(schema.dimension_tables)}")
     assert len(fact) > 0
 
 
-def test_key_verification_cost(benchmark, factbook_seda, result_table):
+def test_key_verification_cost(factbook_seda, result_table):
     key = RelativeKey(["/country", "/country/year", "../trade_country"])
     node_ids = [row[1] for row in result_table.rows]
-    unique, duplicates = benchmark(
-        key.verify_uniqueness, factbook_seda.collection,
-        factbook_seda.node_store, node_ids,
+    unique, duplicates = key.verify_uniqueness(
+        factbook_seda.collection, factbook_seda.node_store, node_ids,
     )
     print(f"\nkey unique over {len(node_ids)} nodes: {unique}")
     assert unique
 
 
-def test_fact_merge_optimization(benchmark):
+def test_fact_merge_optimization():
     left = FactTable(
         "a", ["country", "year"], ["a"],
         [(f"c{i}", str(2000 + i % 6), float(i)) for i in range(5000)],
@@ -101,5 +98,5 @@ def test_fact_merge_optimization(benchmark):
     def merge():
         return StarSchema([left, right], []).merge_compatible_facts()
 
-    schema = benchmark(merge)
+    schema = merge()
     assert len(schema.fact_tables) == 1

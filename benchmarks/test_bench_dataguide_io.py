@@ -19,7 +19,7 @@ def factbook_guides(factbook_full):
     return builder.build()
 
 
-def test_save(benchmark, factbook_guides, tmp_path_factory):
+def test_save(factbook_guides, tmp_path_factory):
     directory = tmp_path_factory.mktemp("guides")
 
     counter = {"n": 0}
@@ -30,22 +30,20 @@ def test_save(benchmark, factbook_guides, tmp_path_factory):
         factbook_guides.save(path)
         return path
 
-    path = benchmark.pedantic(save, rounds=3, iterations=1)
+    path = save()
     size_kb = path.stat().st_size / 1024
     print(f"\nsaved {len(factbook_guides)} guides, {size_kb:.0f} KiB")
 
 
-def test_load_from_disk(benchmark, factbook_guides, tmp_path_factory):
+def test_load_from_disk(factbook_guides, tmp_path_factory):
     path = tmp_path_factory.mktemp("guides") / "guides.json"
     factbook_guides.save(path)
-    loaded = benchmark.pedantic(
-        DataguideSet.load, args=(path,), rounds=3, iterations=1
-    )
+    loaded = DataguideSet.load(path)
     print(f"\nloaded {len(loaded)} guides")
     assert len(loaded) == len(factbook_guides)
 
 
-def test_rebuild_from_collection(benchmark, factbook_full):
+def test_rebuild_from_collection(factbook_full):
     """The alternative SEDA avoids: recomputing the merge per query."""
 
     def rebuild():
@@ -54,5 +52,5 @@ def test_rebuild_from_collection(benchmark, factbook_full):
             builder.add_paths(document.paths(), document.doc_id)
         return builder.build()
 
-    guide_set = benchmark.pedantic(rebuild, rounds=1, iterations=1)
+    guide_set = rebuild()
     print(f"\nrebuilt {len(guide_set)} guides")

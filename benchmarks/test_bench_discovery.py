@@ -1,7 +1,7 @@
-"""DX -- extension benchmark: automatic fact/dimension/key discovery.
+"""DX -- extension: automatic fact/dimension/key discovery.
 
 Not a paper table (it is the paper's named future work, Section 8);
-benchmarked so the cost of the pay-as-you-go extension is on record:
+run here so every step of the pay-as-you-go extension stays covered:
 path profiling, GORDIAN-style key search, and end-to-end discovery.
 """
 
@@ -20,29 +20,29 @@ def setup(factbook_seda):
     return collection, NodeStore(collection)
 
 
-def test_profile_all_paths(benchmark, setup):
+def test_profile_all_paths(setup):
     collection, store = setup
     discoverer = FactDimensionDiscoverer(collection, store)
-    profiles = benchmark(discoverer.profile_paths)
+    profiles = discoverer.profile_paths()
     print(f"\nprofiled {len(profiles)} valued paths")
     assert profiles
 
 
-def test_key_discovery_fact_path(benchmark, setup):
+def test_key_discovery_fact_path(setup):
     collection, store = setup
-    key = benchmark(discover_key, collection, store, PCT_PATH)
+    key = discover_key(collection, store, PCT_PATH)
     print(f"\ndiscovered key for percentage: {list(key)}")
     assert key is not None
 
 
-def test_key_discovery_dimension_path(benchmark, setup):
+def test_key_discovery_dimension_path(setup):
     collection, store = setup
-    key = benchmark(discover_key, collection, store, TC_PATH)
+    key = discover_key(collection, store, TC_PATH)
     print(f"\ndiscovered key for trade_country: {list(key)}")
     assert key is not None
 
 
-def test_full_discovery(benchmark, setup):
+def test_full_discovery(setup):
     collection, store = setup
     discoverer = FactDimensionDiscoverer(
         collection, store, dimension_cardinality=0.9
@@ -52,9 +52,7 @@ def test_full_discovery(benchmark, setup):
         "/country/economy/export_partners/item/percentage",
         "/country/people/population",
     ]
-    facts, dims = benchmark.pedantic(
-        discoverer.discover, args=(paths,), rounds=2, iterations=1
-    )
+    facts, dims = discoverer.discover(paths)
     print(f"\nfacts: {[c.path for c in facts]}")
     print(f"dims : {[c.path for c in dims]}")
     assert facts

@@ -51,10 +51,10 @@ def matcher(factbook_full):
     )
 
 
-def test_us_context_bucket(benchmark, at_scale, matcher, factbook_full):
+def test_us_context_bucket(at_scale, matcher, factbook_full):
     expected = at_scale(EXPECTED["us_paths"])
     query = Query.parse([("*", '"United States"')])
-    paths = benchmark(matcher.term_paths, query.terms[0])
+    paths = matcher.term_paths(query.terms[0])
     print(
         f"\n'United States' contexts: {len(paths)} "
         f"(paper: {PAPER['us_paths']})"
@@ -62,11 +62,11 @@ def test_us_context_bucket(benchmark, at_scale, matcher, factbook_full):
     assert len(paths) == expected
 
 
-def test_collection_statistics(benchmark, at_scale, factbook_full):
+def test_collection_statistics(at_scale, factbook_full):
     documents = at_scale(EXPECTED["documents"])
     distinct_paths = at_scale(EXPECTED["distinct_paths"])
     catalog = CollectionCatalog(factbook_full)
-    summary = benchmark(catalog.summary)
+    summary = catalog.summary()
     print(
         f"\ndocuments={summary['documents']} (paper {PAPER['documents']}), "
         f"distinct paths={summary['distinct_paths']} "
@@ -76,29 +76,25 @@ def test_collection_statistics(benchmark, at_scale, factbook_full):
     assert summary["distinct_paths"] == distinct_paths
 
 
-def test_country_document_frequency(benchmark, at_scale, factbook_full):
+def test_country_document_frequency(at_scale, factbook_full):
     expected = at_scale(EXPECTED["country_docs"])
-    frequency = benchmark(
-        factbook_full.path_document_frequency, "/country"
-    )
+    frequency = factbook_full.path_document_frequency("/country")
     print(f"\n/country docfreq: {frequency} (paper {PAPER['country_docs']})")
     assert frequency == expected
 
 
-def test_refugee_long_tail_path(benchmark, at_scale, factbook_full):
+def test_refugee_long_tail_path(at_scale, factbook_full):
     expected = at_scale(EXPECTED["refugee_docs"])
-    frequency = benchmark(
-        factbook_full.path_document_frequency, REFUGEE_PATH
-    )
+    frequency = factbook_full.path_document_frequency(REFUGEE_PATH)
     print(f"\nrefugee path docfreq: {frequency} (paper {PAPER['refugee_docs']})")
     assert frequency == expected
 
 
-def test_long_tail_profile(benchmark, factbook_full):
+def test_long_tail_profile(factbook_full):
     """The long tail that 'makes shredding all the attributes into a
     data warehouse very difficult': most paths live in few documents."""
     catalog = CollectionCatalog(factbook_full)
-    tail = benchmark(catalog.long_tail, 400)
+    tail = catalog.long_tail(400)
     share = len(tail) / factbook_full.path_count()
     print(
         f"\npaths in <400 of {len(factbook_full)} docs: {len(tail)} "

@@ -49,10 +49,8 @@ def _run_query1(seda):
     return table, schema
 
 
-def test_figure3_query1_pipeline(benchmark, factbook_seda):
-    table, schema = benchmark.pedantic(
-        _run_query1, args=(factbook_seda,), rounds=3, iterations=1
-    )
+def test_figure3_query1_pipeline(factbook_seda):
+    table, schema = _run_query1(factbook_seda)
     fact = schema.fact("import-trade-percentage")
     rows = set(fact.rows)
 

@@ -33,55 +33,53 @@ def refined_session(base_session):
     })
 
 
-def test_stage1_topk_search(benchmark, factbook_seda):
-    results = benchmark(lambda: factbook_seda.search(QUERY_1, k=10).results)
+def test_stage1_topk_search(factbook_seda):
+    results = factbook_seda.search(QUERY_1, k=10).results
     print(f"\ntop-k: {len(results)} tuples")
     assert results
 
 
-def test_stage2_context_summary(benchmark, factbook_seda):
+def test_stage2_context_summary(factbook_seda):
     def build():
         session = factbook_seda.search(QUERY_1, k=10)
         return session.context_summary
 
-    summary = benchmark(build)
+    summary = build()
     sizes = [len(bucket) for bucket in summary]
     print(f"\ncontext buckets: {sizes}, combinations: "
           f"{summary.combination_count()}")
     assert all(size > 0 for size in sizes)
 
 
-def test_stage3_connection_summary(benchmark, factbook_seda):
+def test_stage3_connection_summary(factbook_seda):
     def build():
         session = factbook_seda.search(QUERY_1, k=10)
         return session.connection_summary
 
-    summary = benchmark(build)
+    summary = build()
     print(f"\ndistinct connections: {len(summary)}")
     assert len(summary) > 0
 
 
-def test_stage4_context_refined_research(benchmark, base_session):
-    refined = benchmark(
-        lambda: base_session.refine_contexts({
-            0: ["/country"], 1: [TC_PATH], 2: [PCT_PATH],
-        })
-    )
+def test_stage4_context_refined_research(base_session):
+    refined = base_session.refine_contexts({
+        0: ["/country"], 1: [TC_PATH], 2: [PCT_PATH],
+    })
     assert refined.results
 
 
-def test_stage5_complete_results(benchmark, refined_session):
+def test_stage5_complete_results(refined_session):
     connections = [
         ((0, 1), TreeConnection("/country", TC_PATH, "/country")),
         ((1, 2), TreeConnection(TC_PATH, PCT_PATH, ITEM_PATH)),
     ]
     chosen = refined_session.refine_connections(connections)
-    table = benchmark(chosen.complete_results)
+    table = chosen.complete_results()
     print(f"\ncomplete result: {len(table)} rows")
     assert len(table) > 0
 
 
-def test_stage6_cube_and_aggregate(benchmark, refined_session, factbook_seda):
+def test_stage6_cube_and_aggregate(refined_session, factbook_seda):
     connections = [
         ((0, 1), TreeConnection("/country", TC_PATH, "/country")),
         ((1, 2), TreeConnection(TC_PATH, PCT_PATH, ITEM_PATH)),
@@ -94,7 +92,7 @@ def test_stage6_cube_and_aggregate(benchmark, refined_session, factbook_seda):
         engine = chosen.olap(schema)
         return engine.report("import-trade-percentage", ["year"], agg="avg")
 
-    report = benchmark(build_and_aggregate)
+    report = build_and_aggregate()
     print("\navg import share by year:")
     for row in report:
         print(f"  {row[0]}: {row[1]:.2f}")

@@ -22,18 +22,18 @@ def matcher(factbook_full):
     )
 
 
-def test_probe_term_only(benchmark, at_scale, matcher):
+def test_probe_term_only(at_scale, matcher):
     # Scale-dependent: 16 paths at scale 0.05, 27 at 1.0 (paper: 27).
     expected = at_scale({0.05: 16, 1.0: 27})
     term = QueryTerm("*", '"United States"')
-    paths = benchmark(matcher.term_paths, term)
+    paths = matcher.term_paths(term)
     print(f"\n(*, 'United States') -> {len(paths)} paths (paper: 27)")
     assert len(paths) == expected
 
 
-def test_probe_tag_plus_term(benchmark, matcher):
+def test_probe_tag_plus_term(matcher):
     term = QueryTerm("trade_country", '"United States"')
-    paths = benchmark(matcher.term_paths, term)
+    paths = matcher.term_paths(term)
     print(f"\n(trade_country, 'United States') -> {sorted(paths)}")
     assert paths == {
         "/country/economy/import_partners/item/trade_country",
@@ -41,22 +41,22 @@ def test_probe_tag_plus_term(benchmark, matcher):
     }
 
 
-def test_probe_full_path_plus_term(benchmark, matcher):
+def test_probe_full_path_plus_term(matcher):
     term = QueryTerm(
         "/country/economy/import_partners/item/trade_country",
         '"United States"',
     )
-    paths = benchmark(matcher.term_paths, term)
+    paths = matcher.term_paths(term)
     assert len(paths) == 1
 
 
-def test_probe_boolean_query(benchmark, matcher):
+def test_probe_boolean_query(matcher):
     term = QueryTerm("*", "united AND states NOT kingdom")
-    paths = benchmark(matcher.term_paths, term)
+    paths = matcher.term_paths(term)
     assert paths
 
 
-def test_frequencies_from_document_store(benchmark, matcher, factbook_full):
+def test_frequencies_from_document_store(matcher, factbook_full):
     """The paper's split: the index returns paths; per-path occurrence
     counts come from the document store."""
     term = QueryTerm("*", '"United States"')
@@ -67,7 +67,7 @@ def test_frequencies_from_document_store(benchmark, matcher, factbook_full):
             path: factbook_full.path_occurrences(path) for path in paths
         }
 
-    counts = benchmark(lookup_counts)
+    counts = lookup_counts()
     top = sorted(counts.items(), key=lambda kv: -kv[1])[:5]
     print("\nmost frequent 'United States' contexts:")
     for path, count in top:

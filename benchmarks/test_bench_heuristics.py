@@ -31,38 +31,38 @@ def indexed(factbook_seda):
 
 
 @pytest.mark.parametrize("keywords", WORKLOADS, ids=lambda k: "+".join(k))
-def test_slca(benchmark, indexed, keywords):
+def test_slca(indexed, keywords):
     collection, inverted = indexed
-    answers = benchmark(slca, collection, inverted, list(keywords))
+    answers = slca(collection, inverted, list(keywords))
     print(f"\nSLCA{keywords}: {len(answers)} answers")
 
 
 @pytest.mark.parametrize("keywords", WORKLOADS, ids=lambda k: "+".join(k))
-def test_elca(benchmark, indexed, keywords):
+def test_elca(indexed, keywords):
     collection, inverted = indexed
-    answers = benchmark(elca, collection, inverted, list(keywords))
+    answers = elca(collection, inverted, list(keywords))
     print(f"\nELCA{keywords}: {len(answers)} answers")
 
 
 @pytest.mark.parametrize("keywords", WORKLOADS, ids=lambda k: "+".join(k))
-def test_mlca(benchmark, indexed, keywords):
+def test_mlca(indexed, keywords):
     collection, inverted = indexed
-    answers = benchmark(mlca, collection, inverted, list(keywords))
+    answers = mlca(collection, inverted, list(keywords))
     print(f"\nMLCA{keywords}: {len(answers)} answers")
 
 
 @pytest.mark.parametrize("keywords", WORKLOADS, ids=lambda k: "+".join(k))
-def test_xsearch(benchmark, indexed, keywords):
+def test_xsearch(indexed, keywords):
     collection, inverted = indexed
-    answers = benchmark(xsearch, collection, inverted, list(keywords))
+    answers = xsearch(collection, inverted, list(keywords))
     print(f"\nXSEarch{keywords}: {len(answers)} answers")
 
 
 @pytest.mark.parametrize("keywords", WORKLOADS, ids=lambda k: "+".join(k))
-def test_compactness(benchmark, indexed, keywords):
+def test_compactness(indexed, keywords):
     collection, inverted = indexed
     ranker = CompactnessRanker(collection, inverted)
-    ranked = benchmark(ranker.rank_pairs, keywords[0], keywords[1])
+    ranked = ranker.rank_pairs(keywords[0], keywords[1])
     print(f"\ncompactness{keywords}: {len(ranked)} ranked pairs")
 
 

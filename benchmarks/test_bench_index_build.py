@@ -19,13 +19,13 @@ SCALES = (0.02, 0.05, 0.1)
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_fulltext_index_build(benchmark, scale):
+def test_fulltext_index_build(scale):
     collection = FactbookGenerator(scale=scale).build_collection()
 
     def build():
         return IndexBuilder(collection).build()
 
-    inverted, paths = benchmark.pedantic(build, rounds=2, iterations=1)
+    inverted, paths = build()
     print(
         f"\nscale={scale}: {len(collection)} docs, "
         f"{collection.node_count} nodes, vocab={len(inverted.vocabulary())}, "
@@ -35,16 +35,14 @@ def test_fulltext_index_build(benchmark, scale):
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_node_store_build(benchmark, scale):
+def test_node_store_build(scale):
     collection = FactbookGenerator(scale=scale).build_collection()
-    store = benchmark.pedantic(
-        NodeStore, args=(collection,), rounds=2, iterations=1
-    )
+    store = NodeStore(collection)
     assert store.by_tag("country")
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_link_discovery(benchmark, scale):
+def test_link_discovery(scale):
     collection = FactbookGenerator(scale=scale).build_collection()
     specs = FactbookGenerator.value_link_specs()
 
@@ -52,13 +50,13 @@ def test_link_discovery(benchmark, scale):
         graph = DataGraph(collection)
         return LinkDiscoverer(graph).discover_all(value_specs=specs)
 
-    edges = benchmark.pedantic(discover, rounds=2, iterations=1)
+    edges = discover()
     print(f"\nscale={scale}: {len(edges)} link edges")
     assert edges
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_dataguide_build(benchmark, scale):
+def test_dataguide_build(scale):
     collection = FactbookGenerator(scale=scale).build_collection()
 
     def build():
@@ -67,6 +65,6 @@ def test_dataguide_build(benchmark, scale):
             builder.add_paths(document.paths(), document.doc_id)
         return builder
 
-    builder = benchmark.pedantic(build, rounds=2, iterations=1)
+    builder = build()
     print(f"\nscale={scale}: {builder.guide_count} guides")
     assert builder.guide_count > 0

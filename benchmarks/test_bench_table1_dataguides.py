@@ -8,8 +8,8 @@ Paper (Table 1):
     RecipeML                     10988               3
     World Factbook 2007           1600             500
 
-Each benchmark times the full greedy merge over the paper-scale
-synthetic collection and prints the regenerated table row.
+Each test runs the full greedy merge over the paper-scale synthetic
+collection and prints the regenerated table row.
 """
 
 import pytest
@@ -41,17 +41,15 @@ def _report(name, collection, builder):
 
 
 @pytest.mark.parametrize("dataset", sorted(PAPER_ROWS))
-def test_table1_row(benchmark, dataset, googlebase_full, mondial_full,
-                    recipeml_full, factbook_full):
+def test_table1_row(dataset, googlebase_full, mondial_full, recipeml_full,
+                    factbook_full):
     collection = {
         "google-base": googlebase_full,
         "mondial": mondial_full,
         "recipeml": recipeml_full,
         "world-factbook": factbook_full,
     }[dataset]
-    builder = benchmark.pedantic(
-        _merge, args=(collection,), rounds=1, iterations=1
-    )
+    builder = _merge(collection)
     _report(dataset, collection, builder)
     paper_docs, paper_guides = PAPER_ROWS[dataset]
     # The *shape* must hold: documents exact, guide count within 15%.

@@ -5,7 +5,7 @@ The paper: "the effectiveness of the overlap threshold in reducing the
 total number of generated dataguides depends on the dataset, ranging
 from a factor of 3 to a factor of 100 reduction" and "the higher the
 overlap threshold, the fewer the false positive connections because
-there will be fewer dataguide merges."  This benchmark sweeps the
+there will be fewer dataguide merges."  This module sweeps the
 threshold and regenerates both series.
 """
 
@@ -29,10 +29,8 @@ def _sweep(collection):
     return rows
 
 
-def test_threshold_sweep_factbook(benchmark, factbook_full):
-    rows = benchmark.pedantic(
-        _sweep, args=(factbook_full,), rounds=1, iterations=1
-    )
+def test_threshold_sweep_factbook(factbook_full):
+    rows = _sweep(factbook_full)
     print("\nthreshold  guides  false-positive-pair rate")
     for threshold, guides, rate in rows:
         print(f"   {threshold:.1f}    {guides:6d}   {rate:.3f}")
@@ -43,9 +41,8 @@ def test_threshold_sweep_factbook(benchmark, factbook_full):
     assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
 
 
-def test_reduction_factors_span_paper_range(benchmark, at_scale,
-                                            googlebase_full, recipeml_full,
-                                            factbook_full):
+def test_reduction_factors_span_paper_range(at_scale, googlebase_full,
+                                            recipeml_full, factbook_full):
     """Reduction factor 3x-100x across datasets at threshold 0.4.
 
     The factors depend on scale.  At 1.0 the paper's bounds hold (a
@@ -74,7 +71,7 @@ def test_reduction_factors_span_paper_range(benchmark, at_scale,
             output[name] = len(collection) / builder.guide_count
         return output
 
-    factors = benchmark.pedantic(reductions, rounds=1, iterations=1)
+    factors = reductions()
     print("\nreduction factors at threshold 0.4:")
     for name, factor in factors.items():
         print(f"  {name}: {factor:.1f}x")
@@ -86,13 +83,11 @@ def test_reduction_factors_span_paper_range(benchmark, at_scale,
     assert factors["recipeml"] > 1000
 
 
-def test_false_positive_detection_cost(benchmark, factbook_full):
+def test_false_positive_detection_cost(factbook_full):
     builder = DataguideBuilder(0.4)
     for document in factbook_full.documents:
         builder.add_paths(document.paths(), document.doc_id)
     guide_set = builder.build()
-    false_pairs, total_pairs = benchmark.pedantic(
-        guide_set.false_positive_pairs, rounds=1, iterations=1
-    )
+    false_pairs, total_pairs = guide_set.false_positive_pairs()
     print(f"\nfalse pairs: {false_pairs} of {total_pairs}")
     assert total_pairs > 0

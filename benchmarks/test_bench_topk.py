@@ -26,9 +26,9 @@ QUERY_3TERM = [
 
 
 @pytest.mark.parametrize("k", [1, 5, 10, 25])
-def test_ta_topk_by_k(benchmark, factbook_seda, k):
+def test_ta_topk_by_k(factbook_seda, k):
     query = Query.parse(QUERY_3TERM)
-    results = benchmark(factbook_seda.topk.search, query, k)
+    results = factbook_seda.topk.search(query, k)
     stats = factbook_seda.topk.stats
     print(
         f"\nk={k}: {len(results)} results, sorted accesses "
@@ -38,21 +38,19 @@ def test_ta_topk_by_k(benchmark, factbook_seda, k):
     assert len(results) <= k
 
 
-def test_naive_baseline(benchmark, factbook_seda):
+def test_naive_baseline(factbook_seda):
     query = Query.parse(QUERY)
     naive = NaiveSearcher(
         factbook_seda.matcher, factbook_seda.scoring,
         max_combinations=50_000_000,
     )
-    results = benchmark.pedantic(
-        naive.search, args=(query, 10), rounds=1, iterations=1
-    )
+    results = naive.search(query, 10)
     print(f"\nnaive: {len(results)} results")
     assert results
 
 
 def test_ta_vs_naive_agreement(factbook_seda):
-    """Not a timing benchmark: the two must agree on top-k scores."""
+    """The two must agree on top-k scores."""
     query = Query.parse(QUERY)
     naive = NaiveSearcher(
         factbook_seda.matcher, factbook_seda.scoring,
@@ -71,7 +69,7 @@ def test_ta_vs_naive_agreement(factbook_seda):
 
 
 @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-def test_ranking_ablation(benchmark, factbook_seda, weights):
+def test_ranking_ablation(factbook_seda, weights):
     """Content-only vs structure-only vs combined ranking."""
     content_weight, structure_weight = weights
     scoring = ScoringModel(
@@ -83,7 +81,7 @@ def test_ranking_ablation(benchmark, factbook_seda, weights):
     )
     searcher = TopKSearcher(factbook_seda.matcher, scoring)
     query = Query.parse(QUERY_3TERM)
-    results = benchmark(searcher.search, query, 10)
+    results = searcher.search(query, 10)
     sibling_top = 0
     for result in results[:5]:
         tc = factbook_seda.collection.node(result.node_ids[1])
@@ -100,7 +98,7 @@ def test_ranking_ablation(benchmark, factbook_seda, weights):
 
 
 @pytest.mark.parametrize("scale", [0.01, 0.03, 0.05])
-def test_latency_vs_collection_size(benchmark, scale):
+def test_latency_vs_collection_size(scale):
     """Latency as the collection grows, over three Factbook scales."""
     from repro.datasets.factbook import FactbookGenerator
     from repro.system import Seda
@@ -110,9 +108,7 @@ def test_latency_vs_collection_size(benchmark, scale):
         value_links=FactbookGenerator.value_link_specs(),
     )
     query = Query.parse(QUERY_3TERM)
-    results = benchmark.pedantic(
-        seda.topk.search, args=(query, 10), rounds=3, iterations=1
-    )
+    results = seda.topk.search(query, 10)
     print(
         f"\nscale={scale}: docs={len(seda.collection)} "
         f"results={len(results)} "

@@ -24,12 +24,10 @@ def store(factbook_full):
     ("query1", QUERY1_TWIG),
     ("siblings", SIBLING_TWIG),
 ])
-def test_twigstack(benchmark, factbook_full, store, twig_name, term_paths):
+def test_twigstack(factbook_full, store, twig_name, term_paths):
     joiner = TwigStackJoin(factbook_full, store)
     pattern = TwigPattern.from_paths(term_paths)
-    tuples = benchmark.pedantic(
-        joiner.match_tuples, args=(pattern,), rounds=2, iterations=1
-    )
+    tuples = joiner.match_tuples(pattern)
     print(f"\nTwigStack[{twig_name}]: {len(tuples)} matches")
     assert tuples
 
@@ -38,13 +36,10 @@ def test_twigstack(benchmark, factbook_full, store, twig_name, term_paths):
     ("query1", QUERY1_TWIG),
     ("siblings", SIBLING_TWIG),
 ])
-def test_naive_structural_join(benchmark, factbook_full, store, twig_name,
-                               term_paths):
+def test_naive_structural_join(factbook_full, store, twig_name, term_paths):
     joiner = NaiveTwigJoin(factbook_full, store)
     pattern = TwigPattern.from_paths(term_paths)
-    tuples = benchmark.pedantic(
-        joiner.matches, args=(pattern,), rounds=2, iterations=1
-    )
+    tuples = joiner.matches(pattern)
     print(f"\nnaive[{twig_name}]: {len(tuples)} matches")
     assert tuples
 

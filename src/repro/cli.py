@@ -7,21 +7,19 @@ Subcommands::
     python -m repro stats   --snapshot seda.snapshot
     python -m repro search  --dataset factbook --scale 0.02 \
         --term '*:"United States"' --term 'trade_country:*' -k 10
+    python -m repro search  --snapshot seda.shards --term 'percentage:*'
     python -m repro explain --term 'trade_country:*' --term 'percentage:*'
     python -m repro table1  --threshold 0.4 --scale 1.0
     python -m repro query1  --scale 0.05
     python -m repro info    --dataset factbook --scale 0.05
     python -m repro info    --snapshot seda.snapshot --json
     python -m repro snapshot save seda.snapshot --dataset factbook
-    python -m repro snapshot load seda.snapshot --term 'percentage:*'
     python -m repro snapshot info seda.snapshot
+    python -m repro snapshot info seda.shards --json
     python -m repro fsck    seda.snapshot
     python -m repro fsck    seda.shards --json
     python -m repro serve   --snapshot seda.snapshot --port 8080
     python -m repro shard build seda.shards --dataset factbook --shards 4
-    python -m repro shard search seda.shards --term 'percentage:*'
-    python -m repro shard info seda.shards
-    python -m repro shard skew seda.shards
     python -m repro shard split seda.shards 1
     python -m repro shard merge seda.shards 0 2
     python -m repro shard rebalance seda.shards --metric documents
@@ -30,8 +28,22 @@ Subcommands::
 generated dataset, so the CLI works on user collections too.  Terms
 are written ``context:search`` (first colon splits); ``*`` on either
 side means "any".  ``snapshot save`` persists a fully built system to
-one versioned file; ``snapshot load`` cold-starts from it without
-re-parsing or re-indexing.
+one versioned file; ``shard build`` partitions a collection across N
+shards (parallel worker-process builds unless ``--serial``) and saves
+a sharded snapshot directory.
+
+Every command that reads a saved system takes its *location* -- a
+snapshot file or a sharded directory, told apart on disk -- and opens
+it through :func:`repro.serving.load_serving_system`, the opener
+``serve`` uses; an unreadable location is a one-line exit naming it.
+``search``, ``explain`` (per shard over a directory, as ``/explain``)
+and ``info`` (compact-index memory) take it as ``--snapshot``.
+``snapshot info`` describes the on-disk layout without restoring
+anything; of a directory, per-shard document/node/byte/traffic counts
+and a max-over-mean imbalance ratio each -- the input to ``shard
+split``/``merge``/``rebalance``, which rewrite only the affected
+shards' files under a new manifest generation while answers stay
+byte-identical (docs/OPERATIONS.md, "Shard topology").
 
 ``serve`` is the long-running form: it loads a snapshot (single-file
 or sharded directory, replaying any write-ahead log), serves queries
@@ -41,28 +53,6 @@ and **online writes** over HTTP/JSON (``/search``, ``/search_many``,
 fresh snapshot, truncates the WAL, and exits.  See
 docs/OPERATIONS.md ("Running the server") for the endpoint reference
 and the admission-control knobs.
-
-``shard build`` partitions a collection across N shards (parallel
-worker-process builds unless ``--serial``) and saves the sharded
-snapshot directory; ``shard search`` scatter-gathers a query over it
-(restoring shards lazily); ``shard info`` prints the topology from the
-manifest alone, loading nothing (``--memory`` additionally loads every
-shard and reports per-shard compact-index memory).
-
-``shard skew`` reports per-shard document/node/byte counts and (when
-the snapshot retains a stats registry) per-shard query traffic, plus a
-max-over-mean imbalance ratio per metric -- the input to deciding when
-to ``shard split`` a hot shard, ``shard merge`` two cold ones, or
-``shard rebalance`` documents between shards.  All three topology
-operations rewrite **only the affected shards' files** and commit by
-writing a new manifest generation carrying the updated
-document-to-shard assignment map; answers are byte-identical before
-and after (see docs/OPERATIONS.md, "Shard topology").
-
-``info`` reports the compact-index memory estimates of one system --
-encoded column bytes, interned-label and trie sizes, hot vs. cold term
-counts -- either built from a dataset or restored via ``--snapshot``
-(see docs/OPERATIONS.md for the field glossary).
 
 ``stats`` doubles as the observability reader: with ``--queries`` it
 serves a workload through the query service with a retained
@@ -85,6 +75,7 @@ ran, and why the search stopped.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -95,6 +86,7 @@ from repro import ui
 
 # The term/query-line syntax is shared with the serving wire protocol:
 # a /search body accepts the same string form this CLI parses.
+from repro.serving.app import explain_system, load_serving_system
 from repro.serving.app import parse_query_line as _parse_query_line
 from repro.serving.app import parse_term as _parse_term
 from repro.storage.catalog import CollectionCatalog
@@ -186,6 +178,41 @@ def _load_queries(args):
     return queries
 
 
+@contextlib.contextmanager
+def _location_errors(path):
+    """Turn an unreadable saved-system location into a one-line exit.
+
+    Wraps a command's whole use of the system, not only its load: a
+    lazily restored shard whose file goes bad mid-search raises the
+    same :class:`SnapshotError` a bad load does.
+    """
+    try:
+        yield
+    except FileNotFoundError:
+        raise SystemExit(f"no snapshot file or directory at {path}")
+    except SnapshotError as error:
+        raise SystemExit(str(error))
+    except OSError as error:
+        raise SystemExit(f"{path}: {error.strerror or error}")
+
+
+def _is_sharded(system):
+    from repro.shard import ShardedSeda
+
+    return isinstance(system, ShardedSeda)
+
+
+def _print_tree(tree, out, indent="  "):
+    """A nested report dict as an indented, key-sorted outline."""
+    for key in sorted(tree):
+        value = tree[key]
+        if isinstance(value, dict):
+            print(f"{indent}{key}:", file=out)
+            _print_tree(value, out, indent + "  ")
+        else:
+            print(f"{indent}{key}: {value}", file=out)
+
+
 # -- subcommands -----------------------------------------------------------
 
 def cmd_stats(args, out):
@@ -228,7 +255,8 @@ def _load_registry_or_exit(path):
                 f"collection after enable_observability()"
             )
         return StatsRegistry.from_dict(payload)
-    _meta, records = _read_snapshot_or_exit(read_snapshot, path)
+    with _location_errors(path):
+        _meta, records = read_snapshot(path)
     if "obs" not in records:
         raise SystemExit(
             f"{path}: snapshot carries no 'obs' record (it was saved "
@@ -265,33 +293,56 @@ def _cmd_query_stats(args, out):
     return 0
 
 
+def _read_or_build(args):
+    """The system ``--snapshot`` names, or one built from the dataset."""
+    if args.snapshot:
+        return load_serving_system(args.snapshot)
+    return _build_seda(args)
+
+
 def cmd_explain(args, out):
     """Run one query and report how the TA search executed."""
-    from repro.obs import explain
-
     if not args.term:
         raise SystemExit("explain needs at least one --term")
-    if args.snapshot:
-        seda = _read_snapshot_or_exit(Seda.load, args.snapshot)
-    else:
-        seda = _build_seda(args)
     pairs = [_parse_term(term) for term in args.term]
-    report = explain(seda.topk, pairs, k=args.k)
+    with _location_errors(args.snapshot):
+        system = _read_or_build(args)
+        reports, payload = explain_system(system, pairs, k=args.k)
     if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True),
-              file=out)
-    else:
+        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        return 0
+    for index, report in enumerate(reports):
+        if _is_sharded(system):
+            print(f"shard {index}:", file=out)
         print(report.render(), file=out)
     return 0
 
 
 def cmd_search(args, out):
+    """Run one query on a built system or a saved location."""
     if not args.term:
         raise SystemExit("search needs at least one --term")
-    seda = _build_seda(args)
     pairs = [_parse_term(term) for term in args.term]
-    session = seda.search(pairs, k=args.k)
-    print(ui.render_session(session), file=out)
+    with _location_errors(args.snapshot):
+        system = _read_or_build(args)
+        sharded = _is_sharded(system)
+        if args.snapshot:
+            print(f"{args.snapshot} "
+                  f"({'sharded' if sharded else 'single-file'}, "
+                  f"{system.document_count} documents, "
+                  f"{system.node_count} nodes)", file=out)
+        answer = system.search(pairs, k=args.k)
+        if not sharded:
+            print(ui.render_session(answer), file=out)
+            return 0
+        print(ui.render_results(answer, system.collection, limit=args.k),
+              file=out)
+        for entry in system.last_search_stats["per_shard"]:
+            print(f"  shard {entry['shard']}: "
+                  f"{entry['sorted_accesses']} sorted accesses, "
+                  f"{entry['tuples_scored']} tuples scored, "
+                  f"{entry['pruned']} pruned, "
+                  f"early_stop={entry['early_stop']}", file=out)
     return 0
 
 
@@ -344,47 +395,50 @@ def cmd_snapshot_save(args, out):
     seda = _build_seda(args)
     seda.save(args.path)
     print(f"saved snapshot to {args.path}", file=out)
-    print(f"  documents: {len(seda.collection)}", file=out)
-    print(f"  nodes: {seda.collection.node_count}", file=out)
+    print(f"  documents: {seda.document_count}", file=out)
+    print(f"  nodes: {seda.node_count}", file=out)
     print(f"  bytes: {os.path.getsize(args.path)}", file=out)
     return 0
 
 
-def _read_snapshot_or_exit(reader, path):
-    """Run ``reader(path)``, turning file problems into clean exits."""
-    try:
-        return reader(path)
-    except FileNotFoundError:
-        raise SystemExit(f"no snapshot file at {path}")
-    except SnapshotError as error:
-        raise SystemExit(str(error))
-
-
-def cmd_snapshot_load(args, out):
-    seda = _read_snapshot_or_exit(Seda.load, args.path)
-    print(f"loaded snapshot {args.path}", file=out)
-    print(f"  collection: {seda.collection.name}", file=out)
-    print(f"  documents: {len(seda.collection)}", file=out)
-    print(f"  nodes: {seda.collection.node_count}", file=out)
-    print(f"  link edges: {len(seda.graph.edges)}", file=out)
-    print(f"  dataguides: {len(seda.dataguides)}", file=out)
-    if args.term:
-        pairs = [_parse_term(term) for term in args.term]
-        session = seda.search(pairs, k=args.k)
-        print("", file=out)
-        print(ui.render_session(session), file=out)
-    return 0
-
-
 def cmd_snapshot_info(args, out):
-    info = _read_snapshot_or_exit(snapshot_info, args.path)
-    print(f"snapshot {args.path}", file=out)
+    """Describe a saved location's on-disk layout, restoring nothing."""
+    from repro.shard import skew_report
+
+    directory = os.path.isdir(args.path)
+    with _location_errors(args.path):
+        info = (skew_report if directory else snapshot_info)(args.path)
+    if args.json:
+        print(json.dumps(info, indent=2, sort_keys=True), file=out)
+        return 0
+    print(f"{'sharded snapshot' if directory else 'snapshot'} {args.path}",
+          file=out)
     for key, value in info["meta"].items():
+        if key == "value_links":
+            value = len(value)
         print(f"  {key}: {value}", file=out)
-    print("  records:", file=out)
-    for name, size in info["records"]:
-        print(f"    {size:10d} bytes  {name}", file=out)
+    if not directory:
+        print("  records:", file=out)
+        for name, size in info["records"]:
+            print(f"    {size:10d} bytes  {name}", file=out)
+        print(f"  total: {info['total_bytes']} bytes", file=out)
+        return 0
+    print(f"  documents: {info['documents']}", file=out)
+    print(f"  nodes: {info['nodes']}", file=out)
+    print(f"  generation: {info['generation']}, routing epoch: "
+          f"{info['routing_epoch']}", file=out)
+    print("  shards:", file=out)
+    for entry in info["per_shard"]:
+        print(f"    {entry['bytes']:10d} bytes  {entry['documents']:6d} docs "
+              f"{entry['nodes']:8d} nodes  traffic {entry['traffic']}  "
+              f"{entry['file']}", file=out)
     print(f"  total: {info['total_bytes']} bytes", file=out)
+    for metric, ratio in sorted(info["imbalance"].items()):
+        rendered = "n/a" if ratio is None else f"{ratio:.2f}x"
+        print(f"  imbalance[{metric}]: {rendered} (max over mean)",
+              file=out)
+    if not info["wal_present"]:
+        print("  (no write-ahead log present)", file=out)
     return 0
 
 
@@ -392,10 +446,8 @@ def cmd_fsck(args, out):
     """Verify a snapshot/sidecar/WAL set without restoring anything."""
     from repro.storage.snapshot import fsck_report
 
-    try:
+    with _location_errors(args.path):
         report = fsck_report(args.path)
-    except FileNotFoundError:
-        raise SystemExit(f"no snapshot file or directory at {args.path}")
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True), file=out)
         return 0 if report["ok"] else 1
@@ -420,19 +472,22 @@ def cmd_fsck(args, out):
 
 def cmd_info(args, out):
     """Per-index estimated memory for a built or restored system."""
-    if args.snapshot:
-        seda = _read_snapshot_or_exit(Seda.load, args.snapshot)
-    else:
-        seda = _build_seda(args)
-    report = seda.index_memory()
+    with _location_errors(args.snapshot):
+        system = _read_or_build(args)
+        report = system.index_memory()
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True), file=out)
         return 0
-    print(f"index memory: {seda.collection.name}", file=out)
-    for section in sorted(report):
-        print(f"  {section}:", file=out)
-        for key in sorted(report[section]):
-            print(f"    {key}: {report[section][key]}", file=out)
+    print(f"index memory: {args.snapshot or system.collection.name}",
+          file=out)
+    if not _is_sharded(system):
+        _print_tree(report, out)
+        return 0
+    for entry in report["per_shard"]:
+        print(f"  shard {entry.pop('shard')}:", file=out)
+        _print_tree(entry, out, "    ")
+    print("  totals:", file=out)
+    _print_tree(report["totals"], out, "    ")
     return 0
 
 
@@ -459,111 +514,16 @@ def cmd_shard_build(args, out):
     return 0
 
 
-def cmd_shard_search(args, out):
-    """Scatter-gather a query over a saved sharded collection."""
-    from repro.shard import ShardedSeda
-
-    if not args.term:
-        raise SystemExit("shard search needs at least one --term")
-    # Eager load: search touches every shard anyway, and loading under
-    # the guard turns a corrupt shard file into a clean exit instead
-    # of a traceback out of the lazy restore mid-search.
-    sharded = _read_snapshot_or_exit(
-        lambda path: ShardedSeda.load(path, lazy=False), args.path
-    )
-    pairs = [_parse_term(term) for term in args.term]
-    results = sharded.search(pairs, k=args.k)
-    view = sharded.collection
-    print(f"{len(results)} results from {sharded.shard_count} shards",
-          file=out)
-    for result in results:
-        print(f"  {result.describe(view)}", file=out)
-    for entry in sharded.last_search_stats["per_shard"]:
-        print(f"  shard {entry['shard']}: "
-              f"{entry['sorted_accesses']} sorted accesses, "
-              f"{entry['tuples_scored']} tuples scored, "
-              f"{entry['pruned']} pruned, "
-              f"early_stop={entry['early_stop']}", file=out)
-    return 0
-
-
-def cmd_shard_info(args, out):
-    """Print a sharded snapshot's topology from its manifest alone.
-
-    ``--memory`` additionally loads every shard and reports the
-    per-shard compact-index memory estimates (the one flag here that
-    costs a full restore).
-    """
-    from repro.storage.snapshot import sharded_snapshot_info
-
-    info = _read_snapshot_or_exit(sharded_snapshot_info, args.path)
-    print(f"sharded snapshot {args.path}", file=out)
-    for key, value in info["meta"].items():
-        if key == "value_links":
-            value = len(value)
-        print(f"  {key}: {value}", file=out)
-    print(f"  documents: {info['documents']}", file=out)
-    print(f"  nodes: {info['nodes']}", file=out)
-    print("  shards:", file=out)
-    for shard_file, size, documents, nodes in info["shards"]:
-        print(f"    {size:10d} bytes  {documents:6d} docs "
-              f"{nodes:8d} nodes  {shard_file}", file=out)
-    print(f"  total: {info['total_bytes']} bytes", file=out)
-    if args.memory:
-        from repro.shard import ShardedSeda
-
-        sharded = _read_snapshot_or_exit(ShardedSeda.load, args.path)
-        memory = sharded.index_memory()
-        print("  index memory:", file=out)
-        for entry in memory["per_shard"]:
-            inverted = entry["inverted"]
-            paths = entry["path_index"]
-            streams = entry["streams"]
-            column_bytes = (inverted["column_bytes"]
-                            + paths["column_bytes"]
-                            + streams["column_bytes"])
-            print(f"    shard {entry['shard']}: {column_bytes} column "
-                  f"bytes, {inverted['terms']} terms, "
-                  f"{paths['paths']} paths, {streams['streams']} streams, "
-                  f"{entry['trie']['nodes']} trie nodes", file=out)
-        print(f"    column bytes total: "
-              f"{memory['totals']['column_bytes']}", file=out)
-    return 0
-
-
-def cmd_shard_skew(args, out):
-    """Per-shard skew report from the manifest, files, and obs state."""
-    from repro.shard import skew_report
-
-    report = _read_snapshot_or_exit(skew_report, args.path)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True), file=out)
-        return 0
-    print(f"shard skew: {report['collection']} "
-          f"({report['shards']} shards, routing epoch "
-          f"{report['routing_epoch']})", file=out)
-    for entry in report["per_shard"]:
-        print(f"  shard {entry['shard']}: {entry['documents']:6d} docs  "
-              f"{entry['nodes']:8d} nodes  {entry['bytes']:10d} bytes  "
-              f"traffic {entry['traffic']}", file=out)
-    for metric, ratio in sorted(report["imbalance"].items()):
-        rendered = "n/a" if ratio is None else f"{ratio:.2f}x"
-        print(f"  imbalance[{metric}]: {rendered} (max over mean)",
-              file=out)
-    if not report["wal_present"]:
-        print("  (no write-ahead log present)", file=out)
-    return 0
-
-
 def _run_topology_op(args, out, operate):
     """Load a sharded snapshot, apply one topology op, report it."""
     from repro.shard import ShardedSeda
 
-    sharded = _read_snapshot_or_exit(ShardedSeda.load, args.path)
-    try:
-        summary = operate(sharded)
-    except ValueError as error:
-        raise SystemExit(str(error))
+    with _location_errors(args.path):
+        sharded = ShardedSeda.load(args.path)
+        try:
+            summary = operate(sharded)
+        except ValueError as error:
+            raise SystemExit(str(error))
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True), file=out)
         return 0
@@ -593,41 +553,21 @@ def cmd_shard_merge(args, out):
 
 def cmd_shard_rebalance(args, out):
     """Plan (or apply) a document rebalance over a sharded snapshot."""
-    from repro.shard import ShardedSeda
-
+    moves = None
     if args.moves:
         try:
             moves = json.loads(args.moves)
         except ValueError as error:
             raise SystemExit(f"--moves is not valid JSON: {error}")
-        plan = {"moves": moves}
-    else:
-        sharded = _read_snapshot_or_exit(ShardedSeda.load, args.path)
-        plan = sharded.propose_rebalance(metric=args.metric)
-        if args.dry_run:
-            print(json.dumps(
-                {"plan": {"metric": plan["metric"],
-                          "moves": {str(k): v
-                                    for k, v in plan["moves"].items()},
-                          "projected_loads": plan["projected_loads"]}},
-                indent=2, sort_keys=True), file=out)
-            return 0
-        try:
-            summary = sharded.rebalance(plan)
-        except ValueError as error:
-            raise SystemExit(str(error))
-        if args.json:
-            print(json.dumps(summary, indent=2, sort_keys=True), file=out)
-            return 0
-        for key in sorted(summary):
-            print(f"  {key}: {summary[key]}", file=out)
-        return 0
-    if args.dry_run:
-        print(json.dumps({"plan": plan}, indent=2, sort_keys=True), file=out)
-        return 0
-    return _run_topology_op(
-        args, out, lambda sharded: sharded.rebalance(plan)
-    )
+
+    def operate(sharded):
+        if moves is None:
+            plan = sharded.propose_rebalance(metric=args.metric)
+        else:
+            plan = {"moves": moves}
+        return {"plan": plan} if args.dry_run else sharded.rebalance(plan)
+
+    return _run_topology_op(args, out, operate)
 
 
 def cmd_serve(args, out):
@@ -642,11 +582,12 @@ def cmd_serve(args, out):
     """
     import signal
 
-    from repro.serving.app import ServingApp, load_serving_system
+    from repro.serving.app import ServingApp
     from repro.serving.server import ReproServer
     from repro.testing.faults import maybe_install_kill_switch_from_env
 
-    system = _read_snapshot_or_exit(load_serving_system, args.snapshot)
+    with _location_errors(args.snapshot):
+        system = load_serving_system(args.snapshot)
     # Arm the crash-harness kill switch, when the environment asks for
     # it, only *after* the load: the sweep counts durable operations
     # from the first online ingest, not from WAL replay.
@@ -665,7 +606,7 @@ def cmd_serve(args, out):
     server.start()
     kind = "sharded" if app.sharded else "single-file"
     print(f"serving {args.snapshot} ({kind}, "
-          f"{app.document_count()} documents) on {server.url}",
+          f"{system.document_count} documents) on {server.url}",
           file=out, flush=True)
     try:
         while not server.wait(timeout=0.5):
@@ -695,6 +636,18 @@ def build_parser():
                          help="dataset scale in (0, 1] (default 0.02)")
         sub.add_argument("--data", default=None, metavar="DIR",
                          help="load *.xml files from DIR instead")
+
+    def add_location_option(sub, verb):
+        sub.add_argument("--snapshot", default=None, metavar="PATH",
+                         help=f"{verb} a saved snapshot file or sharded "
+                              f"directory instead of building from a "
+                              f"dataset")
+
+    def add_query_options(sub):
+        sub.add_argument("--term", action="append", default=[],
+                         metavar="CONTEXT:SEARCH",
+                         help="query term; repeatable")
+        sub.add_argument("-k", type=int, default=10, help="top-k size")
 
     stats = subparsers.add_parser(
         "stats",
@@ -726,29 +679,27 @@ def build_parser():
                             "with its registry to this snapshot file")
     stats.set_defaults(handler=cmd_stats)
 
-    search = subparsers.add_parser("search", help="run a SEDA query")
+    search = subparsers.add_parser(
+        "search",
+        help="run a SEDA query on a dataset or a saved snapshot file or "
+             "sharded directory",
+    )
     add_source_options(search)
-    search.add_argument("--term", action="append", default=[],
-                        metavar="CONTEXT:SEARCH",
-                        help="query term; repeatable")
-    search.add_argument("-k", type=int, default=10, help="top-k size")
+    add_location_option(search, "search")
+    add_query_options(search)
     search.set_defaults(handler=cmd_search)
 
     explain_cmd = subparsers.add_parser(
         "explain",
         help="run one query and explain its top-k execution "
-             "(streams, candidates, pruning, stop reason)",
+             "(streams, candidates, pruning, stop reason; per shard "
+             "over a sharded directory)",
     )
     add_source_options(explain_cmd)
-    explain_cmd.add_argument("--term", action="append", default=[],
-                             metavar="CONTEXT:SEARCH",
-                             help="query term; repeatable")
-    explain_cmd.add_argument("-k", type=int, default=10, help="top-k size")
+    add_location_option(explain_cmd, "explain against")
+    add_query_options(explain_cmd)
     explain_cmd.add_argument("--json", action="store_true",
                              help="emit the report as JSON")
-    explain_cmd.add_argument("--snapshot", default=None, metavar="FILE",
-                             help="explain against a loaded snapshot "
-                                  "instead of building from a dataset")
     explain_cmd.set_defaults(handler=cmd_explain)
 
     table1 = subparsers.add_parser(
@@ -771,9 +722,7 @@ def build_parser():
              "interned labels) for a built or restored system",
     )
     add_source_options(info_cmd)
-    info_cmd.add_argument("--snapshot", default=None, metavar="FILE",
-                          help="inspect a loaded snapshot instead of "
-                               "building from a dataset")
+    add_location_option(info_cmd, "inspect")
     info_cmd.add_argument("--json", action="store_true",
                           help="emit the report as JSON")
     info_cmd.set_defaults(handler=cmd_info)
@@ -808,7 +757,8 @@ def build_parser():
     serve.set_defaults(handler=cmd_serve)
 
     snapshot = subparsers.add_parser(
-        "snapshot", help="save, load, or inspect whole-system snapshots"
+        "snapshot", help="save a whole-system snapshot, or describe a "
+                         "saved one's on-disk layout"
     )
     snap_sub = snapshot.add_subparsers(dest="snapshot_command", required=True)
 
@@ -819,20 +769,16 @@ def build_parser():
     snap_save.add_argument("path", help="snapshot file to write")
     snap_save.set_defaults(handler=cmd_snapshot_save)
 
-    snap_load = snap_sub.add_parser(
-        "load", help="cold-start from a snapshot (optionally run a query)"
-    )
-    snap_load.add_argument("path", help="snapshot file to read")
-    snap_load.add_argument("--term", action="append", default=[],
-                           metavar="CONTEXT:SEARCH",
-                           help="query term to run after loading; repeatable")
-    snap_load.add_argument("-k", type=int, default=10, help="top-k size")
-    snap_load.set_defaults(handler=cmd_snapshot_load)
-
     snap_info = snap_sub.add_parser(
-        "info", help="print snapshot metadata and record sizes"
+        "info",
+        help="describe a snapshot file (metadata, record sizes) or a "
+             "sharded directory (manifest, per-shard sizes, traffic "
+             "skew) without restoring it",
     )
-    snap_info.add_argument("path", help="snapshot file to inspect")
+    snap_info.add_argument("path",
+                           help="snapshot file or sharded snapshot directory")
+    snap_info.add_argument("--json", action="store_true",
+                           help="emit the raw description as JSON")
     snap_info.set_defaults(handler=cmd_snapshot_info)
 
     fsck = subparsers.add_parser(
@@ -847,7 +793,7 @@ def build_parser():
     fsck.set_defaults(handler=cmd_fsck)
 
     shard = subparsers.add_parser(
-        "shard", help="build, search, or inspect sharded collections"
+        "shard", help="build a sharded collection or change its topology"
     )
     shard_sub = shard.add_subparsers(dest="shard_command", required=True)
 
@@ -871,38 +817,6 @@ def build_parser():
                              choices=("hash", "round-robin"),
                              help="document routing policy (default hash)")
     shard_build.set_defaults(handler=cmd_shard_build)
-
-    shard_search = shard_sub.add_parser(
-        "search",
-        help="scatter-gather a query over a sharded snapshot "
-             "(shards restore lazily)",
-    )
-    shard_search.add_argument("path", help="sharded snapshot directory")
-    shard_search.add_argument("--term", action="append", default=[],
-                              metavar="CONTEXT:SEARCH",
-                              help="query term; repeatable")
-    shard_search.add_argument("-k", type=int, default=10, help="top-k size")
-    shard_search.set_defaults(handler=cmd_shard_search)
-
-    shard_info = shard_sub.add_parser(
-        "info",
-        help="print a sharded snapshot's topology without loading shards",
-    )
-    shard_info.add_argument("path", help="sharded snapshot directory")
-    shard_info.add_argument("--memory", action="store_true",
-                            help="also load every shard and report "
-                                 "per-shard compact-index memory")
-    shard_info.set_defaults(handler=cmd_shard_info)
-
-    shard_skew = shard_sub.add_parser(
-        "skew",
-        help="per-shard document/node/byte/traffic skew report from "
-             "the manifest (loads nothing)",
-    )
-    shard_skew.add_argument("path", help="sharded snapshot directory")
-    shard_skew.add_argument("--json", action="store_true",
-                            help="emit the raw skew report as JSON")
-    shard_skew.set_defaults(handler=cmd_shard_skew)
 
     shard_split = shard_sub.add_parser(
         "split",
@@ -944,7 +858,7 @@ def build_parser():
                                       "{global_doc_index: target_shard}; "
                                       "overrides --metric")
     shard_rebalance.add_argument("--dry-run", action="store_true",
-                                 help="print the plan without applying it")
+                                 help="report the plan without applying it")
     shard_rebalance.add_argument("--json", action="store_true",
                                  help="emit the operation summary as JSON")
     shard_rebalance.set_defaults(handler=cmd_shard_rebalance)

@@ -230,9 +230,9 @@ class StatsRegistry:
 
         Returns ``{shard_index: {"sorted_accesses": n, "tuples_scored":
         n, "pruned": n, "early_stops": n}}`` -- the per-shard work
-        counters the skew report (``repro shard skew``) reads to tell a
-        hot shard from a merely large one.  Shards that served no
-        recorded query are absent.
+        counters the skew report (``repro snapshot info DIR``) reads to
+        tell a hot shard from a merely large one.  Shards that served
+        no recorded query are absent.
         """
         totals = {}
         with self._lock:

@@ -155,6 +155,27 @@ def load_serving_system(path):
     return Seda.load(path)
 
 
+def explain_system(system, query, k=10):
+    """Explain one query on a loaded system of either kind.
+
+    Returns ``(reports, payload)``: one
+    :class:`~repro.obs.explain.ExplainReport` per shard of a sharded
+    system, in shard order (a single-file system has the one), and the
+    JSON-clean answer ``/explain`` sends -- ``{"sharded": true,
+    "per_shard": [...]}`` over shards, the lone report's dict otherwise.
+    """
+    from repro.shard import ShardedSeda
+
+    if isinstance(system, ShardedSeda):
+        reports = [explain(shard.new_searcher(), query, k=k)
+                   for shard in system.shards]
+        return reports, {"sharded": True, "per_shard": [
+            report.as_dict() for report in reports
+        ]}
+    report = explain(system.new_searcher(), query, k=k)
+    return [report], report.as_dict()
+
+
 class _Response:
     """One endpoint outcome: status, JSON payload (or text), headers."""
 
@@ -216,11 +237,6 @@ class ServingApp:
         self.service = system.query_service(workers=self.workers)
 
     # -- introspection --------------------------------------------------------
-
-    def document_count(self):
-        if self.sharded:
-            return self.system.document_count
-        return len(self.system.collection.documents)
 
     def generation(self):
         """An opaque, JSON-clean token naming the served index
@@ -353,15 +369,7 @@ class ServingApp:
         query = parse_query_payload(body["query"])
         k = parse_int(body, "k", 10)
         with self.lock.read():
-            if self.sharded:
-                payload = {"sharded": True, "per_shard": [
-                    explain(shard.new_searcher(), query, k=k).as_dict()
-                    for shard in self.system.shards
-                ]}
-            else:
-                payload = explain(
-                    self.system.new_searcher(), query, k=k
-                ).as_dict()
+            _reports, payload = explain_system(self.system, query, k=k)
         return _Response(200, payload)
 
     def _endpoint_add_documents(self, body, params):
@@ -382,7 +390,7 @@ class ServingApp:
         with self.lock.write():
             added = self.system.add_documents(pairs, value_links=specs)
             generation = self.generation()
-            total = self.document_count()
+            total = self.system.document_count
         return _Response(200, {
             "added": len(added),
             "documents": total,
@@ -405,7 +413,7 @@ class ServingApp:
         return _Response(200, {
             "status": state,
             "sharded": self.sharded,
-            "documents": self.document_count(),
+            "documents": self.system.document_count,
             "generation": self.generation(),
             "inflight": self.admission.inflight,
             "uptime_seconds": self.uptime(),
@@ -418,7 +426,7 @@ class ServingApp:
                 "state": self.state,
                 "uptime_seconds": self.uptime(),
                 "requests_total": dict(self.requests_total),
-                "documents": self.document_count(),
+                "documents": self.system.document_count,
             },
             "admission": self.admission.counters(),
             "registry": self.registry.metrics(),
@@ -445,7 +453,7 @@ class ServingApp:
             # the log -- the directory the process leaves behind is
             # exactly what `repro fsck` calls clean.
             self.system.save(self.snapshot_path)
-            documents = self.document_count()
+            documents = self.system.document_count
         with self._state_lock:
             self.state = "drained"
         return _Response(200, {
@@ -467,7 +475,7 @@ class ServingApp:
             # two appenders on one log would interleave records.
             old.close()
             self._attach(system)
-            documents = self.document_count()
+            documents = self.system.document_count
             generation = self.generation()
         return _Response(200, {
             "reloaded": True,
@@ -535,7 +543,7 @@ class ServingApp:
     def __repr__(self):
         return (
             f"ServingApp({self.snapshot_path!r}, state={self.state}, "
-            f"sharded={self.sharded}, documents={self.document_count()})"
+            f"sharded={self.sharded}, documents={self.system.document_count})"
         )
 
 

@@ -305,7 +305,7 @@ class ShardedSeda(WriteProtocol):
         }
 
     def index_memory(self):
-        """Per-shard index-memory estimates (``repro shard info``).
+        """Per-shard index-memory estimates (``repro info --snapshot``).
 
         Forces every shard to load (the estimate is about what the
         indexes cost resident).  Each entry is one shard's

@@ -464,15 +464,16 @@ def propose_rebalance(system, metric="documents"):
 # -- skew reporting -----------------------------------------------------------
 
 def skew_report(directory):
-    """Per-shard skew over a saved sharded snapshot directory.
+    """Describe a saved sharded snapshot directory, loading no shard.
 
-    Reads the manifest (documents and nodes per shard), the shard
-    files' on-disk sizes (snapshot plus column sidecar -- the postings
-    bytes), and the retained observability state (``obs.json``) for
-    per-shard query traffic, and reports each metric with its
-    imbalance ratio (max over mean; 1.0 is perfectly even).  The
-    report is what :func:`propose_rebalance` decisions are made from;
-    ``repro shard skew`` prints it.
+    Reads the manifest (its ``meta``, documents and nodes per shard),
+    the shard files' on-disk sizes (snapshot plus column sidecar -- the
+    postings bytes), and the retained observability state
+    (``obs.json``) for per-shard query traffic, and reports each metric
+    with its imbalance ratio (max over mean; 1.0 is perfectly even)
+    beside the collection totals.  The report is what
+    :func:`propose_rebalance` decisions are made from; ``repro snapshot
+    info`` prints it.
     """
     manifest = read_sharded_manifest(directory)
     shard_files = manifest["shard_files"]
@@ -515,7 +516,11 @@ def skew_report(directory):
 
     return {
         "collection": manifest["meta"].get("collection", "collection"),
+        "meta": manifest["meta"],
         "shards": len(shard_files),
+        "documents": len(manifest["documents"]),
+        "nodes": sum(entry["nodes"] for entry in per_shard),
+        "total_bytes": sum(entry["bytes"] for entry in per_shard),
         "routing_epoch": manifest["routing_epoch"],
         "generation": manifest["generation"],
         "wal_present": os.path.exists(sharded_wal_file_name(directory)),

@@ -734,41 +734,6 @@ def clear_obs_state(directory):
         pass
 
 
-def sharded_snapshot_info(directory):
-    """Manifest metadata plus per-shard file sizes, loading nothing.
-
-    Returns ``{"meta": ..., "shards": [(file, bytes, documents,
-    nodes), ...], "documents": N, "nodes": N, "total_bytes": N}`` --
-    what ``repro shard info`` prints.  Only the manifest is read; the
-    shard snapshots are just ``stat``-ed, so inspecting a huge sharded
-    collection stays O(manifest).
-    """
-    manifest = read_sharded_manifest(directory)
-    documents = manifest["documents"]
-    per_shard_docs = [0] * len(manifest["shard_files"])
-    per_shard_nodes = [0] * len(manifest["shard_files"])
-    for _name, shard_index, node_count in documents:
-        per_shard_docs[shard_index] += 1
-        per_shard_nodes[shard_index] += node_count
-    shards = []
-    total = 0
-    for index, shard_file in enumerate(manifest["shard_files"]):
-        size = os.path.getsize(os.path.join(directory, shard_file))
-        total += size
-        shards.append(
-            (shard_file, size, per_shard_docs[index], per_shard_nodes[index])
-        )
-    return {
-        "meta": manifest["meta"],
-        "shards": shards,
-        "documents": len(documents),
-        "nodes": sum(per_shard_nodes),
-        "total_bytes": total,
-        "routing_epoch": manifest["routing_epoch"],
-        "generation": manifest["generation"],
-    }
-
-
 def _verify_snapshot_file(path, problems, warnings, checked, label=None):
     """Fold one snapshot file's health into an fsck report's lists.
 

@@ -464,6 +464,14 @@ class Seda(WriteProtocol):
 
     # -- introspection ------------------------------------------------------------
 
+    @property
+    def document_count(self):
+        return len(self.collection.documents)
+
+    @property
+    def node_count(self):
+        return self.collection.node_count
+
     def index_memory(self):
         """Per-index estimated resident memory (``repro info``).
 

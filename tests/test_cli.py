@@ -123,20 +123,23 @@ class TestSnapshotCommands:
 
         out = io.StringIO()
         code = main(
-            ["snapshot", "load", str(path),
+            ["search", "--snapshot", str(path),
              "--term", '*:"United States"', "--term", "percentage:*"],
             out=out,
         )
         assert code == 0
         text = out.getvalue()
-        assert "loaded snapshot" in text
+        assert text.startswith(
+            f"{path} (single-file, 17 documents, 669 nodes)\n"
+        )
         assert "Context summary" in text
 
     def test_load_rejects_bad_file(self, tmp_path):
         bad = tmp_path / "bad.snapshot"
         bad.write_text('{"record": "header", "format": "nope", "version": 1}\n')
         with pytest.raises(SystemExit, match="seda-snapshot"):
-            main(["snapshot", "load", str(bad)], out=io.StringIO())
+            main(["search", "--snapshot", str(bad), "--term", "a:*"],
+                 out=io.StringIO())
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="no snapshot file"):
@@ -176,31 +179,33 @@ class TestShardCommands:
         assert (target / "manifest.json").exists()
 
         out = io.StringIO()
-        assert main(["shard", "info", str(target)], out=out) == 0
+        assert main(["snapshot", "info", str(target)], out=out) == 0
         text = out.getvalue()
         assert "shards: 2" in text
         assert "shard-0000.snapshot" in text
         assert "partitioner: hash" in text
+        assert "imbalance[documents]" in text
 
         out = io.StringIO()
         code = main(
-            ["shard", "search", str(target),
+            ["search", "--snapshot", str(target),
              "--term", "trade_country:*", "--term", "percentage:*",
              "-k", "3"],
             out=out,
         )
         assert code == 0
         text = out.getvalue()
-        assert "results from 2 shards" in text
+        assert text.startswith(f"{target} (sharded, 17 documents, ")
+        assert "Top-3 results:" in text
         assert "shard 0:" in text and "shard 1:" in text
 
     def test_search_requires_terms(self, tmp_path):
         with pytest.raises(SystemExit, match="at least one --term"):
-            main(["shard", "search", str(tmp_path)], out=io.StringIO())
+            main(["search", "--snapshot", str(tmp_path)], out=io.StringIO())
 
     def test_info_rejects_non_sharded_directory(self, tmp_path):
         with pytest.raises(SystemExit, match="manifest"):
-            main(["shard", "info", str(tmp_path)], out=io.StringIO())
+            main(["snapshot", "info", str(tmp_path)], out=io.StringIO())
 
     def test_build_rejects_bad_shard_count(self, tmp_path):
         with pytest.raises(SystemExit, match="--shards must be"):
@@ -449,3 +454,170 @@ class TestFsckCommand:
         code = main(["fsck", str(tmp_path / "absent.snapshot")], out=out)
         assert code == 1
         assert "missing" in out.getvalue()
+
+
+class TestOneLocationArgument:
+    """Every reading command takes a snapshot file *or* a sharded
+    directory; anything else is a one-line exit, never a traceback."""
+
+    COMMANDS = {
+        "search": ["search", "--snapshot", "{}", "--term", "percentage:*",
+                   "-k", "3"],
+        "explain": ["explain", "--snapshot", "{}", "--term", "percentage:*"],
+        "info": ["info", "--snapshot", "{}"],
+        "stats": ["stats", "--snapshot", "{}"],
+        "snapshot info": ["snapshot", "info", "{}"],
+        "fsck": ["fsck", "{}"],
+    }
+    SAVED = ("file", "directory")
+
+    @pytest.fixture(scope="class")
+    def locations(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("locations")
+        paths = {
+            "file": root / "factbook.snapshot",
+            "directory": root / "factbook.shards",
+            "missing": root / "absent.snapshot",
+            "no manifest": root / "plain-directory",
+            "text file": root / "notes.txt",
+        }
+        assert main(["snapshot", "save", str(paths["file"]),
+                     "--scale", "0.01"], out=io.StringIO()) == 0
+        assert main(["shard", "build", str(paths["directory"]),
+                     "--scale", "0.01", "--shards", "2", "--serial"],
+                    out=io.StringIO()) == 0
+        paths["no manifest"].mkdir()
+        paths["text file"].write_text("not a snapshot\n")
+        return {kind: str(path) for kind, path in paths.items()}
+
+    @pytest.mark.parametrize("kind", [
+        "file", "directory", "missing", "no manifest", "text file",
+    ])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_reading_command_on_location(self, locations, command, kind):
+        location = locations[kind]
+        argv = [part.format(location) for part in self.COMMANDS[command]]
+        # A saved system without a stats registry has nothing for
+        # `stats --snapshot` to render; fsck reports an unreadable
+        # location as an integrity problem (exit code 1) instead.
+        if command == "fsck":
+            expected = 0 if kind in self.SAVED else 1
+            assert main(argv, out=io.StringIO()) == expected
+        elif kind in self.SAVED and command != "stats":
+            assert main(argv, out=io.StringIO()) == 0
+        else:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv, out=io.StringIO())
+            message = str(exit_info.value.code)
+            assert location in message
+            assert "\n" not in message
+
+    @pytest.mark.parametrize("damage", ["deleted", "corrupted"])
+    def test_bad_shard_file_names_the_file(self, tmp_path, damage):
+        directory = tmp_path / "factbook.shards"
+        assert main(["shard", "build", str(directory), "--scale", "0.01",
+                     "--shards", "2", "--serial"], out=io.StringIO()) == 0
+        victim = directory / "shard-0001.snapshot"
+        if damage == "deleted":
+            victim.unlink()
+        else:
+            # The manifest still lists an existing file, so the load
+            # succeeds and the lazy restore fails during the search.
+            blob = victim.read_bytes()
+            victim.write_bytes(blob.replace(b'"max_hops":12',
+                                            b'"max_hops":13', 1))
+        with pytest.raises(SystemExit, match="shard-0001.snapshot") as exit_info:
+            main(["search", "--snapshot", str(directory),
+                  "--term", "percentage:*"], out=io.StringIO())
+        assert "\n" not in str(exit_info.value.code)
+
+    def test_explain_json_is_the_explain_endpoint(self, locations):
+        from repro.serving import ServingApp, load_serving_system
+
+        for kind in self.SAVED:
+            out = io.StringIO()
+            assert main(["explain", "--snapshot", locations[kind],
+                         "--term", "trade_country:*", "--term",
+                         "percentage:*", "-k", "4", "--json"],
+                        out=out) == 0
+            app = ServingApp(load_serving_system(locations[kind]),
+                             locations[kind])
+            response = app.handle("POST", "/explain", {
+                "query": "trade_country:* ;; percentage:*", "k": 4,
+            })
+            assert response.status == 200
+            assert json.loads(out.getvalue()) == response.payload
+            assert ("per_shard" in response.payload) == (kind == "directory")
+
+    def test_explain_text_per_shard(self, locations):
+        out = io.StringIO()
+        assert main(["explain", "--snapshot", locations["directory"],
+                     "--term", "percentage:*"], out=out) == 0
+        text = out.getvalue()
+        assert text.startswith("shard 0:\nEXPLAIN percentage:* [k=10]")
+        assert "\nshard 1:\nEXPLAIN" in text
+
+    def test_info_reports_memory_per_shard(self, locations):
+        out = io.StringIO()
+        assert main(["info", "--snapshot", locations["directory"], "--json"],
+                    out=out) == 0
+        report = json.loads(out.getvalue())
+        assert [entry["shard"] for entry in report["per_shard"]] == [0, 1]
+        assert report["totals"]["column_bytes"] == sum(
+            entry[index]["column_bytes"]
+            for entry in report["per_shard"]
+            for index in ("inverted", "path_index", "streams")
+        )
+        out = io.StringIO()
+        assert main(["info", "--snapshot", locations["directory"]],
+                    out=out) == 0
+        assert "  shard 1:\n    inverted:\n" in out.getvalue()
+
+    def test_snapshot_info_json_for_both_kinds(self, locations):
+        out = io.StringIO()
+        assert main(["snapshot", "info", locations["file"], "--json"],
+                    out=out) == 0
+        info = json.loads(out.getvalue())
+        assert info["meta"]["collection"] == "world-factbook"
+        assert "inverted" in [name for name, _size in info["records"]]
+
+        out = io.StringIO()
+        assert main(["snapshot", "info", locations["directory"], "--json"],
+                    out=out) == 0
+        report = json.loads(out.getvalue())
+        assert report["meta"]["shards"] == report["shards"] == 2
+        assert report["documents"] == 17
+        assert report["nodes"] == sum(
+            entry["nodes"] for entry in report["per_shard"]
+        )
+        assert report["total_bytes"] == sum(
+            entry["bytes"] for entry in report["per_shard"]
+        )
+
+    def test_leaf_commands(self):
+        import argparse
+
+        def leaves(parser, prefix):
+            groups = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+            if not groups:
+                return [prefix]
+            return [leaf for group in groups
+                    for name, sub in group.choices.items()
+                    for leaf in leaves(sub, f"{prefix} {name}".strip())]
+
+        assert sorted(leaves(build_parser(), "")) == sorted([
+            "stats", "search", "explain", "table1", "query1", "info",
+            "serve", "snapshot save", "snapshot info", "fsck",
+            "shard build", "shard split", "shard merge", "shard rebalance",
+        ])
+
+    @pytest.mark.parametrize("argv", [
+        ["snapshot", "load", "x"], ["shard", "search", "x"],
+        ["shard", "info", "x"], ["shard", "skew", "x"],
+    ])
+    def test_removed_commands_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

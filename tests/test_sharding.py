@@ -12,12 +12,9 @@ from repro.shard import (
     hash_partition,
     resolve_partitioner,
     round_robin_partition,
+    skew_report,
 )
-from repro.storage.snapshot import (
-    SnapshotError,
-    fsck_report,
-    sharded_snapshot_info,
-)
+from repro.storage.snapshot import SnapshotError, fsck_report
 from repro.system import Seda
 
 DOCS = [
@@ -401,13 +398,15 @@ class TestShardedSnapshots:
     def test_info_reads_only_the_manifest(self, sharded, tmp_path):
         target = tmp_path / "info.shards"
         sharded.save(str(target))
-        info = sharded_snapshot_info(str(target))
+        info = skew_report(str(target))
         assert info["meta"]["shards"] == 3
         assert info["meta"]["partitioner"] == "hash"
         assert info["documents"] == len(DOCS)
         assert info["nodes"] == sharded.node_count
-        assert len(info["shards"]) == 3
-        assert info["total_bytes"] == sum(row[1] for row in info["shards"])
+        assert len(info["per_shard"]) == 3
+        assert info["total_bytes"] == sum(
+            entry["bytes"] for entry in info["per_shard"]
+        )
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match="no manifest.json"):
@@ -486,7 +485,7 @@ class TestShardedSnapshots:
 
         Each case is ``(damage, message, shape_error)``: shape errors
         are caught by the manifest reader itself, so manifest-only
-        readers (``sharded_snapshot_info``, fsck) reject them too.
+        readers (``skew_report``, fsck) reject them too.
         """
         import json
 
@@ -523,7 +522,7 @@ class TestShardedSnapshots:
                 ShardedSeda.load(str(target))
             if shape_error:
                 with pytest.raises(SnapshotError, match=message):
-                    sharded_snapshot_info(str(target))
+                    skew_report(str(target))
                 report = fsck_report(str(target))
                 assert not report["ok"], message
                 assert any(message in problem
@@ -545,7 +544,7 @@ class TestShardedSnapshots:
         )
         target = tmp_path / "custom.shards"
         system.save(str(target))
-        assert sharded_snapshot_info(str(target))["meta"][
+        assert skew_report(str(target))["meta"][
             "partitioner"
         ] == "custom"
         restored = ShardedSeda.load(str(target))

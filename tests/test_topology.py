@@ -26,6 +26,7 @@ contract from every direction:
   never a hybrid -- with answers byte-identical either way.
 """
 
+import io
 import json
 import os
 import shutil
@@ -36,6 +37,7 @@ import warnings
 
 import pytest
 
+from repro.cli import main
 from repro.model.links import ValueLinkSpec
 from repro.query.term import Query
 from repro.serving import ServingApp, load_serving_system
@@ -49,7 +51,6 @@ from repro.storage.snapshot import (
     fsck_report,
     read_sharded_manifest,
     read_snapshot,
-    sharded_snapshot_info,
 )
 from repro.testing.faults import FaultInjector
 from repro.system import Seda
@@ -416,7 +417,7 @@ class TestDurableTopology:
         final = ShardedSeda.load(directory)
         assert final.routing_epoch >= 2
         assert _canon(final) == oracle
-        info = sharded_snapshot_info(directory)
+        info = skew_report(directory)
         assert info["routing_epoch"] == final.routing_epoch
 
     def test_fsck_rejects_a_corrupt_assignment_map(self, tmp_path):
@@ -513,6 +514,89 @@ class TestServiceAcrossTopology:
             canon = [(r.node_ids, r.content_scores, r.compactness,
                       r.score) for r in results]
             assert canon == want
+
+
+# -- the CLI commands ---------------------------------------------------------------
+
+
+class TestTopologyCommands:
+    """``repro shard split/merge/rebalance``: one load-apply-print path."""
+
+    @pytest.fixture
+    def directory(self, tmp_path):
+        directory = str(tmp_path / "seda.shards")
+        _build_sharded().save(directory)
+        return directory
+
+    @staticmethod
+    def _run(*argv):
+        out = io.StringIO()
+        assert main(list(argv), out=out) == 0
+        return out.getvalue()
+
+    @staticmethod
+    def _assert_clean_and_exact(directory, oracle):
+        assert fsck_report(directory)["ok"]
+        assert _canon(ShardedSeda.load(directory)) == oracle
+
+    def test_split(self, directory, oracle):
+        text = self._run("shard", "split", directory, "0")
+        assert text.startswith(f"splitting shard 0 of {directory}\n")
+        assert "  shards: 4\n" in text
+        assert len(read_sharded_manifest(directory)["shard_files"]) == 4
+        self._assert_clean_and_exact(directory, oracle)
+
+    def test_merge(self, directory, oracle):
+        summary = json.loads(
+            self._run("shard", "merge", directory, "0", "1", "--json")
+        )
+        assert summary["merged"] == [0, 1]
+        assert len(read_sharded_manifest(directory)["shard_files"]) == 2
+        self._assert_clean_and_exact(directory, oracle)
+
+    def test_rebalance_planned(self, directory, oracle):
+        summary = json.loads(self._run(
+            "shard", "rebalance", directory, "--metric", "nodes", "--json"
+        ))
+        assert summary["moved_documents"] == 1
+        assert read_sharded_manifest(directory)["routing_epoch"] == 1
+        self._assert_clean_and_exact(directory, oracle)
+
+    def test_rebalance_explicit_moves(self, directory, oracle):
+        text = self._run("shard", "rebalance", directory,
+                         "--moves", '{"0": 1}')
+        assert "  moved_documents: 1\n" in text
+        assert read_sharded_manifest(directory)["documents"][0][1] == 1
+        self._assert_clean_and_exact(directory, oracle)
+
+    @pytest.mark.parametrize("plan_options, moves", [
+        (["--metric", "nodes"], {"6": 1}),
+        (["--moves", '{"0": 1}'], {"0": 1}),
+    ])
+    def test_dry_run_changes_nothing(self, directory, oracle, plan_options,
+                                     moves):
+        with open(os.path.join(directory, "manifest.json"), "rb") as handle:
+            manifest_before = handle.read()
+        report = json.loads(self._run(
+            "shard", "rebalance", directory, "--dry-run", "--json",
+            *plan_options,
+        ))
+        assert report["plan"]["moves"] == moves
+        with open(os.path.join(directory, "manifest.json"), "rb") as handle:
+            assert handle.read() == manifest_before
+        assert read_sharded_manifest(directory)["generation"] == 0
+        self._assert_clean_and_exact(directory, oracle)
+
+    def test_invalid_moves_json(self, directory):
+        with pytest.raises(SystemExit, match="--moves is not valid JSON"):
+            main(["shard", "rebalance", directory, "--moves", "{0: 1"],
+                 out=io.StringIO())
+
+    def test_rejected_operation_is_a_clean_exit(self, directory):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["shard", "merge", directory, "0", "0"], out=io.StringIO())
+        assert "\n" not in str(exit_info.value.code)
+        assert fsck_report(directory)["ok"]
 
 
 # -- the serving endpoint -----------------------------------------------------------
