@@ -3,7 +3,7 @@
 Partitions a Factbook corpus across shards, builds the shards in
 parallel worker processes, verifies the merged top-k is byte-identical
 to an unsharded build over the same corpus, and round-trips the whole
-topology through a sharded snapshot directory (restored lazily).
+topology through a sharded snapshot directory.
 
 Run with::
 
@@ -73,16 +73,14 @@ def main(scale=0.02):
     assert len(answers) == len(BATCH)
 
     # 4. Snapshot the whole topology: one directory, one file per
-    #    shard, a manifest as the commit record.  Restore is lazy --
-    #    the topology is served from the manifest; shard files load on
-    #    first search.
+    #    shard, a manifest as the commit record.  The load reads the
+    #    manifest and restores every shard file before it returns.
     with tempfile.TemporaryDirectory() as scratch:
         target = os.path.join(scratch, "factbook.shards")
         sharded.save(target)
         restored = ShardedSeda.load(target)
-        print(f"\nrestored (before any search): {restored!r}")
+        print(f"\nrestored: {restored!r}")
         again = restored.search(QUERY, k=5)
-        print(f"restored (after one search):  {restored!r}")
         assert [r.node_ids for r in again] == [r.node_ids for r in merged]
         print("restored answers identical: True")
 

@@ -182,9 +182,9 @@ def _load_queries(args):
 def _location_errors(path):
     """Turn an unreadable saved-system location into a one-line exit.
 
-    Wraps a command's whole use of the system, not only its load: a
-    lazily restored shard whose file goes bad mid-search raises the
-    same :class:`SnapshotError` a bad load does.
+    Wraps a command's whole use of the system.  The load restores
+    every shard of a sharded directory, so a missing or corrupt shard
+    file ends here as the :class:`SnapshotError` naming it.
     """
     try:
         yield

@@ -10,7 +10,7 @@ the compact building blocks every index layer shares:
   label ids, replacing per-entry path strings;
 * :mod:`~repro.compact.columns` -- delta/varint byte-column codecs for
   posting lists, sorted id sets, and impact streams;
-* :mod:`~repro.compact.shm` -- read-only sidecar buffers: an mmapped
+* :mod:`~repro.compact.sidecar` -- read-only sidecar buffers: an mmapped
   ``.cols`` file, whose pages every process loading the same snapshot
   shares through the OS page cache.
 
@@ -28,7 +28,7 @@ from repro.compact.columns import (
     posting_count,
 )
 from repro.compact.intern import StringTable
-from repro.compact.shm import Sidecar
+from repro.compact.sidecar import Sidecar
 from repro.compact.trie import PathTrie
 
 __all__ = [

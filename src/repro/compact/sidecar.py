@@ -1,19 +1,13 @@
-"""Read-only sidecar buffers: file- and bytes-backed.
+"""Read-only sidecar buffers over mmapped column files.
 
 A snapshot stores its byte columns in a binary *sidecar* file
 next to the JSON-lines snapshot; component records carry only
 ``{key: [offset, length]}`` tables.  :class:`Sidecar` is the uniform
-buffer handle the readers slice zero-copy ``memoryview`` windows from:
-
-* :meth:`Sidecar.from_file` -- ``mmap`` the sidecar read-only, so the
-  OS page cache backs lazy per-term decodes, and every process mapping
-  the same file (N workers loading one sharded directory) shares one
-  physical copy of the columns;
-* :meth:`Sidecar.from_bytes` -- wrap an in-memory blob (worker-payload
-  transfers, tests).
-
-(The module keeps its historical name; there is no shared-memory
-segment behind it.)
+buffer handle the readers slice zero-copy ``memoryview`` windows from.
+:meth:`Sidecar.from_file` maps the sidecar read-only, so the OS page
+cache backs lazy per-term decodes, and every process mapping the same
+file (N workers loading one sharded directory) shares one physical
+copy of the columns.
 """
 
 import mmap
@@ -58,10 +52,6 @@ class Sidecar:
                 closer()
             except BufferError:  # pragma: no cover - views still exported
                 pass
-
-    @classmethod
-    def from_bytes(cls, data):
-        return cls(bytes(data), source="<bytes>")
 
     @classmethod
     def from_file(cls, path):

@@ -12,7 +12,6 @@ a shard's exception propagates, so no partial answer is ever served.
 
 Modules: :mod:`~repro.shard.sharded` (the facade -- routing, id
 translation, scatter/merge, the sharded commit and load),
-:mod:`~repro.shard.slot` (one shard's lazy holder),
 :mod:`~repro.shard.build` (the parallel build),
 :mod:`~repro.shard.partition` and :mod:`~repro.shard.topology`.
 
@@ -20,8 +19,8 @@ The merge-equivalence invariants (global node ids, corpus-wide term
 statistics, link co-location, deterministic total-order merge) are
 documented on :mod:`repro.shard.sharded` and in
 ``docs/ARCHITECTURE.md``; operational guidance (snapshot directory
-layout, lazy restore, partitioner choices, per-shard statistics) lives
-in ``docs/OPERATIONS.md``.
+layout, load restores every shard, partitioner choices, per-shard
+statistics) lives in ``docs/OPERATIONS.md``.
 """
 
 from repro.shard.partition import (

@@ -1,15 +1,13 @@
 """Parallel shard builds: one OS process per shard.
 
 Workers ship their snapshot payloads back -- plain dictionaries and
-lists, which pickle cheaply -- and the parent wraps each one in a
-lazily rehydrating :class:`~repro.shard.slot._ShardSlot`, exactly as a
-snapshot load would.
+lists, which pickle cheaply -- and the parent rehydrates each one into
+a live :class:`~repro.system.Seda`, exactly as a snapshot load would.
 """
 
 import os
 
 from repro.model.links import ValueLinkSpec
-from repro.shard.slot import _ShardSlot
 from repro.system import Seda
 
 
@@ -17,13 +15,10 @@ def _build_shard_payload(args):
     """Worker-process entry: build one shard, return its payload.
 
     Module-level so :class:`~concurrent.futures.ProcessPoolExecutor`
-    can pickle a reference to it.  The returned ``(meta, records,
-    node_counts)`` triple is :meth:`Seda.snapshot_payload` plus the
-    per-document node counts (in shard document order) the parent needs
-    to assemble the global topology without rehydrating the shard --
-    plain dictionaries and lists, the only shard representation that
-    crosses the process boundary (live systems carry locks and do not
-    pickle).
+    can pickle a reference to it.  The returned ``(meta, records)``
+    pair is :meth:`Seda.snapshot_payload` -- plain dictionaries and
+    lists, the only shard representation that crosses the process
+    boundary (live systems carry locks and do not pickle).
     """
     shard_name, pairs, link_dicts, seda_kwargs = args
     seda = Seda.from_documents(
@@ -32,21 +27,15 @@ def _build_shard_payload(args):
         name=shard_name,
         **seda_kwargs,
     )
-    meta, records = seda.snapshot_payload()
-    node_counts = [
-        len(document.nodes) for document in seda.collection.documents
-    ]
-    return meta, records, node_counts
+    return seda.snapshot_payload()
 
 
 def _build_parallel(shard_names, per_shard, specs, seda_kwargs, max_workers):
-    """Build every shard in its own OS process.
+    """Build every shard in its own OS process; the live shard systems.
 
-    Workers ship snapshot payloads back; the parent wraps each in a
-    lazily rehydrating slot, so the build's wall time is the
-    slowest worker plus transfer -- the (serial) cost of rebuilding
-    live node objects from the payloads is deferred to each shard's
-    first search, exactly like a lazy snapshot restore.
+    Workers ship snapshot payloads back and the parent rehydrates each
+    with :meth:`Seda.from_payload`, so the build's wall time is the
+    slowest worker plus transfer plus the (serial) rehydration.
     """
     import concurrent.futures
 
@@ -65,8 +54,4 @@ def _build_parallel(shard_names, per_shard, specs, seda_kwargs, max_workers):
             max_workers=workers
         ) as pool:
             outputs = list(pool.map(_build_shard_payload, jobs))
-    slots = [
-        _ShardSlot(payload=(meta, records))
-        for meta, records, _node_counts in outputs
-    ]
-    return slots, [node_counts for _m, _r, node_counts in outputs]
+    return [Seda.from_payload(meta, records) for meta, records in outputs]

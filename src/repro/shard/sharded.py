@@ -3,10 +3,10 @@
 :class:`ShardedSeda` hash-partitions a corpus across N independent
 :class:`~repro.system.Seda` shards, builds their indexes in parallel
 (one OS process per shard, :mod:`repro.shard.build`), holds each one
-in a lazily restoring :mod:`~repro.shard.slot`, and answers
-``search``/``search_many`` by scatter-gather: fan the query to
-per-shard :class:`~repro.search.topk.TopKSearcher`\\ s, then merge the
-per-shard top-k lists under the system's deterministic total order.
+as a live system, and answers ``search``/``search_many`` by
+scatter-gather: fan the query to per-shard
+:class:`~repro.search.topk.TopKSearcher`\\ s, then merge the per-shard
+top-k lists under the system's deterministic total order.
 The scatter is fail-fast: a shard's exception propagates, so there is
 no partial answer.
 
@@ -56,7 +56,6 @@ from repro.search.topk import SharedBound
 from repro.service.query_service import QueryService
 from repro.shard.build import _build_parallel
 from repro.shard.partition import PARTITIONERS, resolve_partitioner
-from repro.shard.slot import _ShardSlot
 from repro.storage.snapshot import (
     SnapshotError,
     clear_obs_state,
@@ -66,6 +65,7 @@ from repro.storage.snapshot import (
     shard_file_name,
     write_obs_state,
     write_sharded_manifest,
+    write_snapshot,
 )
 from repro.storage.wal import sharded_wal_file_name
 from repro.system import Seda, WriteProtocol, _normalize_documents
@@ -97,10 +97,14 @@ class ShardedCollectionView:
 class ShardedSeda(WriteProtocol):
     """N independent SEDA shards behind one scatter-gather facade."""
 
-    def __init__(self, slots, documents, name, value_links,
+    def __init__(self, shards, documents, name, value_links,
                  partitioner, partitioner_name, routing_epoch=0,
                  shard_doc_bases=None):
-        self._slots = list(slots)
+        self._shards = list(shards)
+        #: Per shard, the name of its file in the home directory (``None``
+        #: until first committed): a commit that does not rewrite a
+        #: shard points the new manifest at this file.
+        self._shard_files = [None] * len(self._shards)
         #: Global-order document table: ``[name, shard_index,
         #: node_count]`` per document -- the topology record that
         #: defines the global node-id space *and* the explicit
@@ -113,12 +117,10 @@ class ShardedSeda(WriteProtocol):
         self._partitioner = partitioner
         self._partitioner_name = partitioner_name
         self.stats = GlobalTermStats(
-            lambda: (slot.get().inverted for slot in self._slots)
+            lambda: (shard.inverted for shard in self._shards)
         )
-        for slot in self._slots:
-            slot.on_load = self._wire_shard
-            if slot.loaded:
-                self._wire_shard(slot.get())
+        for shard in self._shards:
+            self._wire_shard(shard)
         self._service = None
         self.obs = None  # StatsRegistry; enable_observability() attaches one
         #: Per shard, the global document count when that shard's
@@ -127,7 +129,7 @@ class ShardedSeda(WriteProtocol):
         #: be replayed onto it (the manifest's ``shard_doc_bases``).
         self._shard_doc_bases = (
             list(shard_doc_bases) if shard_doc_bases is not None
-            else [len(self._docs)] * len(self._slots)
+            else [len(self._docs)] * len(self._shards)
         )
         #: Manifest-owned routing epoch, bumped by every topology
         #: operation (split/merge/rebalance); serving layers fold it
@@ -181,7 +183,7 @@ class ShardedSeda(WriteProtocol):
         specs = tuple(value_links)
         shard_names = [f"{name}#{shard}" for shard in range(shards)]
         if parallel and shards > 1:
-            slots, counts_per_shard = _build_parallel(
+            sedas = _build_parallel(
                 shard_names, per_shard, specs, seda_kwargs, max_workers
             )
         else:
@@ -192,12 +194,10 @@ class ShardedSeda(WriteProtocol):
                 )
                 for shard_name, shard_pairs in zip(shard_names, per_shard)
             ]
-            slots = [_ShardSlot(seda=seda) for seda in sedas]
-            counts_per_shard = [
-                [len(document.nodes)
-                 for document in seda.collection.documents]
-                for seda in sedas
-            ]
+        counts_per_shard = [
+            [len(document.nodes) for document in seda.collection.documents]
+            for seda in sedas
+        ]
         # Assemble the global-order topology table: document j of shard
         # s is the j-th document routed there, in global order.
         positions = [0] * shards
@@ -207,14 +207,14 @@ class ShardedSeda(WriteProtocol):
             positions[shard] += 1
             documents_table.append([doc_name, shard, node_count])
         return cls(
-            slots, documents_table, name, specs, route, partitioner_name,
+            sedas, documents_table, name, specs, route, partitioner_name,
         )
 
     # -- topology -------------------------------------------------------------
 
     def _rebuild_topology(self):
         """Recompute the id-translation tables from the document table."""
-        shards = len(self._slots)
+        shards = len(self._shards)
         global_bases = []
         doc_shard = []
         doc_local_base = []
@@ -255,21 +255,21 @@ class ShardedSeda(WriteProtocol):
         local_id = self._doc_local_base[position] + (
             global_id - self._global_bases[position]
         )
-        return self._slots[shard].get(), local_id
+        return self._shards[shard], local_id
 
     # -- introspection --------------------------------------------------------
 
     @property
     def shard_count(self):
-        return len(self._slots)
+        return len(self._shards)
 
     @property
     def shards(self):
-        """Every live shard system (restoring lazy ones)."""
-        return tuple(slot.get() for slot in self._slots)
+        """Every shard system, in shard order."""
+        return tuple(self._shards)
 
     def shard(self, index):
-        return self._slots[index].get()
+        return self._shards[index]
 
     @property
     def collection(self):
@@ -285,18 +285,17 @@ class ShardedSeda(WriteProtocol):
         return self._node_count
 
     def info(self):
-        """Topology digest: per-shard documents/nodes and load state."""
+        """Topology digest: per-shard documents and nodes."""
         per_shard = [
-            {"shard": index, "documents": 0, "nodes": 0,
-             "loaded": slot.loaded}
-            for index, slot in enumerate(self._slots)
+            {"shard": index, "documents": 0, "nodes": 0}
+            for index in range(len(self._shards))
         ]
         for _name, shard, node_count in self._docs:
             per_shard[shard]["documents"] += 1
             per_shard[shard]["nodes"] += node_count
         return {
             "collection": self.name,
-            "shards": len(self._slots),
+            "shards": len(self._shards),
             "partitioner": self._partitioner_name,
             "routing_epoch": self._routing_epoch,
             "documents": len(self._docs),
@@ -307,16 +306,15 @@ class ShardedSeda(WriteProtocol):
     def index_memory(self):
         """Per-shard index-memory estimates (``repro info --snapshot``).
 
-        Forces every shard to load (the estimate is about what the
-        indexes cost resident).  Each entry is one shard's
-        :meth:`Seda.index_memory` report plus its shard number;
-        ``totals`` sums the per-index ``column_bytes`` across shards --
-        the mmapped sidecar bytes the shards read their columns from.
+        Each entry is one shard's :meth:`Seda.index_memory` report plus
+        its shard number; ``totals`` sums the per-index ``column_bytes``
+        across shards -- the mmapped sidecar bytes the shards read their
+        columns from.
         """
         per_shard = []
         column_bytes = 0
-        for index, slot in enumerate(self._slots):
-            report = slot.get().index_memory()
+        for index, shard in enumerate(self._shards):
+            report = shard.index_memory()
             report["shard"] = index
             column_bytes += sum(
                 report[key]["column_bytes"]
@@ -324,7 +322,7 @@ class ShardedSeda(WriteProtocol):
             )
             per_shard.append(report)
         return {
-            "shards": len(self._slots),
+            "shards": len(self._shards),
             "per_shard": per_shard,
             "totals": {"column_bytes": column_bytes},
         }
@@ -354,7 +352,7 @@ class ShardedSeda(WriteProtocol):
         The per-shard graph versions (``add_documents`` bumps every
         shard) plus the routing epoch, so a split/merge/rebalance
         (which can change the shard *count*) expires cached answers
-        too.  Forces lazy shards: serving needs them all.
+        too.
         """
         return (
             tuple(shard.graph.version for shard in self.shards),
@@ -376,8 +374,8 @@ class ShardedSeda(WriteProtocol):
         bound = SharedBound()
         gathered = []
         per_shard = []
-        for index, slot in enumerate(self._slots):
-            searcher = slot.get().new_searcher()
+        for index, shard in enumerate(self._shards):
+            searcher = shard.new_searcher()
             gathered.append(searcher.search(query, k=k, shared_bound=bound))
             per_shard.append({"shard": index, **searcher.counters()})
         return self._merge(gathered, k), per_shard
@@ -509,13 +507,12 @@ class ShardedSeda(WriteProtocol):
         documents change the corpus-wide ``df``/``N`` behind idf, so
         the global statistics cache is dropped and every shard's graph
         version is bumped, expiring the per-shard impact streams and
-        result caches.  Deferred shards record the bump on the slot
-        instead of rehydrating.  New ``value_links`` specs reach every
+        result caches.  New ``value_links`` specs reach every
         shard's link discovery.  Returns the created documents in
         global input order (their ids are shard-local).
         """
         base = len(self._docs)
-        shards = len(self._slots)
+        shards = len(self._shards)
         routed = [[] for _ in range(shards)]
         order = []
         for offset, (doc_name, source) in enumerate(pairs):
@@ -525,9 +522,9 @@ class ShardedSeda(WriteProtocol):
         if specs:
             self.value_links = self.value_links + specs
         added_per_shard = [
-            slot.get()._apply(routed[index], specs)
+            shard._apply(routed[index], specs)
             if routed[index] or specs else []
-            for index, slot in enumerate(self._slots)
+            for index, shard in enumerate(self._shards)
         ]
         added_global = []
         for offset, (doc_name, _source) in enumerate(pairs):
@@ -537,11 +534,8 @@ class ShardedSeda(WriteProtocol):
             added_global.append(document)
         self._rebuild_topology()
         self.stats.invalidate()
-        for slot in self._slots:
-            if slot.loaded:
-                slot.get().graph.bump_version()
-            else:
-                slot.pending_bumps += 1
+        for shard in self._shards:
+            shard.graph.bump_version()
         if self._service is not None:
             self._service.invalidate()
         return added_global
@@ -579,15 +573,12 @@ class ShardedSeda(WriteProtocol):
             if row[1] in routed:
                 routed[row[1]].append((pair, row))
         for index in stale:
-            slot = self._slots[index]
+            shard = self._shards[index]
             shard_pairs = routed[index]
             if not shard_pairs and not specs:
-                if slot.loaded:
-                    slot.get().graph.bump_version()
-                else:
-                    slot.pending_bumps += 1
+                shard.graph.bump_version()
                 continue
-            added = slot.get()._apply(
+            added = shard._apply(
                 [pair for pair, _row in shard_pairs], specs
             )
             for document, (pair, row) in zip(added, shard_pairs):
@@ -603,13 +594,11 @@ class ShardedSeda(WriteProtocol):
     def _write_snapshot(self, directory):
         """Every shard file plus the manifest, as one new generation.
 
-        Shards that are still deferred are written without being
-        rehydrated (file-copy cost).  The cleanup of superseded files
-        assumes this instance is the directory's only live handle
-        (see docs/OPERATIONS.md).
+        The cleanup of superseded files assumes this instance is the
+        directory's only live handle (see docs/OPERATIONS.md).
         """
         os.makedirs(directory, exist_ok=True)
-        self._commit(directory, range(len(self._slots)))
+        self._commit(directory, range(len(self._shards)))
 
     def _commit(self, directory, rewrite):
         """Write one manifest generation into ``directory``.
@@ -618,8 +607,8 @@ class ShardedSeda(WriteProtocol):
         operations: (1) the shards in ``rewrite`` are written under the
         next file generation -- every other shard keeps its file in
         ``directory``; (2) the manifest, the single commit point; (3)
-        ``obs.json`` written or cleared; (4) every slot repointed at its
-        file; (5) the files the new manifest no longer references
+        ``obs.json`` written or cleared; (4) every shard's file name
+        recorded; (5) the files the new manifest no longer references
         deleted, best-effort.  A rewritten shard absorbs every batch so
         far, so its watermark becomes the full document count; the
         others keep theirs.  A crash before (2) leaves the old
@@ -627,18 +616,19 @@ class ShardedSeda(WriteProtocol):
         """
         generation = next_shard_generation(directory)
         shard_files = []
-        for index, slot in enumerate(self._slots):
+        for index, shard in enumerate(self._shards):
             if index in rewrite:
                 shard_file = shard_file_name(index, generation)
-                slot.save_to(os.path.join(directory, shard_file))
+                write_snapshot(os.path.join(directory, shard_file),
+                               *shard.snapshot_payload())
             else:
-                shard_file = os.path.basename(slot.path)
+                shard_file = self._shard_files[index]
             shard_files.append(shard_file)
         bases = [len(self._docs) if index in rewrite else mark
                  for index, mark in enumerate(self._shard_doc_bases)]
         meta = {
             "collection": self.name,
-            "shards": len(self._slots),
+            "shards": len(self._shards),
             "partitioner": self._partitioner_name,
             "value_links": [spec.to_dict() for spec in self.value_links],
         }
@@ -651,8 +641,7 @@ class ShardedSeda(WriteProtocol):
             write_obs_state(directory, self.obs.to_dict())
         else:
             clear_obs_state(directory)
-        for slot, shard_file in zip(self._slots, shard_files):
-            slot.path = os.path.join(directory, shard_file)
+        self._shard_files = shard_files
         keep = set(shard_files) | {f"{name}.cols" for name in shard_files}
         for name in os.listdir(directory):
             if (name.startswith("shard-")
@@ -664,17 +653,17 @@ class ShardedSeda(WriteProtocol):
                     pass
 
     @classmethod
-    def load(cls, directory, lazy=True, partitioner=None):
+    def load(cls, directory, partitioner=None):
         """Restore a sharded collection saved by :meth:`save`; make
         ``directory`` home.
 
-        With ``lazy=True`` (the default) only the manifest is read;
-        each shard snapshot is restored on first use -- the topology
-        (document/node counts, id translation) is fully available
-        before any shard file is opened.  ``partitioner`` overrides the
-        manifest's routing policy; required when the collection was
-        built with a custom (non-serializable) partitioner and
-        :meth:`add_documents` will be called.
+        Every shard file the manifest lists is restored before this
+        returns, so a missing or unreadable shard file raises
+        :class:`SnapshotError` naming it here, never in a later
+        request.  ``partitioner`` overrides the manifest's routing
+        policy; required when the collection was built with a custom
+        (non-serializable) partitioner and :meth:`add_documents` will
+        be called.
 
         Every acknowledged batch in ``wal.log`` beside the manifest is
         replayed on top of the restored shards.
@@ -699,8 +688,8 @@ class ShardedSeda(WriteProtocol):
                     f"{stored!r} (known: {sorted(PARTITIONERS)}, or "
                     f"'custom'); pass partitioner= to override"
                 )
-        slots = [
-            _ShardSlot(path=os.path.join(directory, shard_file))
+        shards = [
+            _restore_shard(os.path.join(directory, shard_file))
             for shard_file in manifest["shard_files"]
         ]
         # The manifest's per-shard watermarks say which write-ahead
@@ -713,7 +702,7 @@ class ShardedSeda(WriteProtocol):
                 for record in meta.get("value_links", ())
             )
             system = cls(
-                slots, manifest["documents"],
+                shards, manifest["documents"],
                 meta.get("collection", "collection"), value_links,
                 route, partitioner_name,
                 routing_epoch=manifest["routing_epoch"],
@@ -728,15 +717,13 @@ class ShardedSeda(WriteProtocol):
                 f"collection ({type(error).__name__}: {error}); corrupt "
                 f"or incompatible manifest"
             ) from error
+        system._shard_files = list(manifest["shard_files"])
         obs_payload = read_obs_state(directory)
         if obs_payload is not None:
             from repro.obs.registry import StatsRegistry
 
             system.obs = StatsRegistry.from_dict(obs_payload)
         system._open_home(directory)
-        if not lazy:
-            for slot in slots:
-                slot.get()
         return system
 
     # -- topology operations --------------------------------------------------
@@ -767,10 +754,20 @@ class ShardedSeda(WriteProtocol):
         return propose_rebalance(self, metric=metric)
 
     def __repr__(self):
-        loaded = sum(1 for slot in self._slots if slot.loaded)
         return (
-            f"ShardedSeda({self.name!r}, shards={len(self._slots)} "
-            f"({loaded} loaded), docs={len(self._docs)}, "
-            f"nodes={self._node_count})"
+            f"ShardedSeda({self.name!r}, shards={len(self._shards)}, "
+            f"docs={len(self._docs)}, nodes={self._node_count})"
         )
+
+
+def _restore_shard(path):
+    """One shard file's system; an unreadable file is a SnapshotError."""
+    try:
+        return Seda._restore(path)
+    except OSError as error:
+        raise SnapshotError(
+            f"{path}: cannot restore shard ({type(error).__name__}: "
+            f"{error.strerror or error}); run 'repro fsck' on the "
+            f"directory and restore the file from backup"
+        ) from error
 

@@ -29,7 +29,6 @@ Three properties carry every operation:
 
 import os
 
-from repro.shard.slot import _ShardSlot
 from repro.storage.snapshot import (
     read_obs_state,
     read_sharded_manifest,
@@ -156,24 +155,24 @@ def _rebuild_shard(system, shard_index, pairs, expected_counts, reference):
 
 # -- commit protocol ----------------------------------------------------------
 
-def _install(system, new_slots, new_bases, affected):
+def _install(system, new_shards, new_files, new_bases, affected):
     """Swap the new topology into the live system and commit it.
 
-    ``new_slots``/``new_bases`` are the full post-operation slot and
-    watermark lists; ``affected`` the post-operation indexes of rebuilt
-    shards.  The routing epoch bumps exactly once per operation.  The
-    commit (:meth:`ShardedSeda._commit` into the system's home) rewrites
+    ``new_shards``/``new_files``/``new_bases`` are the full
+    post-operation shard, file-name and watermark lists; ``affected``
+    the post-operation indexes of rebuilt shards.  The routing epoch
+    bumps exactly once per operation.  The commit
+    (:meth:`ShardedSeda._commit` into the system's home) rewrites
     only the affected shards, advancing their watermarks, and keeps the
     write-ahead log: unaffected shard files keep their watermarks, so
     batches they have not absorbed must survive for replay.  A system
     without a home (never saved or loaded) changes in memory only:
     returns ``False``.
     """
-    system._slots = new_slots
+    system._shards = new_shards
+    system._shard_files = new_files
     for index in affected:
-        slot = system._slots[index]
-        slot.on_load = system._wire_shard
-        system._wire_shard(slot.get())
+        system._wire_shard(new_shards[index])
     system._shard_doc_bases = new_bases
     system._rebuild_topology()
     system.stats.invalidate()
@@ -200,15 +199,15 @@ def split(system, shard_id):
     Returns an operation summary; only the two affected shards'
     snapshot files are rewritten.
     """
-    if not 0 <= shard_id < len(system._slots):
-        raise ValueError(f"no shard {shard_id} (shards: {len(system._slots)})")
+    if not 0 <= shard_id < len(system._shards):
+        raise ValueError(f"no shard {shard_id} (shards: {len(system._shards)})")
     units = colocation_units(system, shard_id)
     if len(units) < 2:
         raise ValueError(
             f"shard {shard_id} is one link-connected unit; splitting it "
             "would break the co-location invariant"
         )
-    new_index = len(system._slots)
+    new_index = len(system._shards)
     keep_weight = move_weight = 0
     moved = []
     for unit in units:
@@ -233,21 +232,22 @@ def split(system, shard_id):
         else:
             pairs_keep.append(pair)
             counts_keep.append(row[2])
-    new_slots = list(system._slots)
-    new_slots[shard_id] = _ShardSlot(seda=_rebuild_shard(
+    new_shards = list(system._shards)
+    new_shards[shard_id] = _rebuild_shard(
         system, shard_id, pairs_keep, counts_keep, reference
-    ))
-    new_slots.append(_ShardSlot(seda=_rebuild_shard(
+    )
+    new_shards.append(_rebuild_shard(
         system, new_index, pairs_move, counts_move, reference
-    )))
+    ))
     new_bases = system._shard_doc_bases + [len(system._docs)]
-    committed = _install(system, new_slots, new_bases, {shard_id, new_index})
+    committed = _install(system, new_shards, system._shard_files + [None],
+                         new_bases, {shard_id, new_index})
     return {
         "op": "split",
         "shard": shard_id,
         "new_shard": new_index,
         "moved_documents": len(moved_set),
-        "shards": len(system._slots),
+        "shards": len(system._shards),
         "routing_epoch": system._routing_epoch,
         "affected_shards": [shard_id, new_index],
         "committed": committed,
@@ -263,7 +263,7 @@ def merge(system, a, b):
     its merged documents in global order.  Returns an operation
     summary.
     """
-    shards = len(system._slots)
+    shards = len(system._shards)
     if a == b:
         raise ValueError("cannot merge a shard with itself")
     for index in (a, b):
@@ -283,20 +283,19 @@ def merge(system, a, b):
             row[1] = lo
         elif row[1] > hi:
             row[1] -= 1
-    new_slots = list(system._slots)
-    new_slots[lo] = _ShardSlot(
-        seda=_rebuild_shard(system, lo, pairs, counts, reference)
-    )
-    del new_slots[hi]
+    new_shards = list(system._shards)
+    new_shards[lo] = _rebuild_shard(system, lo, pairs, counts, reference)
+    new_files = list(system._shard_files)
     new_bases = list(system._shard_doc_bases)
-    del new_bases[hi]
-    committed = _install(system, new_slots, new_bases, {lo})
+    for table in (new_shards, new_files, new_bases):
+        del table[hi]
+    committed = _install(system, new_shards, new_files, new_bases, {lo})
     return {
         "op": "merge",
         "merged": [lo, hi],
         "surviving_shard": lo,
         "moved_documents": len(merged_globals),
-        "shards": len(system._slots),
+        "shards": len(system._shards),
         "routing_epoch": system._routing_epoch,
         "affected_shards": [lo],
         "committed": committed,
@@ -328,7 +327,7 @@ def rebalance(system, plan):
     epoch.  All shards that gain or lose documents are rebuilt; the
     rest keep their files.
     """
-    shards = len(system._slots)
+    shards = len(system._shards)
     if not isinstance(plan, dict):
         raise ValueError(
             "a rebalance plan is a mapping with a 'moves' entry, not "
@@ -390,11 +389,12 @@ def rebalance(system, plan):
         )
     for global_index, target in moves.items():
         system._docs[global_index][1] = target
-    new_slots = list(system._slots)
+    new_shards = list(system._shards)
     for index, seda in rebuilt.items():
-        new_slots[index] = _ShardSlot(seda=seda)
+        new_shards[index] = seda
     committed = _install(
-        system, new_slots, system._shard_doc_bases, affected
+        system, new_shards, system._shard_files, system._shard_doc_bases,
+        affected,
     )
     return {
         "op": "rebalance",
@@ -426,7 +426,7 @@ def propose_rebalance(system, metric="documents"):
             return len(unit)
         return sum(system._docs[g][2] for g in unit)
 
-    shards = len(system._slots)
+    shards = len(system._shards)
     units = {
         index: [(weigh(unit), unit)
                 for unit in colocation_units(system, index)]

@@ -4,9 +4,6 @@ The paper stores XML in DB2 pureXML and keeps auxiliary indexes beside
 it (Figure 4).  This package provides the operations SEDA actually
 needs from that store:
 
-* :class:`DocumentStore` -- persistent collection of documents plus
-  registered link edges (JSON-lines on disk, everything in memory at
-  runtime).
 * :class:`NodeStore` -- Dewey-ordered node streams per tag and per
   root-to-leaf path, feeding the holistic twig joins of Section 7.
 * :class:`CollectionCatalog` -- collection statistics used by summaries
@@ -18,11 +15,12 @@ needs from that store:
   carrying a format string and version number.  ``Seda.save``/
   ``Seda.load`` ride on it so a cold start skips parsing, link
   discovery, index building, and dataguide mining entirely; see the
-  module docstring for the record-by-record format specification.
+  module docstring for the record-by-record format specification.  A
+  sharded collection is a directory of such snapshots behind one
+  manifest, and loading it restores every shard.
 """
 
 from repro.storage.catalog import CollectionCatalog
-from repro.storage.document_store import DocumentStore
 from repro.storage.node_store import NodeStore
 from repro.storage.snapshot import (
     SnapshotError,
@@ -35,7 +33,6 @@ from repro.storage.wal import WALError, WriteAheadLog, replay_wal, verify_wal
 
 __all__ = [
     "CollectionCatalog",
-    "DocumentStore",
     "NodeStore",
     "SnapshotError",
     "WALError",

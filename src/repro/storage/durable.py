@@ -63,12 +63,3 @@ def replace_durably(source, target):
     """
     replace(source, target)
     fsync_directory(os.path.dirname(os.fspath(target)))
-
-
-def write_bytes_durably(path, data):
-    """Write ``data`` to ``path`` via fsynced temp file + durable rename."""
-    tmp_path = f"{os.fspath(path)}.tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(data)
-        fsync_file(handle)
-    replace_durably(tmp_path, path)

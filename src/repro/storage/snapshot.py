@@ -79,7 +79,7 @@ main file commits and only renamed into place afterwards, so the main
 file's rename is the single commit point; a reader that finds the
 announced checksum still sitting at the staged name completes the
 interrupted rename itself) and attach it as a read-only
-``mmap``-backed :class:`~repro.compact.shm.Sidecar`, returned under the
+``mmap``-backed :class:`~repro.compact.sidecar.Sidecar`, returned under the
 :data:`SIDECAR_KEY` pseudo-record.  Component readers then decode
 per-key windows lazily and zero-copy.  A snapshot without byte columns
 has no sidecar and no header key.
@@ -114,7 +114,8 @@ A sharded collection (:mod:`repro.shard`) persists as a **directory**:
   explicit document->shard assignment map; the ``node_count`` column
   is what lets a reader reconstruct the global node-id space (and
   therefore translate per-shard result ids) without opening a single
-  shard file -- the basis of lazy per-shard restore.
+  shard file, which is how ``repro snapshot info`` describes a
+  directory.  Loading the collection restores every shard file.
   ``routing_epoch`` is bumped by every topology operation, and
   ``shard_doc_bases`` records per shard the global document count when
   that shard's file was written (write-ahead records at or past it
@@ -133,7 +134,7 @@ import os
 import warnings
 import zlib
 
-from repro.compact.shm import Sidecar
+from repro.compact.sidecar import Sidecar
 from repro.storage import durable
 
 try:  # optional accelerator: ~5x faster decode of large records

@@ -521,8 +521,9 @@ class TestOneLocationArgument:
         if damage == "deleted":
             victim.unlink()
         else:
-            # The manifest still lists an existing file, so the load
-            # succeeds and the lazy restore fails during the search.
+            # The manifest still lists an existing file, so the
+            # manifest check passes and the load's restore of that
+            # shard fails.
             blob = victim.read_bytes()
             victim.write_bytes(blob.replace(b'"max_hops":12',
                                             b'"max_hops":13', 1))

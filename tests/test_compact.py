@@ -161,11 +161,6 @@ class TestPathTrie:
 
 
 class TestSidecar:
-    def test_from_bytes_views(self):
-        sidecar = Sidecar.from_bytes(b"abcdef")
-        assert bytes(sidecar.view(2, 3)) == b"cde"
-        assert len(sidecar) == 6
-
     def test_from_file_mmaps(self, tmp_path):
         path = tmp_path / "cols.bin"
         path.write_bytes(b"0123456789")

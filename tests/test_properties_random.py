@@ -23,21 +23,31 @@ from repro.search.topk import TopKSearcher
 from repro.storage.node_store import NodeStore
 from repro.twig.pattern import TwigPattern
 from repro.twig.twigstack import NaiveTwigJoin, TwigStackJoin
+from repro.xmlio import serialize
 from repro.xmlio.dom import Element
 
 _TAGS = ("a", "b", "c", "d")
 _WORDS = ("red", "blue", "green", "red blue", "blue green red")
+#: Attribute values, with characters serialization must escape.
+_VALUES = ("1", "red blue", "<2>", "a & b", 'say "hi"', "caf\u00e9", "")
 
 
 @st.composite
-def _random_element(draw, depth=0):
+def _random_element(draw, depth=0, attributes=False):
     element = Element(draw(st.sampled_from(_TAGS)))
+    if attributes:
+        element.attributes.update(draw(st.dictionaries(
+            st.sampled_from(("x", "y", "id")), st.sampled_from(_VALUES),
+            max_size=2,
+        )))
     if draw(st.booleans()):
         element.append(draw(st.sampled_from(_WORDS)))
     if depth < 3:
         for child in draw(
             st.lists(
-                st.deferred(lambda: _random_element(depth + 1)),  # noqa: B023
+                st.deferred(
+                    lambda: _random_element(depth + 1, attributes)  # noqa: B023
+                ),
                 max_size=3,
             )
         ):
@@ -227,16 +237,29 @@ class TestDataguideAgainstCollection:
 
 
 class TestPersistenceRoundtrip:
-    @given(collection=_random_collection())
-    @settings(max_examples=25, deadline=None)
-    def test_store_roundtrip_preserves_structure(self, tmp_path_factory,
-                                                 collection):
-        from repro.storage.document_store import DocumentStore
+    """Split, merge and rebalance rebuild shards from live documents
+    through ``_document_to_element``: its tree, serialized and parsed
+    again, must be the same document."""
 
-        store = DocumentStore(collection, DataGraph(collection))
-        path = tmp_path_factory.mktemp("store") / "collection.jsonl"
-        store.save(path)
-        loaded = DocumentStore.load(path)
-        assert len(loaded.collection) == len(collection)
-        assert loaded.collection.paths() == collection.paths()
-        assert loaded.collection.node_count == collection.node_count
+    @given(roots=st.lists(_random_element(attributes=True), min_size=1,
+                          max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_store_roundtrip_preserves_structure(self, roots):
+        from repro.shard.topology import _document_to_element
+
+        collection = DocumentCollection()
+        for root in roots:
+            collection.add_document(root)
+        rebuilt = DocumentCollection()
+        for document in collection.documents:
+            rebuilt.add_document(serialize(_document_to_element(document)))
+        assert rebuilt.paths() == collection.paths()
+        assert rebuilt.node_count == collection.node_count
+
+        def attributes(nodes):
+            return [(node.node_id, node.tag, node.direct_text)
+                    for node in nodes if node.is_attribute]
+
+        assert attributes(rebuilt.iter_nodes()) == attributes(
+            collection.iter_nodes()
+        )

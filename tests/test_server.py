@@ -52,7 +52,7 @@ from repro.serving.admission import (
     REJECT_SATURATED,
 )
 from repro.serving.app import parse_query_payload, result_to_dict
-from repro.storage.snapshot import fsck_report
+from repro.storage.snapshot import SnapshotError, fsck_report
 from repro.storage.wal import verify_wal, wal_file_name
 from repro.system import Seda
 
@@ -581,8 +581,11 @@ class TestShardedServerLifecycle:
 
 
 class TestBadShardFile:
-    """A shard file that goes bad after a lazy load is the server's
-    fault: a 500 naming the file, never a dead handler or a 400."""
+    """A shard file that goes bad under a running server fails the
+    next load -- startup or ``/admin/reload`` -- with a 500 naming the
+    file, before anything is swapped: the server keeps answering from
+    the system it already holds, since no shard file is read after a
+    load."""
 
     @pytest.fixture
     def directory(self, tmp_path):
@@ -595,33 +598,46 @@ class TestBadShardFile:
         return directory
 
     def _search(self, app):
-        return app.handle("POST", "/search", body={"query": [["*", "red"]]})
+        return app.handle("POST", "/search", body={"query": QUERY})
 
     def test_missing_shard_file_is_a_500(self, directory):
         app = ServingApp(load_serving_system(directory), directory)
+        answers = self._search(app).payload["results"]
         victim = os.path.join(directory, "shard-0000.snapshot")
         with open(victim, "rb") as handle:
             blob = handle.read()
         os.remove(victim)
-        response = self._search(app)
+        response = app.handle("POST", "/admin/reload", body={})
         assert response.status == 500
         assert "shard-0000.snapshot" in response.payload["error"]
-        assert "fsck" in response.payload["error"]
-        # The slot stayed unloaded: restoring the file heals the server.
+        searched = self._search(app)
+        assert searched.status == 200
+        assert searched.payload["results"] == answers
+        # Restoring the file heals the next reload.
         with open(victim, "wb") as handle:
             handle.write(blob)
-        assert self._search(app).status == 200
+        assert app.handle("POST", "/admin/reload", body={}).status == 200
+        assert self._search(app).payload["results"] == answers
 
     def test_corrupt_shard_header_is_a_500(self, directory):
         app = ServingApp(load_serving_system(directory), directory)
+        before = self._search(app)
+        assert before.status == 200
         victim = os.path.join(directory, "shard-0000.snapshot")
         with open(victim, "rb") as handle:
             blob = handle.read()
         with open(victim, "wb") as handle:
             handle.write(blob.replace(b'"max_hops":12', b'"max_hops":13', 1))
-        response = self._search(app)
+        response = app.handle("POST", "/admin/reload", body={})
         assert response.status == 500
+        assert "shard-0000.snapshot" in response.payload["error"]
         assert "corrupt snapshot" in response.payload["error"]
+        # The reload failed before the swap: the old system still
+        # serves, with the old answers.
+        after = self._search(app)
+        assert after.status == 200
+        assert after.payload["results"] == before.payload["results"]
+        assert after.payload["results"] == _offline_results(BASE_DOCS)
 
     def test_missing_shard_file_over_http(self, directory):
         server = start_server(directory)
@@ -629,14 +645,25 @@ class TestBadShardFile:
             os.remove(os.path.join(directory, "shard-0001.snapshot"))
             with ServingClient(server.host, server.port) as client:
                 with pytest.raises(ServerError) as raised:
-                    client.search([["*", "red"]])
+                    client.reload()
                 assert raised.value.status == 500
                 assert "shard-0001.snapshot" in raised.value.payload["error"]
                 # The server survives the error and keeps answering.
+                assert client.search(QUERY)["results"] == (
+                    _offline_results(BASE_DOCS)
+                )
                 metrics = client.metrics()
-                assert metrics["server"]["requests_total"]["search"] == 1
+                assert metrics["server"]["requests_total"]["reload"] == 1
         finally:
             server.stop()
+        # Startup loads the same way: the bad file fails it up front.
+        with pytest.raises(SnapshotError, match="shard-0001.snapshot"):
+            start_server(directory)
+
+    def test_load_names_a_deleted_shard_file(self, directory):
+        os.remove(os.path.join(directory, "shard-0001.snapshot"))
+        with pytest.raises(SnapshotError, match="shard-0001.snapshot"):
+            load_serving_system(directory)
 
 
 class TestAdmissionOverHttp:

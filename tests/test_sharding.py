@@ -222,45 +222,34 @@ class TestGlobalStatistics:
                     unsharded.inverted.inverse_document_frequency(term)
                 )
 
-    def test_lazy_ingestion_defers_untouched_shard_bumps(self, tmp_path):
-        """Ingesting into a lazily restored collection must not
-        rehydrate untouched shards -- their invalidation is recorded
-        on the slot -- yet searches and re-saves still see exactly
-        the post-ingest statistics."""
+    def test_ingestion_after_load_invalidates_every_shard(self, tmp_path):
+        """Ingesting into a loaded collection bumps every shard's graph
+        version -- the shards that received no document too, since
+        ``df``/``N`` moved under their impact streams -- so searches
+        and a re-save see exactly the post-ingest statistics."""
         system = ShardedSeda.from_documents(
             DOCS, shards=4, parallel=False, partitioner="round-robin"
         )
-        source = tmp_path / "lazy-ingest.shards"
+        source = tmp_path / "ingest.shards"
         system.save(str(source))
-        # Loading attaches a write-ahead log to the directory, so a
-        # later load would replay the batch ingested below; the second
-        # phase loads this pristine copy instead.
-        import shutil
-
-        pristine = tmp_path / "lazy-ingest-pristine.shards"
-        shutil.copytree(str(source), str(pristine))
 
         new = [("november", "<r><a>red red red</a><b>blue</b></r>")]
         plain = Seda.from_documents(DOCS + new)
 
-        lazy = ShardedSeda.load(str(source))
-        lazy.add_documents(new)  # round-robin routes it to shard 0
-        untouched = [
-            slot for slot in lazy._slots[1:] if not slot.loaded
-        ]
-        assert untouched, "ingestion rehydrated every deferred shard"
-        assert all(slot.pending_bumps == 1 for slot in untouched)
+        loaded = ShardedSeda.load(str(source))
+        before = [shard.graph.version for shard in loaded.shards]
+        loaded.add_documents(new)  # round-robin routes it to shard 0
+        after = [shard.graph.version for shard in loaded.shards]
+        assert all(a > b for a, b in zip(after, before))
         for pairs in QUERIES:
-            assert _canon(lazy.search(pairs, k=10)) == _canon(
+            assert _canon(loaded.search(pairs, k=10)) == _canon(
                 plain.topk.search(Query.parse(pairs), k=10)
             )
 
-        # Saving with bumps still pending must not byte-copy stale
-        # stream versions: the restored copy answers post-ingest too.
-        fresh = ShardedSeda.load(str(pristine))
-        fresh.add_documents(new)
+        # The untouched shards' saved streams carry the post-ingest
+        # version: the restored copy answers post-ingest too.
         target = tmp_path / "post-ingest.shards"
-        fresh.save(str(target))
+        loaded.save(str(target))
         restored = ShardedSeda.load(str(target))
         for pairs in QUERIES:
             assert _canon(restored.search(pairs, k=10)) == _canon(
@@ -286,7 +275,7 @@ class TestGlobalStatistics:
 
 
 class TestShardedSnapshots:
-    def test_save_load_roundtrip_lazy(self, sharded, tmp_path):
+    def test_save_load_roundtrip(self, sharded, tmp_path):
         target = tmp_path / "collection.shards"
         sharded.save(str(target))
         assert sorted(os.listdir(target)) == [
@@ -299,47 +288,11 @@ class TestShardedSnapshots:
             "shard-0002.snapshot.cols",
         ]
         restored = ShardedSeda.load(str(target))
-        # Lazy: the topology is known before any shard file is opened.
-        assert all(not slot.loaded for slot in restored._slots)
         assert restored.node_count == sharded.node_count
         assert restored.document_count == sharded.document_count
         for pairs in QUERIES:
             assert _canon(restored.search(pairs, k=10)) == _canon(
                 sharded.search(pairs, k=10)
-            )
-        assert all(slot.loaded for slot in restored._slots)
-
-    def test_resave_without_rehydration(self, sharded, tmp_path):
-        """Backing up a lazily restored collection is file-copy cheap:
-        no shard is rehydrated, and the copy answers identically."""
-        import shutil
-
-        source = tmp_path / "source.shards"
-        sharded.save(str(source))
-        lazy = ShardedSeda.load(str(source))
-        backup = tmp_path / "backup.shards"
-        lazy.save(str(backup))
-        assert all(not slot.loaded for slot in lazy._slots)
-        # save() makes the backup home: the live system is backed by
-        # the copies it just wrote, so deleting the source strands
-        # nothing.
-        assert all(os.path.dirname(slot.path) == str(backup)
-                   for slot in lazy._slots)
-        shutil.rmtree(source)
-        assert _canon(lazy.search(QUERIES[0], k=5)) == _canon(
-            sharded.search(QUERIES[0], k=5)
-        )
-        # A parallel build's payload-backed shards save the same way.
-        parallel = ShardedSeda.from_documents(
-            DOCS, shards=2, parallel=True, max_workers=2
-        )
-        fresh = tmp_path / "fresh.shards"
-        parallel.save(str(fresh))
-        assert all(not slot.loaded for slot in parallel._slots)
-        for directory in (backup, fresh):
-            restored = ShardedSeda.load(str(directory))
-            assert _canon(restored.search(QUERIES[0], k=10)) == _canon(
-                sharded.search(QUERIES[0], k=10)
             )
 
     def test_resave_over_existing_directory_is_generational(self, tmp_path):
@@ -381,19 +334,27 @@ class TestShardedSnapshots:
             DOCS + [("mike", "<r><a>red blue</a></r>")]
         )
         restored = ShardedSeda.load(str(target))
-        # A lazily loaded system survives a re-save into its own
-        # source directory (its slots are repointed at the new files).
+        # A loaded system survives a re-save into its own source
+        # directory (it records the new files' names).
         restored.save(str(target))
+        assert restored._shard_files == [
+            "shard-0000.g2.snapshot", "shard-0001.g2.snapshot",
+        ]
         for pairs in QUERIES:
             assert _canon(restored.search(pairs, k=10)) == _canon(
                 plain.topk.search(Query.parse(pairs), k=10)
             )
 
     def test_eager_load(self, sharded, tmp_path):
+        """Load restores every shard file before it returns."""
         target = tmp_path / "eager.shards"
         sharded.save(str(target))
-        restored = ShardedSeda.load(str(target), lazy=False)
-        assert all(slot.loaded for slot in restored._slots)
+        restored = ShardedSeda.load(str(target))
+        assert all(isinstance(shard, Seda) for shard in restored.shards)
+        assert restored._shard_files == [
+            "shard-0000.snapshot", "shard-0001.snapshot",
+            "shard-0002.snapshot",
+        ]
 
     def test_info_reads_only_the_manifest(self, sharded, tmp_path):
         target = tmp_path / "info.shards"
@@ -421,28 +382,35 @@ class TestShardedSnapshots:
 
     def test_shard_file_lost_after_load_is_a_snapshot_error(self, sharded,
                                                             tmp_path):
-        """A lazily restored shard whose file vanished after the manifest
-        was read fails as a SnapshotError naming the file and pointing
-        at fsck -- and putting the file back heals the next call."""
+        """No shard file is read after a load, so a file lost then
+        leaves the loaded system answering; the next load fails as a
+        SnapshotError naming the file -- and putting the file back
+        heals that load."""
         target = tmp_path / "lost.shards"
         sharded.save(str(target))
         system = ShardedSeda.load(str(target))
         victim = target / "shard-0000.snapshot"
         blob = victim.read_bytes()
         victim.unlink()
+        expected = _canon(sharded.search(QUERIES[0], k=10))
+        assert _canon(system.search(QUERIES[0], k=10)) == expected
+        with pytest.raises(SnapshotError, match="shard-0000.snapshot"):
+            ShardedSeda.load(str(target))
+        # A name that exists but does not open as a file fails the
+        # restore itself, which points at fsck.
+        victim.mkdir()
         with pytest.raises(SnapshotError, match="shard-0000.snapshot") as info:
-            system.search(QUERIES[0], k=10)
+            ShardedSeda.load(str(target))
         assert "fsck" in str(info.value)
-        assert not system._slots[0].loaded
+        victim.rmdir()
         victim.write_bytes(blob)
-        assert _canon(system.search(QUERIES[0], k=10)) == _canon(
-            sharded.search(QUERIES[0], k=10)
-        )
+        healed = ShardedSeda.load(str(target))
+        assert _canon(healed.search(QUERIES[0], k=10)) == expected
 
     def test_save_elsewhere_survives_losing_the_old_home(self, tmp_path):
         """``save(backup)`` writes every acknowledged batch into the
         backup and makes it home: with the old home gone, both the live
-        lazy system and a fresh eager load equal an offline build."""
+        system and a fresh load equal an offline build."""
         import shutil
 
         documents = DOCS[:4]
@@ -456,7 +424,7 @@ class TestShardedSnapshots:
         system.save(backup)
         shutil.rmtree(home)
         offline = Seda.from_documents(documents + batch)
-        reloaded = ShardedSeda.load(backup, lazy=False)
+        reloaded = ShardedSeda.load(backup)
         for pairs in QUERIES:
             expected = _canon(offline.topk.search(Query.parse(pairs), k=10))
             assert _canon(system.search(pairs, k=10)) == expected
@@ -669,12 +637,23 @@ class TestShardedService:
 
 
 class TestParallelBuild:
-    def test_parallel_build_is_lazy_and_identical(self):
+    def test_parallel_build_is_identical(self, tmp_path):
+        """Worker payloads rehydrate into live shards that answer, and
+        save, byte for byte like a serial build."""
         serial = ShardedSeda.from_documents(DOCS, shards=2, parallel=False)
         parallel = ShardedSeda.from_documents(
             DOCS, shards=2, parallel=True, max_workers=2
         )
-        assert all(not slot.loaded for slot in parallel._slots)
+        assert all(isinstance(shard, Seda) for shard in parallel.shards)
+        saved = {}
+        for kind, system in (("serial", serial), ("parallel", parallel)):
+            directory = tmp_path / kind
+            system.save(str(directory))
+            saved[kind] = {
+                name: (directory / name).read_bytes()
+                for name in sorted(os.listdir(directory))
+            }
+        assert saved["parallel"] == saved["serial"]
         def topology(system):
             return [
                 (entry["shard"], entry["documents"], entry["nodes"])

@@ -570,3 +570,60 @@ class TestIncrementalAddDocuments:
         seda.search(query)
         # ... and invalidated by new edges.
         assert seda.scoring.document_reachability() is not cached
+
+
+class TestJsonBackends:
+    """The reader and writer pick orjson when it is installed and stdlib
+    ``json`` otherwise; a snapshot written by either loads with the
+    other and answers identically, non-ASCII text included."""
+
+    UNICODE_DOC = (
+        "unicode",
+        "<country><name>Zürich — 日本</name>"
+        "<note>café «naïve» Zürich</note></country>",
+    )
+    QUERIES = [
+        QUERY_1,
+        [("*", "zürich")],
+        [("*", "café"), ("name", "*")],
+    ]
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        documents = list(FactbookGenerator(scale=0.01).documents())
+        return Seda.from_documents(documents + [self.UNICODE_DOC])
+
+    @pytest.mark.parametrize("writer, reader", [
+        ("orjson", "json"), ("json", "orjson"),
+    ])
+    def test_backends_read_each_other(self, system, tmp_path, monkeypatch,
+                                      writer, reader):
+        from repro.query.term import Query
+        from repro.storage import snapshot
+
+        backends = {"orjson": pytest.importorskip("orjson"), "json": None}
+        path = tmp_path / "backend.snapshot"
+        monkeypatch.setattr(snapshot, "_fastjson", backends[writer])
+        system.save(path)
+        # orjson writes UTF-8, stdlib json ASCII escapes: the file shows
+        # which backend wrote it.
+        raw = "Zürich".encode() in path.read_bytes()
+        assert raw == (writer == "orjson")
+        monkeypatch.setattr(snapshot, "_fastjson", backends[reader])
+        restored = Seda.load(path)
+        for pairs in self.QUERIES:
+            query = Query.parse(pairs)
+            expected = system.topk.search(query, k=10)
+            assert expected
+            assert [
+                (r.node_ids, r.content_scores, r.compactness, r.score)
+                for r in restored.topk.search(query, k=10)
+            ] == [
+                (r.node_ids, r.content_scores, r.compactness, r.score)
+                for r in expected
+            ]
+        document = restored.collection.documents[-1]
+        assert [node.direct_text for node in document.nodes] == [
+            node.direct_text
+            for node in system.collection.documents[-1].nodes
+        ]

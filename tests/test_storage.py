@@ -1,74 +1,7 @@
-"""Document store persistence, node store streams, catalog statistics."""
+"""Node store streams, catalog statistics."""
 
-import pytest
-
-from repro.model.dewey import DeweyID
-from repro.model.graph import EdgeKind
 from repro.storage.catalog import CollectionCatalog
-from repro.storage.document_store import DocumentStore
 from repro.storage.node_store import NodeStore
-from tests.conftest import MEXICO_2003, USA_2002, USA_2006
-
-
-class TestDocumentStorePersistence:
-    def _populated_store(self):
-        store = DocumentStore()
-        store.add_document(USA_2006, name="usa-2006")
-        store.add_document(MEXICO_2003, name="mexico-2003")
-        # A value edge: Mexico's first trade_country -> USA root.
-        tc = next(
-            node for node in store.collection.iter_nodes()
-            if node.tag == "trade_country" and node.doc_id == 1
-        )
-        store.add_edge(tc.node_id, 0, EdgeKind.VALUE, label="trade partner")
-        return store
-
-    def test_save_load_roundtrip(self, tmp_path):
-        store = self._populated_store()
-        path = tmp_path / "store.jsonl"
-        store.save(path)
-        loaded = DocumentStore.load(path)
-        assert len(loaded.collection) == 2
-        assert loaded.collection.document(0).name == "usa-2006"
-        assert loaded.collection.paths() == store.collection.paths()
-
-    def test_edges_survive_roundtrip(self, tmp_path):
-        store = self._populated_store()
-        path = tmp_path / "store.jsonl"
-        store.save(path)
-        loaded = DocumentStore.load(path)
-        assert len(loaded.graph.edges) == 1
-        edge = loaded.graph.edges[0]
-        assert edge.kind is EdgeKind.VALUE
-        assert edge.label == "trade partner"
-        assert loaded.collection.node(edge.source_id).tag == "trade_country"
-
-    def test_content_survives_roundtrip(self, tmp_path):
-        store = self._populated_store()
-        path = tmp_path / "store.jsonl"
-        store.save(path)
-        loaded = DocumentStore.load(path)
-        root = loaded.collection.document(0).root
-        assert root.value == "United States"
-
-    def test_attributes_survive_roundtrip(self, tmp_path):
-        store = DocumentStore()
-        store.add_document('<a x="1"><b y="&lt;2&gt;">t</b></a>', name="attrs")
-        path = tmp_path / "store.jsonl"
-        store.save(path)
-        loaded = DocumentStore.load(path)
-        assert "/a/b/@y" in loaded.collection.paths()
-        attr = next(
-            node for node in loaded.collection.iter_nodes()
-            if node.tag == "@y"
-        )
-        assert attr.value == "<2>"
-
-    def test_load_rejects_unknown_record(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"type": "mystery"}\n')
-        with pytest.raises(ValueError):
-            DocumentStore.load(path)
 
 
 class TestNodeStore:

@@ -382,7 +382,7 @@ class TestDurableTopology:
             11, 10, 10, 11
         ]
         assert _canon(system) == oracle_with_batch
-        recovered = ShardedSeda.load(directory, lazy=False)
+        recovered = ShardedSeda.load(directory)
         assert recovered.shard_count == 4
         assert _canon(recovered) == oracle_with_batch
 
