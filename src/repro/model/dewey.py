@@ -77,22 +77,26 @@ class DeweyID:
 
     def common_ancestor(self, other):
         """The lowest common ancestor of the two IDs (may be either one)."""
-        common = []
+        return DeweyID(self.components[: self._shared_depth(other)])
+
+    def tree_distance(self, other):
+        """Number of parent/child edges between the two nodes."""
+        shared = self._shared_depth(other)
+        return len(self.components) + len(other.components) - 2 * shared
+
+    def _shared_depth(self, other):
+        """Depth of the lowest common ancestor of the two IDs."""
+        shared = 0
         for a, b in zip(self.components, other.components):
             if a != b:
                 break
-            common.append(a)
-        if not common:
+            shared += 1
+        if not shared:
             raise ValueError(
                 "Dewey IDs from the same document always share the root; "
                 f"{self} and {other} do not"
             )
-        return DeweyID(common)
-
-    def tree_distance(self, other):
-        """Number of parent/child edges between the two nodes."""
-        lca_depth = self.common_ancestor(other).depth
-        return (self.depth - lca_depth) + (other.depth - lca_depth)
+        return shared
 
     # -- dunder ----------------------------------------------------------------
 

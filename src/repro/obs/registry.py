@@ -12,7 +12,11 @@ this object.
 Two retained structures:
 
 * ``fingerprints`` -- fingerprint -> :class:`FingerprintStats`
-  (counters plus a :class:`~repro.obs.histogram.LatencyHistogram`).
+  (counters plus a :class:`~repro.obs.histogram.LatencyHistogram`),
+  at most :data:`MAX_FINGERPRINTS` of them: recording a new
+  fingerprint past the cap evicts the least recently recorded one and
+  counts it in ``fingerprints_evicted``, so a stream of distinct
+  queries retains constant memory.
 * the **slow-query log** -- a bounded ring buffer
   (``collections.deque(maxlen=...)``) of the full stats records of
   queries at or above ``slow_threshold`` seconds; old entries fall
@@ -34,6 +38,10 @@ from repro.obs.histogram import LatencyHistogram
 
 #: Per-shard counters folded from ``QueryStats.per_shard``.
 _SHARD_COUNTERS = ("sorted_accesses", "tuples_scored", "pruned")
+
+#: Most fingerprints a registry retains; the least recently recorded
+#: one is evicted past it.
+MAX_FINGERPRINTS = 1024
 
 
 class FingerprintStats:
@@ -169,9 +177,11 @@ class StatsRegistry:
             raise ValueError("slow_threshold must be >= 0 seconds")
         self.slow_threshold = float(slow_threshold)
         self._lock = threading.Lock()
-        self._fingerprints = {}
+        # Least recently recorded first.
+        self._fingerprints = collections.OrderedDict()
         self._slow = collections.deque(maxlen=int(slow_log_size))
         self.total_queries = 0
+        self.fingerprints_evicted = 0
 
     @property
     def slow_log_size(self):
@@ -191,9 +201,18 @@ class StatsRegistry:
             if entry is None:
                 entry = FingerprintStats(fingerprint)
                 self._fingerprints[fingerprint] = entry
+                self._evict_past_cap()
+            else:
+                self._fingerprints.move_to_end(fingerprint)
             entry.record(stats)
             if stats.latency >= self.slow_threshold:
                 self._slow.append(self._slow_entry(fingerprint, stats))
+
+    def _evict_past_cap(self):
+        """Drop the least recently recorded fingerprints past the cap."""
+        while len(self._fingerprints) > MAX_FINGERPRINTS:
+            self._fingerprints.popitem(last=False)
+            self.fingerprints_evicted += 1
 
     @staticmethod
     def _slow_entry(fingerprint, stats):
@@ -252,6 +271,7 @@ class StatsRegistry:
         with self._lock:
             return {
                 "total_queries": self.total_queries,
+                "fingerprints_evicted": self.fingerprints_evicted,
                 "slow_threshold": self.slow_threshold,
                 "fingerprints": {
                     fingerprint: entry.as_dict()
@@ -321,21 +341,25 @@ class StatsRegistry:
             self._fingerprints.clear()
             self._slow.clear()
             self.total_queries = 0
+            self.fingerprints_evicted = 0
 
     # -- persistence ----------------------------------------------------------
 
     def to_dict(self):
-        """JSON-clean serialized form (the ``obs`` snapshot record)."""
+        """JSON-clean serialized form (the ``obs`` snapshot record).
+
+        Fingerprints are kept least recently recorded first, so a
+        restored registry evicts in the same order.
+        """
         with self._lock:
             return {
                 "slow_threshold": self.slow_threshold,
                 "slow_log_size": self._slow.maxlen,
                 "total_queries": self.total_queries,
+                "fingerprints_evicted": self.fingerprints_evicted,
                 "fingerprints": {
                     fingerprint: entry.to_dict()
-                    for fingerprint, entry in sorted(
-                        self._fingerprints.items()
-                    )
+                    for fingerprint, entry in self._fingerprints.items()
                 },
                 "slow_queries": [dict(entry) for entry in self._slow],
             }
@@ -347,10 +371,14 @@ class StatsRegistry:
             slow_log_size=payload.get("slow_log_size", 128),
         )
         registry.total_queries = int(payload.get("total_queries", 0))
+        registry.fingerprints_evicted = int(
+            payload.get("fingerprints_evicted", 0)
+        )
         for fingerprint, record in payload.get("fingerprints", {}).items():
             registry._fingerprints[fingerprint] = FingerprintStats.from_dict(
                 fingerprint, record
             )
+        registry._evict_past_cap()
         for entry in payload.get("slow_queries", ()):
             registry._slow.append(dict(entry))
         return registry

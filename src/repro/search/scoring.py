@@ -22,21 +22,23 @@ raw text per query (and counted term frequency with an O(tokens^2)
 scan); reading from the index is both faster and drift-free -- the
 score now reflects exactly what was indexed.
 
-Structural distances are memoized per graph version
-(:meth:`pair_distance`), so the star approximation in
-:meth:`compactness` never walks the same Dewey/link route twice while
-the graph is unchanged.
+Structural distances are computed on demand (:meth:`pair_distance`):
+within one document a single Dewey tree distance, across documents a
+walk over the few link edges between the two documents.  The top-k
+unit memoizes them for the length of one search only, so nothing a
+read computes outlives it.
 
-Version-keyed structures
-------------------------
+Version-keyed links
+-------------------
 
-Everything the top-k unit derives from the data graph lives here, keyed
-on :attr:`DataGraph.version`: the document-reachability map, the
-per-document edge index and the pair-distance memo.  Each is held as
-one ``(version, value)`` pair, so a reader sees a matching pair or
-rebuilds; one lock collapses concurrent rebuilds into a single build.
-Searchers hold none of it -- every searcher over one scoring model
-reads the same structures, and a graph mutation expires all three.
+The one structure the top-k unit derives from the data graph lives
+here, keyed on :attr:`DataGraph.version`: the per-document-pair edge
+index and, derived from its cross-document keys in the same build, the
+document-reachability map.  Both are held in one ``(version, reach,
+edges)`` tuple, so a reader sees a matching tuple or rebuilds; one lock
+collapses concurrent rebuilds into a single build.  Searchers hold
+none of it -- every searcher over one scoring model reads the same
+structure, and a graph mutation expires it.
 
 There is one scoring path.  Its oracles live with the tests: the
 exhaustive :class:`~repro.search.naive.NaiveSearcher`, a seed-style
@@ -47,8 +49,6 @@ re-analysis of each node's text checked against every impact stream
 
 import collections
 import threading
-
-_MISSING = object()
 
 
 class ScoringModel:
@@ -62,34 +62,30 @@ class ScoringModel:
         self.max_hops = max_hops
         self.content_weight = content_weight
         self.structure_weight = structure_weight
-        # name -> (graph version, value); see "Version-keyed
-        # structures" above.  Mutations are externally serialized with
-        # queries (single writer / many readers), so a version flip
-        # never races an in-flight search.
-        self._derived = {}
+        # (graph version, reach, edges); see "Version-keyed links"
+        # above.  Mutations are externally serialized with queries
+        # (single writer / many readers), so a version flip never races
+        # an in-flight search.
+        self._derived = None
         self._derive_lock = threading.Lock()
-        # Pair-distance memo counters: approximate under concurrency,
-        # reporting only.
-        self.pair_hits = 0
-        self.pair_misses = 0
 
-    # -- version-keyed structures ---------------------------------------------
+    # -- version-keyed links --------------------------------------------------
 
-    def _derived_for_version(self, name, build):
-        """``name``'s structure for the current graph version.
+    def _links(self):
+        """``(reach, edges)`` for the current graph version.
 
         Built at most once per version however many searches ask at
         once: the unlocked probe serves every later reader, the lock
         only orders the first ones.
         """
         version = self.graph.version
-        held = self._derived.get(name)
+        held = self._derived
         if held is None or held[0] != version:
             with self._derive_lock:
-                held = self._derived.get(name)
+                held = self._derived
                 if held is None or held[0] != version:
-                    held = self._derived[name] = (version, build())
-        return held[1]
+                    held = self._derived = (version, *self._build_links())
+        return held[1], held[2]
 
     def document_reachability(self):
         """doc_id -> set of doc_ids reachable via one link edge.
@@ -100,17 +96,7 @@ class ScoringModel:
         edge count; recomputing this map per query used to dominate
         repeated-search workloads on link-heavy collections.
         """
-        return self._derived_for_version("reach", self._build_reachability)
-
-    def _build_reachability(self):
-        reach = collections.defaultdict(set)
-        for edge in self.graph.edges:
-            source_doc = self.collection.node(edge.source_id).doc_id
-            target_doc = self.collection.node(edge.target_id).doc_id
-            if source_doc != target_doc:
-                reach[source_doc].add(target_doc)
-                reach[target_doc].add(source_doc)
-        return reach
+        return self._links()[0]
 
     def _edge_index(self):
         """(doc_a, doc_b) -> [(source_id, target_id)] over link edges.
@@ -120,58 +106,35 @@ class ScoringModel:
         graph (link hubs such as frequently-referenced countries make
         BFS frontiers explode).
         """
-        return self._derived_for_version("edges", self._build_edge_index)
+        return self._links()[1]
 
-    def _build_edge_index(self):
-        index = {}
+    def _build_links(self):
+        """One walk over the edges: the edge index, then reachability
+        from its cross-document keys."""
+        edges = {}
         for edge in self.graph.edges:
             source_doc = self.collection.node(edge.source_id).doc_id
             target_doc = self.collection.node(edge.target_id).doc_id
-            index.setdefault((source_doc, target_doc), []).append(
+            edges.setdefault((source_doc, target_doc), []).append(
                 (edge.source_id, edge.target_id)
             )
-        return index
+        reach = collections.defaultdict(set)
+        for source_doc, target_doc in edges:
+            if source_doc != target_doc:
+                reach[source_doc].add(target_doc)
+                reach[target_doc].add(source_doc)
+        return reach, edges
 
-    # -- fast structural distances --------------------------------------------
+    # -- structural distances -------------------------------------------------
 
     def pair_distance(self, node_a, node_b):
-        """Structural distance between two nodes, or ``None``.
-
-        Memoized per graph version under a symmetric pair key (the
-        route set is direction-independent), so the compactness star
-        approximation never recomputes a distance while the graph is
-        unchanged.  ``None`` ("not connectable") is cached too -- it is
-        just as expensive to rediscover.
-        """
-        cache = self.pair_cache()
-        key = (node_a, node_b) if node_a <= node_b else (node_b, node_a)
-        value = cache.get(key, _MISSING)
-        if value is not _MISSING:
-            self.pair_hits += 1
-            return value
-        self.pair_misses += 1
-        value = self._pair_distance(node_a, node_b)
-        cache[key] = value
-        return value
-
-    def pair_cache(self):
-        """The live distance memo for the current graph version.
-
-        Keyed on the symmetric ``(lo, hi)`` node pair; concurrent
-        readers grow the dict safely under the GIL (writes of the same
-        key are idempotent).  The top-k unit's hot loop reads it
-        directly (:data:`_MISSING`-sentinel absent) to skip the
-        method-call overhead of :meth:`pair_distance` on hits; it
-        reports the hits it takes in bulk via :attr:`pair_hits`.
-        """
-        return self._derived_for_version("pairs", dict)
-
-    def _pair_distance(self, node_a, node_b):
-        """Uncached distance: exact Dewey tree distance within one
-        document, best single-link route across documents.
+        """Structural distance between two nodes, or ``None``: exact
+        Dewey tree distance within one document, best single-link route
+        across documents.
 
         Multi-link routes exceed any practical ``max_hops`` and are
-        treated as disconnected for ranking.
+        treated as disconnected for ranking.  Symmetric in its
+        arguments (the route set is direction-independent).
         """
         first = self.collection.node(node_a)
         second = self.collection.node(node_b)
@@ -233,11 +196,14 @@ class ScoringModel:
 
     # -- structure -----------------------------------------------------------
 
-    def compactness(self, node_ids):
+    def compactness(self, node_ids, memo):
         """``1 / (1 + steiner_size)``; ``None`` when not connectable.
 
         Uses the star approximation over :meth:`pair_distance`: the sum
-        of distances from the first node to each other node.
+        of distances from the first node to each other node.  ``memo``
+        is the caller's dict of distances under symmetric ``(lo, hi)``
+        pair keys, read and filled here; the top-k unit passes one that
+        lives for a single search.
         """
         ids = list(dict.fromkeys(node_ids))
         if len(ids) <= 1:
@@ -245,7 +211,10 @@ class ScoringModel:
         anchor = ids[0]
         total = 0
         for other in ids[1:]:
-            distance = self.pair_distance(anchor, other)
+            key = (anchor, other) if anchor <= other else (other, anchor)
+            if key not in memo:
+                memo[key] = self.pair_distance(anchor, other)
+            distance = memo[key]
             if distance is None:
                 return None
             total += distance
@@ -273,7 +242,7 @@ class ScoringModel:
                 self.content_score(node_id, term)
                 for node_id, term in zip(node_ids, terms)
             ]
-        compactness = self.compactness(node_ids)
+        compactness = self.compactness(node_ids, {})
         if compactness is None:
             return None
         return self.combine(content_scores, compactness), content_scores, compactness
@@ -296,10 +265,3 @@ class ScoringModel:
         pruning it changes no answer.
         """
         return self.combine(content_bounds, compactness_cap)
-
-    def counters(self):
-        """Cumulative distance-memo hit/miss counters (batch stats)."""
-        return {
-            "distance_hits": self.pair_hits,
-            "distance_misses": self.pair_misses,
-        }

@@ -32,6 +32,9 @@ Hot-path engineering on top of the paper's algorithm:
   by every searcher, persisted through snapshots), and thereafter sorted
   access is an index into two flat arrays instead of a re-analysis of
   every candidate's text.
+* **A per-search distance memo** -- ``search`` creates one dict of
+  pair distances and hands it to every combine path; it dies when the
+  search returns, so a read retains nothing it computed.
 * **Bound-based pruning** -- before a candidate tuple's structural
   distances are computed, its upper bound (the mean of its known
   content scores at the best compactness ``m`` distinct nodes can
@@ -61,7 +64,7 @@ import threading
 from repro.index.streams import ImpactStream, ImpactStreamStore
 from repro.search.result import ResultTuple
 
-#: Sentinel for inline distance-memo probes (None is a cached value).
+#: Sentinel for inline distance-memo probes (None is a memoized value).
 _MISSING = object()
 
 _NEG_INF = float("-inf")
@@ -169,6 +172,9 @@ class TopKSearcher:
             return self._single_term(streams[0], terms, k)
 
         doc_reach = self.scoring.document_reachability()
+        # Pair distances under symmetric (lo, hi) keys, for this search
+        # only: nothing outlives the call.
+        memo = {}
         seen_by_doc = [collections.defaultdict(list) for _ in terms]
         seen_scores = [dict() for _ in terms]
         frontiers = [stream.scores[0] for stream in streams]
@@ -204,7 +210,7 @@ class TopKSearcher:
                 seen_by_doc[i][doc_id].append(node_id)
                 self._combine(
                     i, node_id, score, terms, seen_by_doc, seen_scores,
-                    doc_reach, heap, k, floor,
+                    doc_reach, heap, k, floor, memo,
                 )
             if k is not None:
                 local_best = _NEG_INF
@@ -333,7 +339,7 @@ class TopKSearcher:
         return "general"
 
     def _combine_pair(self, i, node_id, score, seen_scores, partners,
-                      heap, k, prune, floor):
+                      heap, k, prune, floor, memo):
         """The two-term hot loop, with tail pruning.
 
         Partners are visited in descending score order (ties by node
@@ -343,9 +349,8 @@ class TopKSearcher:
         whichever is higher -- proves every remaining combo does too,
         and the whole tail is pruned at once.  The final heap holds the
         top-k combos under a strict total order (score, then node-id
-        tiebreak), so visiting order changes no answer.  Distance memo
-        hits are read inline (one dict probe) and reported to the
-        scoring model's counters in bulk.
+        tiebreak), so visiting order changes no answer.  The search's
+        distance ``memo`` is probed inline (one dict lookup).
         """
         scoring = self.scoring
         stats = self.stats
@@ -354,8 +359,6 @@ class TopKSearcher:
         ordered = sorted(
             partners, key=lambda partner: (-scores_j[partner], partner)
         )
-        cache = scoring.pair_cache()
-        memo_hits = 0
         for index, partner in enumerate(ordered):
             if partner == node_id:
                 continue
@@ -377,11 +380,9 @@ class TopKSearcher:
                 (node_id, partner) if node_id <= partner
                 else (partner, node_id)
             )
-            distance = cache.get(key, _MISSING)
+            distance = memo.get(key, _MISSING)
             if distance is _MISSING:
-                distance = scoring.pair_distance(node_id, partner)
-            else:
-                memo_hits += 1
+                distance = memo[key] = scoring.pair_distance(node_id, partner)
             stats["tuples_scored"] += 1
             if distance is None:
                 continue
@@ -418,11 +419,9 @@ class TopKSearcher:
                             ),
                         ),
                     )
-        if memo_hits:
-            scoring.pair_hits += memo_hits
 
     def _combine_triple(self, i, node_id, score, seen_scores, partner_lists,
-                        heap, k, prune, floor):
+                        heap, k, prune, floor, memo):
         """The three-term hot loop: nested descending-order iteration.
 
         Same shape as :meth:`_combine_pair`, one level deeper: both
@@ -444,8 +443,6 @@ class TopKSearcher:
             partner_lists[j2], key=lambda p: (-scores_2[p], p)
         )
         best_second = scores_2[second[0]]
-        cache = scoring.pair_cache()
-        memo_hits = 0
         third = 1.0 / 3.0
         for outer_index, a in enumerate(first):
             if a == node_id:
@@ -510,11 +507,11 @@ class TopKSearcher:
                     (anchor, other_1) if anchor <= other_1
                     else (other_1, anchor)
                 )
-                distance_1 = cache.get(key, _MISSING)
+                distance_1 = memo.get(key, _MISSING)
                 if distance_1 is _MISSING:
-                    distance_1 = scoring.pair_distance(anchor, other_1)
-                else:
-                    memo_hits += 1
+                    distance_1 = memo[key] = scoring.pair_distance(
+                        anchor, other_1
+                    )
                 if distance_1 is None:
                     distance_2 = None
                 else:
@@ -522,11 +519,11 @@ class TopKSearcher:
                         (anchor, other_2) if anchor <= other_2
                         else (other_2, anchor)
                     )
-                    distance_2 = cache.get(key, _MISSING)
+                    distance_2 = memo.get(key, _MISSING)
                     if distance_2 is _MISSING:
-                        distance_2 = scoring.pair_distance(anchor, other_2)
-                    else:
-                        memo_hits += 1
+                        distance_2 = memo[key] = scoring.pair_distance(
+                            anchor, other_2
+                        )
                 stats["tuples_scored"] += 1
                 if distance_1 is None or distance_2 is None:
                     continue
@@ -562,8 +559,6 @@ class TopKSearcher:
                                 ),
                             ),
                         )
-        if memo_hits:
-            scoring.pair_hits += memo_hits
 
     def _partners(self, j, docs, seen_by_doc, seen_scores):
         """Highest-scoring seen nodes of term ``j`` within ``docs``.
@@ -589,7 +584,7 @@ class TopKSearcher:
         return partners
 
     def _combine(self, i, node_id, score, terms, seen_by_doc, seen_scores,
-                 doc_reach, heap, k, floor=_NEG_INF):
+                 doc_reach, heap, k, floor, memo):
         """Form and score all tuples that include the newly seen node.
 
         Every combo is formed exactly once across the whole search: the
@@ -633,13 +628,13 @@ class TopKSearcher:
             if m == 2:
                 self._combine_pair(
                     i, node_id, score, seen_scores,
-                    partner_lists[1 - i], heap, k, prune, floor,
+                    partner_lists[1 - i], heap, k, prune, floor, memo,
                 )
                 return
             if m == 3:
                 self._combine_triple(
                     i, node_id, score, seen_scores, partner_lists,
-                    heap, k, prune, floor,
+                    heap, k, prune, floor, memo,
                 )
                 return
         for combo in itertools.product(*partner_lists):
@@ -655,43 +650,23 @@ class TopKSearcher:
                 limit = floor
                 if len(heap) >= k and heap[0][0] > limit:
                     limit = heap[0][0]
-            else:
-                limit = _NEG_INF
-            if plain_weights:
-                mean = sum(content_scores) / m
-                if limit > _NEG_INF:
-                    # The true score is the bound shrunk by the actual
-                    # compactness <= cap, so a bound strictly below the
-                    # pruning limit (the k-th heap score or another
-                    # shard's published bound) can never enter the
-                    # merged top-k -- skip the (expensive) structural
-                    # distance work entirely.  Bounds *equal* to the
-                    # limit are not pruned: at cap compactness the
-                    # tuple could still win on the deterministic
-                    # tie-break.
-                    if mean * compactness_cap < limit:
-                        stats["pruned"] += 1
-                        continue
-                compactness = scoring.compactness(combo)
-                stats["tuples_scored"] += 1
-                if compactness is None:
+                # The true score is the bound shrunk by the actual
+                # compactness <= cap, so a bound strictly below the
+                # pruning limit (the k-th heap score or another shard's
+                # published bound) can never enter the merged top-k --
+                # skip the (expensive) structural distance work
+                # entirely.  Bounds *equal* to the limit are not pruned:
+                # at cap compactness the tuple could still win on the
+                # deterministic tie-break.
+                bound = scoring.upper_bound(content_scores, compactness_cap)
+                if bound < limit:
+                    stats["pruned"] += 1
                     continue
-                total = mean * compactness
-            else:
-                if limit > _NEG_INF:
-                    bound = scoring.upper_bound(
-                        content_scores, compactness_cap
-                    )
-                    if bound < limit:
-                        stats["pruned"] += 1
-                        continue
-                scored = scoring.score_tuple(
-                    combo, terms, content_scores=content_scores
-                )
-                stats["tuples_scored"] += 1
-                if scored is None:
-                    continue
-                total, content_scores, compactness = scored
+            compactness = scoring.compactness(combo, memo)
+            stats["tuples_scored"] += 1
+            if compactness is None:
+                continue
+            total = scoring.combine(content_scores, compactness)
             if k is None or len(heap) < k:
                 entry = (
                     total,

@@ -34,10 +34,11 @@ Threading model
   per-query ``stats``, so every ``run_query`` call builds its own and
   nothing is pooled, warmed, or repaired after a topology change.
 * Every structure searches share is version-keyed and owned by the
-  system: graph-derived ones (document reachability, per-document edge
-  index, pair-distance memo) on the scoring model, index-derived ones
+  system: the graph-derived link structure (per-document edge index
+  and document reachability) on the scoring model, index-derived ones
   in the impact-stream store.  Each is built at most once per graph
-  version and read concurrently.
+  version and read concurrently.  Pair distances are memoized per
+  search only, so a read retains nothing it computed.
 * ``workers`` bounds how many searches execute at once inside one
   service; a batch runs its unique queries one after another (under
   the GIL a thread pool never beat the plain loop -- see

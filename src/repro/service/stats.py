@@ -89,8 +89,7 @@ class BatchStats:
 
     ``scoring_caches`` carries the scoring pipeline's shared-cache
     activity **during this batch** (deltas of cumulative counters):
-    ``stream_hits``/``stream_misses`` for the impact-stream store and
-    ``distance_hits``/``distance_misses`` for the pair-distance memo.
+    ``stream_hits``/``stream_misses`` for the impact-stream store.
 
     Every ``per_query`` entry that carries a ``per_shard`` breakdown
     (computed scatter-gather queries do; cache hits and single-file
@@ -138,27 +137,12 @@ class BatchStats:
         """Candidate tuples skipped by the content-score upper bound."""
         return sum(stats.pruned for stats in self.per_query)
 
-    @staticmethod
-    def _rate(hits, misses):
-        total = hits + misses
-        return hits / total if total else 0.0
-
     @property
     def stream_hit_rate(self):
         """Impact-stream store hit rate during this batch."""
-        caches = self.scoring_caches
-        return self._rate(
-            caches.get("stream_hits", 0), caches.get("stream_misses", 0)
-        )
-
-    @property
-    def distance_hit_rate(self):
-        """Pair-distance memo hit rate during this batch."""
-        caches = self.scoring_caches
-        return self._rate(
-            caches.get("distance_hits", 0),
-            caches.get("distance_misses", 0),
-        )
+        hits = self.scoring_caches.get("stream_hits", 0)
+        total = hits + self.scoring_caches.get("stream_misses", 0)
+        return hits / total if total else 0.0
 
     def summary(self):
         """One-line human-readable digest (CLI and benchmark output)."""
@@ -169,8 +153,7 @@ class BatchStats:
             f"hit rate {self.hit_rate:.0%}, "
             f"{self.sorted_accesses} sorted accesses, "
             f"{self.pruned} pruned, "
-            f"stream cache {self.stream_hit_rate:.0%}, "
-            f"distance cache {self.distance_hit_rate:.0%})"
+            f"stream cache {self.stream_hit_rate:.0%})"
         )
 
     @property

@@ -595,6 +595,9 @@ def render_prometheus(metrics):
     lines += [
         "# TYPE repro_queries_total counter",
         f"repro_queries_total {registry['total_queries']}",
+        "# TYPE repro_query_fingerprints_evicted_total counter",
+        "repro_query_fingerprints_evicted_total "
+        f"{registry['fingerprints_evicted']}",
         "# TYPE repro_query_count counter",
         "# TYPE repro_query_cache_hits counter",
         "# TYPE repro_query_latency_seconds summary",

@@ -526,9 +526,9 @@ class Seda(WriteProtocol):
         return results, [searcher.counters()]
 
     def cache_counters(self):
-        """Cumulative shared-cache counters (impact streams + distance
-        memo); batch stats report the delta across one batch."""
-        return {**self.streams.counters(), **self.scoring.counters()}
+        """Cumulative impact-stream store counters; batch stats report
+        the delta across one batch."""
+        return self.streams.counters()
 
     def query_service(self, workers=None, cache_size=None):
         """The caching serving facade over this system (lazy, kept).

@@ -94,19 +94,19 @@ class TestScoring:
         document = figure2_collection.document(0)
         item = next(n for n in document.nodes if n.tag == "item")
         tc, pct = item.child_ids
-        siblings = scoring.compactness([tc, pct])
-        far = scoring.compactness([document.root.node_id, pct])
+        siblings = scoring.compactness([tc, pct], {})
+        far = scoring.compactness([document.root.node_id, pct], {})
         assert siblings > far
 
     def test_compactness_singleton_is_one(self, searchers):
         _topk, _naive, scoring = searchers
-        assert scoring.compactness([5]) == 1.0
+        assert scoring.compactness([5], {}) == 1.0
 
     def test_disconnected_scores_none(self, figure2_collection, searchers):
         _topk, _naive, scoring = searchers
         a = figure2_collection.document(0).root.node_id
         b = figure2_collection.document(1).root.node_id
-        assert scoring.compactness([a, b]) is None
+        assert scoring.compactness([a, b], {}) is None
 
     def test_upper_bound_at_perfect_compactness(self, searchers):
         _topk, _naive, scoring = searchers
@@ -319,8 +319,8 @@ class TestVersionedCaches:
         self, figure2_collection, figure2_matcher
     ):
         """Searchers hold no graph-derived state: two of them over one
-        scoring model read the same reachability map, edge index and
-        distance memo, each built once per graph version."""
+        scoring model read the same reachability map and edge index,
+        built once per graph version."""
         graph = DataGraph(figure2_collection)
         scoring = ScoringModel(
             figure2_collection, figure2_matcher.inverted, graph
@@ -328,14 +328,12 @@ class TestVersionedCaches:
         first = TopKSearcher(figure2_matcher, scoring)
         reach = scoring.document_reachability()
         edges = scoring._edge_index()
-        memo = scoring.pair_cache()
         query = Query.parse([("*", '"United States"'),
                              ("trade_country", "*")])
         second = TopKSearcher(figure2_matcher, scoring)
         assert first.search(query, k=3) == second.search(query, k=3)
         assert scoring.document_reachability() is reach
         assert scoring._edge_index() is edges
-        assert scoring.pair_cache() is memo
         assert set(vars(second)) == {
             "matcher", "scoring", "partner_limit", "allow_repeats",
             "streams", "stats",
@@ -354,7 +352,7 @@ def _wire_collection(collection):
 
 class TestPairDistance:
     """Structural distances: best-of-several-links routes, the max_hops
-    boundary, and the per-version memo."""
+    boundary, symmetry, and new links seen at once."""
 
     def _two_documents(self):
         collection = DocumentCollection(name="links")
@@ -398,31 +396,22 @@ class TestPairDistance:
         past_limit = self._scoring(collection, graph, max_hops=2)
         assert past_limit.pair_distance(tags["b"], tags["e"]) is None
 
-    def test_memoized_and_symmetric(self):
+    def test_symmetric(self):
         collection, graph, tags = self._two_documents()
         graph.add_edge(tags["b"], tags["e"], EdgeKind.VALUE)
         scoring = self._scoring(collection, graph)
-        first = scoring.pair_distance(tags["b"], tags["e"])
-        assert scoring.pair_misses == 1
-        # The reversed pair shares the symmetric cache key.
-        assert scoring.pair_distance(tags["e"], tags["b"]) == first
-        assert scoring.pair_hits == 1
-        assert scoring.pair_misses == 1
+        # The search memo keys on the (lo, hi) pair; that is sound only
+        # because the route set is direction-independent.
+        assert scoring.pair_distance(tags["b"], tags["e"]) == 1
+        assert scoring.pair_distance(tags["e"], tags["b"]) == 1
 
-    def test_disconnected_is_memoized_too(self):
-        collection, graph, tags = self._two_documents()
-        scoring = self._scoring(collection, graph)
-        assert scoring.pair_distance(tags["b"], tags["e"]) is None
-        assert scoring.pair_distance(tags["b"], tags["e"]) is None
-        assert scoring.pair_hits == 1
-
-    def test_memo_invalidated_by_version_bump(self):
+    def test_new_link_is_visible_immediately(self):
         collection, graph, tags = self._two_documents()
         graph.add_edge(tags["a"], tags["d"], EdgeKind.VALUE)
         scoring = self._scoring(collection, graph)
         assert scoring.pair_distance(tags["b"], tags["e"]) == 3
-        # A new, shorter link must be visible immediately: add_edge
-        # bumps the graph version, which drops the memo.
+        # add_edge bumps the graph version, which rebuilds the edge
+        # index the cross-document route reads.
         graph.add_edge(tags["b"], tags["e"], EdgeKind.VALUE)
         assert scoring.pair_distance(tags["b"], tags["e"]) == 1
 
@@ -533,11 +522,10 @@ class TestImpactStreams:
                     for pairs in FACTBOOK_QUERIES]
         cold = [_canon(searcher.search(query, k=10)) for query in workload]
         assert searcher.streams.hits > 0
-        assert scoring.pair_hits > 0
-        misses = (searcher.streams.misses, scoring.pair_misses)
+        misses = searcher.streams.misses
         warm = [_canon(searcher.search(query, k=10)) for query in workload]
         assert warm == cold
-        assert (searcher.streams.misses, scoring.pair_misses) == misses
+        assert searcher.streams.misses == misses
         for pairs, answer in zip(FACTBOOK_QUERIES, cold):
             unbounded = searcher.search(Query.parse(pairs), k=None)
             assert _canon(unbounded[:10]) == answer

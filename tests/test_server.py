@@ -287,6 +287,46 @@ class TestServingAppProtocol:
         assert app.handle("POST", "/admin/drain").status == 409
         assert app.handle("POST", "/admin/reload").status == 409
 
+    def test_registry_is_capped_with_an_eviction_counter(
+        self, app, monkeypatch
+    ):
+        """Past ``MAX_FINGERPRINTS`` distinct queries the registry
+        evicts the least recently recorded fingerprint and counts it on
+        ``/metrics``; the count survives a ``to_dict`` round trip."""
+        from repro.obs import registry as registry_module
+        from repro.obs.registry import StatsRegistry
+
+        cap = 4
+        monkeypatch.setattr(registry_module, "MAX_FINGERPRINTS", cap)
+        app.registry.clear()
+        # ``k`` is part of the fingerprint: cap + 10 distinct ones.
+        for k in range(1, cap + 11):
+            body = {"query": QUERY, "k": k}
+            assert app.handle("POST", "/search", body=body).status == 200
+        tree = app.handle("GET", "/metrics", params={"format": "json"})
+        registry = tree.payload["registry"]
+        assert registry["total_queries"] == cap + 10
+        assert len(registry["fingerprints"]) == cap
+        assert registry["fingerprints_evicted"] == 10
+        kept = [row["count"] for row in registry["fingerprints"].values()]
+        assert kept == [1] * cap
+        text = app.handle("GET", "/metrics").text
+        assert "repro_query_fingerprints_evicted_total 10\n" in text
+
+        payload = app.registry.to_dict()
+        # The most recent fingerprints survive, oldest first.
+        assert [key.rsplit(" ", 1)[-1] for key in payload["fingerprints"]
+                ] == [f"[k={k}]" for k in range(11, cap + 11)]
+        restored = StatsRegistry.from_dict(payload)
+        assert restored.to_dict() == payload
+        # A saved registry larger than the cap loads at most the cap.
+        monkeypatch.setattr(registry_module, "MAX_FINGERPRINTS", 2)
+        smaller = StatsRegistry.from_dict(payload).to_dict()
+        assert list(smaller["fingerprints"]) == list(
+            payload["fingerprints"]
+        )[-2:]
+        assert smaller["fingerprints_evicted"] == 12
+
 
 # -- the real socket ---------------------------------------------------------------
 

@@ -1,13 +1,17 @@
 """The query service: concurrency, result caching, invalidation."""
 
+import gc
+import itertools
 import json
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from repro.model.graph import EdgeKind
+from repro.obs.registry import StatsRegistry
 from repro.query.term import Query
 from repro.service.cache import ResultCache
 from repro.service.query_service import QueryService
@@ -146,9 +150,10 @@ class TestInvalidation:
         assert not stats.cache_hit
 
     def test_one_reachability_map_per_graph_version(self, figure2_collection):
-        """The scoring model holds one reachability map per
-        ``graph.version``: after add_documents, 8 concurrent first
-        queries rebuild it exactly once and all read that one map."""
+        """The scoring model holds one link structure (edge index and
+        reachability map) per ``graph.version``: after add_documents, 8
+        concurrent first queries rebuild it exactly once and all read
+        that one map."""
         seda = Seda(figure2_collection)
         service = seda.query_service(workers=8)
         service.execute(BATCH[0], k=5)
@@ -156,14 +161,14 @@ class TestInvalidation:
         assert seda.scoring.document_reachability() is before
 
         builds = []
-        build = seda.scoring._build_reachability
+        build = seda.scoring._build_links
 
         def counted_build():
             builds.append(seda.graph.version)
             time.sleep(0.05)  # hold the build open while the others arrive
             return build()
 
-        seda.scoring._build_reachability = counted_build
+        seda.scoring._build_links = counted_build
         seda.add_documents(["<country>Canada<year>2006</year></country>"])
         barrier = threading.Barrier(8)
         seen, errors = [], []
@@ -228,12 +233,11 @@ class TestStats:
 
     def test_scoring_cache_counters_surfaced(self, seda):
         """Batch stats report the scoring pipeline's shared-cache work:
-        impact-stream and pair-distance hit rates, and pruned combos."""
+        the impact-stream hit rate, and pruned combos."""
         service = QueryService(seda, workers=2)
         _, first = service.execute_batch(BATCH, k=5)
         assert first.pruned >= 0
         assert "stream cache" in first.summary()
-        assert "distance cache" in first.summary()
         assert "pruned" in first.summary()
         # A second pass over the same workload after dropping the result
         # cache recomputes every query; by then every stream is
@@ -243,7 +247,6 @@ class TestStats:
         assert second.scoring_caches["stream_misses"] == 0
         assert second.scoring_caches["stream_hits"] > 0
         assert second.stream_hit_rate == 1.0
-        assert second.distance_hit_rate > 0.0
 
     def test_searchers_share_one_stream_store(self, seda):
         assert seda.new_searcher().streams is seda.streams
@@ -333,3 +336,53 @@ class TestOneServiceForBothSystems:
         service.execute_batch(SHARD_BATCH, k=5)
         service.execute(SHARD_BATCH[0], k=5)
         assert registry.total_queries == len(SHARD_BATCH) + 1
+
+
+class TestRetainedMemory:
+    """A read retains (almost) nothing: every structure a query fills
+    is either bounded or dies with the search."""
+
+    #: Distinct queries in the first phase; the second runs 3x as many
+    #: more, reaching 4N.
+    N = 25
+    #: Allowed retained growth from N to 4N distinct queries.  A
+    #: distance memo that outlives its search retains over 1 MiB here;
+    #: the registry's 75 new fingerprints retain about 55 KiB.
+    MARGIN = 256 * 1024
+
+    def test_retained_memory_flat_across_distinct_queries(self):
+        from repro.datasets.factbook import FactbookGenerator
+
+        seda = Seda(
+            FactbookGenerator(scale=0.05).build_collection(),
+            value_links=FactbookGenerator.value_link_specs(),
+        )
+        tags = sorted({node.tag for node in seda.collection.iter_nodes()})
+        terms = [(tag, "*") for tag in tags]
+        pairs = itertools.combinations(terms, 2)
+        queries = [list(pair) for pair in itertools.islice(pairs, 4 * self.N)]
+        service = QueryService(
+            seda, workers=1, cache_size=8,
+            registry=StatsRegistry(slow_threshold=10.0),
+        )
+        # Build every term's impact stream first: streams are bounded
+        # by the vocabulary, not by the number of distinct queries.
+        for term in terms:
+            service.execute([term], k=10)
+
+        def retained():
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            for query in queries[: self.N]:
+                service.execute(query, k=10)
+            first = retained()
+            for query in queries[self.N:]:
+                service.execute(query, k=10)
+            growth = retained() - first
+        finally:
+            tracemalloc.stop()
+        assert service.registry.total_queries == len(terms) + 4 * self.N
+        assert growth < self.MARGIN, f"retained +{growth} B"
