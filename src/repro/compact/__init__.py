@@ -9,7 +9,7 @@ the compact building blocks every index layer shares:
 * :mod:`~repro.compact.trie` -- a shared-prefix trie over interned
   label ids, replacing per-entry path strings;
 * :mod:`~repro.compact.columns` -- delta/varint byte-column codecs for
-  posting lists, sorted id sets, and impact streams;
+  posting lists and sorted id sets;
 * :mod:`~repro.compact.sidecar` -- read-only sidecar buffers: an mmapped
   ``.cols`` file, whose pages every process loading the same snapshot
   shares through the OS page cache.
@@ -21,10 +21,8 @@ public index APIs and their results are those of plain object tables.
 from repro.compact.columns import (
     decode_postings,
     decode_sorted_ids,
-    decode_stream,
     encode_postings,
     encode_sorted_ids,
-    encode_stream,
     posting_count,
 )
 from repro.compact.intern import StringTable
@@ -40,6 +38,4 @@ __all__ = [
     "posting_count",
     "encode_sorted_ids",
     "decode_sorted_ids",
-    "encode_stream",
-    "decode_stream",
 ]

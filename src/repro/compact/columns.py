@@ -1,7 +1,7 @@
-"""Delta/varint byte-column codecs for postings, id sets, and streams.
+"""Delta/varint byte-column codecs for postings and id sets.
 
-Each codec turns one index entry (a posting list, a sorted id set, an
-impact stream) into a single ``bytes`` column and back, losslessly:
+Each codec turns one index entry (a posting list, a sorted id set) into
+a single ``bytes`` column and back, losslessly:
 
 * **Posting columns** store node-id *gaps* and position *gaps* as
   unsigned varints -- posting lists are sorted by node id and positions
@@ -10,17 +10,10 @@ impact stream) into a single ``bytes`` column and back, losslessly:
   :func:`posting_count` reads the document frequency from the first
   varint alone, so ``df`` probes never decode the column.
 * **Sorted-id columns** (path-index entries) are plain gap varints.
-* **Stream columns** pack scores as IEEE-754 little-endian doubles
-  (exact float round-trip, same bytes :mod:`array` holds in memory)
-  followed by zigzag-varint node-id deltas (stream ids are ordered by
-  score, not id, so deltas can be negative).
 
 Decoders accept ``bytes`` or any buffer (``memoryview`` over an mmapped
 sidecar), enabling zero-copy reads from a snapshot's binary sidecar.
 """
-
-import struct
-from array import array
 
 
 def _append_uvarint(buf, value):
@@ -40,14 +33,6 @@ def _read_uvarint(data, pos):
         if byte < 0x80:
             return result, pos
         shift += 7
-
-
-def _zigzag(value):
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
-
-
-def _unzigzag(value):
-    return -((value + 1) >> 1) if value & 1 else (value >> 1)
 
 
 # -- posting columns ---------------------------------------------------------
@@ -127,40 +112,3 @@ def decode_sorted_ids(data):
         ids.append(value)
     return ids
 
-
-# -- impact stream columns ---------------------------------------------------
-
-def encode_stream(scores, node_ids):
-    """Encode parallel score/node-id sequences (an impact stream).
-
-    Scores are packed little-endian doubles (bit-exact round trip);
-    node ids follow score order -- not id order -- so their deltas are
-    zigzag-coded signed varints.
-    """
-    scores = list(scores)
-    node_ids = list(node_ids)
-    if len(scores) != len(node_ids):
-        raise ValueError("scores and node_ids must be parallel")
-    buf = bytearray()
-    _append_uvarint(buf, len(scores))
-    buf += struct.pack(f"<{len(scores)}d", *scores)
-    previous = 0
-    for node_id in node_ids:
-        _append_uvarint(buf, _zigzag(node_id - previous))
-        previous = node_id
-    return bytes(buf)
-
-
-def decode_stream(data):
-    """Decode a stream column to ``(array('d'), array('q'))``."""
-    count, pos = _read_uvarint(data, 0)
-    scores = array("d")
-    scores.frombytes(bytes(data[pos:pos + 8 * count]))
-    pos += 8 * count
-    node_ids = array("q")
-    value = 0
-    for _ in range(count):
-        delta, pos = _read_uvarint(data, pos)
-        value += _unzigzag(delta)
-        node_ids.append(value)
-    return scores, node_ids

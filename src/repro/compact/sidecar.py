@@ -30,8 +30,8 @@ class Sidecar:
     def crc32(self, length=None):
         """CRC32 over the first ``length`` bytes (default: all of them).
 
-        The version-5 snapshot header announces this value so loads
-        detect a corrupted column payload before any window decodes;
+        The snapshot header announces this value so loads detect a
+        corrupted column payload before any window decodes;
         ``length`` is the announced byte count, so bytes past the
         logical payload never enter the checksum.
         """

@@ -279,13 +279,7 @@ class TopKSearcher:
         cached = self.streams.get(key, version)
         if cached is not None:
             return cached
-        # Match-all streams (every context-matching node at score 1.0)
-        # stay in memory but out of snapshots: cheap to rebuild, large
-        # to store.
-        return self.streams.put(
-            key, version, self._build_stream(term),
-            persist=not term.is_match_all,
-        )
+        return self.streams.put(key, version, self._build_stream(term))
 
     def _build_stream(self, term):
         """Score and impact-sort a term's candidates (the slow build)."""

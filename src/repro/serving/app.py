@@ -347,7 +347,14 @@ class ServingApp:
         })
 
     def _endpoint_search_many(self, body, params):
-        queries = [parse_query_payload(value) for value in body["queries"]]
+        queries = body["queries"]
+        if not isinstance(queries, list):
+            # A string or an object would iterate as characters or keys.
+            raise ValueError(
+                f"'queries' must be a list of queries, not "
+                f"{type(queries).__name__}"
+            )
+        queries = [parse_query_payload(value) for value in queries]
         k = parse_int(body, "k", 10)
         with self.lock.read():
             generation = self.generation()

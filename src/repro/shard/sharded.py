@@ -468,15 +468,10 @@ class ShardedSeda(WriteProtocol):
 
     # -- the write protocol (see repro.system.WriteProtocol) -----------------
 
-    #: A record's position is ``base``, the global document count when
-    #: it was acknowledged (``epoch``, the routing epoch, is
-    #: diagnostic); the manifest's ``shard_doc_bases`` watermarks say
-    #: which batches each shard file absorbed.
-    _POSITION_KEY = "base"
+    #: The manifest's ``shard_doc_bases`` watermarks say which logged
+    #: batches (by ``base``, the global document count when each was
+    #: acknowledged) every shard file absorbed.
     _log_path = staticmethod(sharded_wal_file_name)
-
-    def _log_position(self):
-        return {"base": len(self._docs), "epoch": self._routing_epoch}
 
     def _batch(self, documents):
         """Normalized pairs, unnamed documents named by global index.
@@ -562,7 +557,7 @@ class ShardedSeda(WriteProtocol):
         the assignment map, never by partitioner arithmetic, so batches
         logged under an older routing epoch land where the table says.
         A stale shard receiving no documents still saw ``df``/``N``
-        move under its persisted streams, so it is version-bumped.
+        move, so it is version-bumped like every shard in :meth:`_apply`.
         """
         stale = [index for index, mark in enumerate(self._shard_doc_bases)
                  if base >= mark]

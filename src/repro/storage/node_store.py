@@ -5,11 +5,20 @@ search results in Dewey ID order, which can be directly used by the XML
 twig processing".  The node store provides exactly those ordered
 streams: all nodes for a tag, for a root-to-leaf path, or for an
 arbitrary node-id set, each sorted by ``(doc_id, dewey)``.
+
+Node ids are allocated in document order, one document after another,
+and a document's nodes in pre-order -- which is Dewey order -- so
+ascending node id *is* global Dewey order.  The per-tag and per-path
+streams are therefore plain node-id lists, binary-searchable by id.
+
+The store is derived state: a restored system rebuilds it with one pass
+over the collection, so snapshots do not carry it.  Only :meth:`refresh`
+(the write path) inserts keys; every read is a plain lookup, which is
+what lets concurrent readers share one store without a lock.
 """
 
 import bisect
 import collections
-import threading
 
 
 class NodeStore:
@@ -19,12 +28,6 @@ class NodeStore:
         self.collection = collection
         self._by_tag = collections.defaultdict(list)
         self._by_path = collections.defaultdict(list)
-        # Snapshot state: raw node-id lists awaiting materialization into
-        # keyed entries; None outside the restore path.
-        self._raw_by_tag = None
-        self._raw_by_path = None
-        # Serializes raw-stream materialization for concurrent readers.
-        self._materialize_lock = threading.Lock()
         self._built_upto = 0
         self.refresh()
 
@@ -32,130 +35,25 @@ class NodeStore:
         """Index any documents added since the last refresh."""
         for document in self.collection.documents[self._built_upto :]:
             for node in document.nodes:
-                key = (node.doc_id, node.dewey)
-                self._entries(self._by_tag, self._raw_by_tag, node.tag).append(
-                    (key, node.node_id)
-                )
-                self._entries(
-                    self._by_path, self._raw_by_path, node.path
-                ).append((key, node.node_id))
+                self._by_tag[node.tag].append(node.node_id)
+                self._by_path[node.path].append(node.node_id)
         self._built_upto = len(self.collection.documents)
-        # Documents are appended in order and nodes are generated in
-        # document order, so the lists are already sorted; assert cheaply.
-
-    def _entries(self, table, raw, key):
-        """The mutable entry list for ``key``, materializing raw streams.
-
-        Streams restored from a snapshot carry node ids only; the
-        ``(doc_id, dewey)`` sort keys are recomputed here, per stream,
-        on first use.
-        """
-        entries = table.get(key)
-        if entries is None:
-            # Double-checked locking: concurrent query workers racing on
-            # the same key must not lose the raw stream to a second pop.
-            with self._materialize_lock:
-                entries = table.get(key)
-                if entries is None:
-                    ids = raw.get(key) if raw else None
-                    if ids is None:
-                        entries = table[key]  # defaultdict creates the list
-                    else:
-                        node = self.collection.node
-                        entries = []
-                        for node_id in ids:
-                            data_node = node(node_id)
-                            entries.append(
-                                ((data_node.doc_id, data_node.dewey), node_id)
-                            )
-                        # Assign before discarding the raw stream, so
-                        # lock-free readers always find the key in at
-                        # least one of the two tables.
-                        table[key] = entries
-                        raw.pop(key, None)
-        return entries
-
-    # -- snapshot serialization -----------------------------------------------
-
-    def to_dict(self):
-        """Snapshot form: ordered node-id streams per tag and per path.
-
-        The ``(doc_id, dewey)`` sort keys are omitted -- they are
-        recomputed from the collection on load, per stream, on first
-        use, keeping the snapshot compact and the restore lazy.
-        """
-        by_tag = {
-            tag: [node_id for _key, node_id in entries]
-            for tag, entries in self._by_tag.items()
-        }
-        if self._raw_by_tag:
-            by_tag.update(self._raw_by_tag)
-        by_path = {
-            path: [node_id for _key, node_id in entries]
-            for path, entries in self._by_path.items()
-        }
-        if self._raw_by_path:
-            by_path.update(self._raw_by_path)
-        return {
-            "built_upto": self._built_upto,
-            "by_tag": by_tag,
-            "by_path": by_path,
-        }
-
-    @classmethod
-    def from_dict(cls, payload, collection):
-        """Rebuild a node store from :meth:`to_dict` over ``collection``."""
-        store = cls.__new__(cls)
-        store.collection = collection
-        store._by_tag = collections.defaultdict(list)
-        store._by_path = collections.defaultdict(list)
-        store._raw_by_tag = payload["by_tag"]
-        store._raw_by_path = payload["by_path"]
-        store._materialize_lock = threading.Lock()
-        store._built_upto = payload["built_upto"]
-        return store
 
     # -- streams --------------------------------------------------------------
 
-    def _stream(self, table, raw, key):
-        """Entries for ``key`` without creating an empty list on misses.
-
-        The final re-check covers a concurrent materializer moving the
-        key between the two membership tests (it assigns to ``table``
-        before popping ``raw``).
-        """
-        if key in table or (raw and key in raw) or key in table:
-            return self._entries(table, raw, key)
-        return ()
-
     def by_tag(self, tag):
         """Node ids with the given tag, in global Dewey order."""
-        stream = self._stream(self._by_tag, self._raw_by_tag, tag)
-        return [node_id for _key, node_id in stream]
+        return list(self._by_tag.get(tag, ()))
 
     def by_path(self, path):
         """Node ids with the given root-to-leaf path, in Dewey order."""
-        stream = self._stream(self._by_path, self._raw_by_path, path)
-        return [node_id for _key, node_id in stream]
-
-    def _known_keys(self, table, raw):
-        """A stable copy of ``table``'s and ``raw``'s keys.
-
-        Taken under the lock: materialization inserts into ``table``
-        concurrently, and iterating a dict while it grows raises
-        RuntimeError.
-        """
-        with self._materialize_lock:
-            names = set(table)
-            if raw:
-                names |= set(raw)
-        return names
+        return list(self._by_path.get(path, ()))
 
     def tags(self):
-        return sorted(self._known_keys(self._by_tag, self._raw_by_tag))
+        return sorted(self._by_tag)
 
     def paths(self):
-        return sorted(self._known_keys(self._by_path, self._raw_by_path))
+        return sorted(self._by_path)
 
     def sort_dewey(self, node_ids):
         """Sort arbitrary node ids into global Dewey order."""
@@ -171,21 +69,20 @@ class NodeStore:
     def descendants_in_path(self, ancestor_id, path):
         """Node ids on ``path`` that descend from ``ancestor_id``.
 
-        Uses a binary search over the Dewey-ordered path stream: all
-        descendants of a node are contiguous in Dewey order, directly
-        after the node itself.
+        Uses a binary search over the path stream: all descendants of
+        a node are contiguous in Dewey (node-id) order, directly after
+        the node itself.
         """
-        ancestor = self.collection.node(ancestor_id)
-        stream = self._stream(self._by_path, self._raw_by_path, path)
-        low_key = (ancestor.doc_id, ancestor.dewey)
-        start = bisect.bisect_left(stream, (low_key, -1))
+        node = self.collection.node
+        ancestor = node(ancestor_id)
+        stream = self._by_path.get(path, ())
         result = []
-        for key, node_id in stream[start:]:
-            doc_id, dewey = key
-            if doc_id != ancestor.doc_id:
+        for node_id in stream[bisect.bisect_left(stream, ancestor_id):]:
+            candidate = node(node_id)
+            if candidate.doc_id != ancestor.doc_id or not (
+                candidate.dewey == ancestor.dewey
+                or ancestor.dewey.is_ancestor_of(candidate.dewey)
+            ):
                 break
-            if dewey == ancestor.dewey or ancestor.dewey.is_ancestor_of(dewey):
-                result.append(node_id)
-            else:
-                break
+            result.append(node_id)
         return result

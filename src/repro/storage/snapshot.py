@@ -11,7 +11,7 @@ Snapshot format (JSON lines, UTF-8):
 
 * Line 1 is the **header**::
 
-      {"record": "header", "format": "seda-snapshot", "version": 5,
+      {"record": "header", "format": "seda-snapshot", "version": 6,
        "meta": {...}, "crcs": {record_name: crc32, ...},
        "sidecar": {"file": ..., "bytes": N, "crc32": ...}}
 
@@ -25,10 +25,10 @@ Snapshot format (JSON lines, UTF-8):
   load, so any single corrupted byte raises :class:`SnapshotError`
   instead of decoding into silently wrong answers.  ``meta`` carries
   system-level configuration -- collection name, ``max_hops``, the
-  dataguide merge threshold, the analyzer configuration, any
-  value-link specs, and ``wal_seq`` (the write-ahead batches the file
-  absorbed) -- everything needed to reconstruct behavior-affecting
-  settings.
+  dataguide merge threshold, the analyzer configuration, and any
+  value-link specs -- everything needed to reconstruct behavior-affecting
+  settings.  Write-ahead replay needs no stamp of its own: a logged
+  batch's ``base`` is compared with the collection's document count.
 
 * Line 2 is the **integrity seal**, ``{"record": "integrity",
   "header_crc": N}``: a CRC32 over the header line's bytes, the one
@@ -42,16 +42,15 @@ Snapshot format (JSON lines, UTF-8):
   (flat node lists per document -- no XML text, so loading bypasses the
   parser), ``graph`` (non-tree edges by node id), ``inverted`` (postings
   with positions and per-node token counts), ``path_index``
-  (keyword/tag -> path tables), ``node_store`` (Dewey-ordered streams),
-  ``dataguides`` (the exact :meth:`DataguideSet.to_dict` payload, same
-  as its standalone ``save`` format), ``registry`` (fact/dimension
-  definitions), and ``streams`` (the materialized impact-ordered
-  per-term score streams at the saved graph version, so a reloaded
-  system serves its hot terms without rebuilding them); optionally
+  (keyword/tag -> path tables), ``dataguides`` (the exact
+  :meth:`DataguideSet.to_dict` payload, same as its standalone ``save``
+  format), and ``registry`` (fact/dimension definitions); optionally
   followed by ``obs`` (the serialized
   :class:`~repro.obs.registry.StatsRegistry` -- per-fingerprint query
   statistics and the slow-query log -- so a reloaded service keeps its
-  observability history).
+  observability history).  Caches are not records: the Dewey-ordered
+  node store is rebuilt from the collection at load, and impact
+  streams are built on first use.
 
 Compatibility rules: unknown record types are rejected (they signal a
 newer writer); missing required records are rejected (optional records
@@ -91,7 +90,7 @@ A sharded collection (:mod:`repro.shard`) persists as a **directory**:
 
 * ``shard-0000.snapshot`` ... ``shard-NNNN.snapshot`` -- one ordinary
   single-system snapshot per shard, each individually valid in the
-  format above (but see the caveat below);
+  format above;
 * ``obs.json`` (optional) -- the collection-level retained
   query-statistics registry (:func:`write_obs_state`), written after
   the manifest commits; absence just means no observability history;
@@ -121,12 +120,6 @@ A sharded collection (:mod:`repro.shard`) persists as a **directory**:
   that shard's file was written (write-ahead records at or past it
   are replayed onto the shard).  Every field is required; a manifest
   of another version is rejected like a snapshot of another version.
-
-Caveat: a shard file's impact streams carry content scores computed
-against *corpus-wide* idf.  Restored through the manifest they are
-exact; loaded standalone via :func:`read_snapshot` they would disagree
-with scores the shard computes fresh from its local statistics, so
-treat shard files as internal to their directory.
 """
 
 import json
@@ -144,7 +137,7 @@ except ImportError:  # pragma: no cover - environment-dependent
 
 SNAPSHOT_FORMAT = "seda-snapshot"
 #: The one format version this reader accepts (and the writer emits).
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 #: Pseudo-record under which :func:`read_snapshot` returns the attached
 #: sidecar buffer (never present in the file itself).
@@ -161,10 +154,8 @@ REQUIRED_RECORDS = (
     "graph",
     "inverted",
     "path_index",
-    "node_store",
     "dataguides",
     "registry",
-    "streams",
 )
 
 #: Component records a snapshot may carry but a reader must not demand.
@@ -235,7 +226,7 @@ def write_snapshot(path, meta, records):
     ordered = [name for name in REQUIRED_RECORDS + OPTIONAL_RECORDS
                if name in records]
     sidecar = bytearray()
-    # Serialize every record line up front: the version-5 header
+    # Serialize every record line up front: the header
     # announces each line's CRC32, so the lines must exist before the
     # header is written.
     lines = {}
@@ -779,9 +770,15 @@ def _verify_snapshot_file(path, problems, warnings, checked, label=None):
     return staged, documents
 
 
-def _verify_wal_file(path, problems, warnings, checked):
-    """Fold one write-ahead log's health into an fsck report's lists."""
-    from repro.storage.wal import verify_wal
+def _verify_wal_file(path, problems, warnings, checked, document_count):
+    """Fold one write-ahead log's health into an fsck report's lists.
+
+    ``document_count`` is what the snapshot or manifest beside the log
+    holds (``None`` when it could not be read).  The first batch it did
+    not absorb must start exactly there: a later ``base`` means an older
+    snapshot was restored beside a newer log, and load would refuse it.
+    """
+    from repro.storage.wal import replay_wal, verify_wal
 
     report = verify_wal(path)
     if not report["present"]:
@@ -789,6 +786,18 @@ def _verify_wal_file(path, problems, warnings, checked):
     checked[os.fspath(path)] = {"wal_records": report["records"]}
     if report["error"]:
         problems.append(report["error"])
+    elif report["records"] and document_count is not None:
+        records, _warning = replay_wal(path, repair=False)
+        bases = [record.get("base") for record in records]
+        first = next((base for base in bases if isinstance(base, int)
+                      and base >= document_count), None)
+        if first is not None and first > document_count:
+            problems.append(
+                f"{path}: first unabsorbed write-ahead batch starts at "
+                f"base {first}, but the snapshot holds {document_count} "
+                f"documents -- the batches between them are lost; "
+                f"restore the snapshot saved with this log"
+            )
     if report["torn_tail"]:
         warnings.append(
             f"{report['torn_tail']} -- the interrupted append was never "
@@ -889,6 +898,7 @@ def fsck_report(path):
     problems, warnings, checked = [], [], {}
     if os.path.isdir(path):
         kind = "sharded"
+        document_count = None
         try:
             manifest = read_sharded_manifest(path)
         except SnapshotError as error:
@@ -917,6 +927,7 @@ def fsck_report(path):
             _verify_shard_assignment(
                 path, manifest, shard_documents, problems
             )
+            document_count = len(manifest["documents"])
             for name in sorted(os.listdir(path)):
                 if name in protected:
                     continue  # load-bearing staged sidecar, warned above
@@ -935,14 +946,18 @@ def fsck_report(path):
                         f"delete"
                     )
         _verify_wal_file(
-            sharded_wal_file_name(path), problems, warnings, checked
+            sharded_wal_file_name(path), problems, warnings, checked,
+            document_count,
         )
     else:
         kind = "snapshot"
-        staged, _documents = _verify_snapshot_file(
+        staged, documents = _verify_snapshot_file(
             path, problems, warnings, checked
         )
-        _verify_wal_file(wal_file_name(path), problems, warnings, checked)
+        _verify_wal_file(
+            wal_file_name(path), problems, warnings, checked,
+            None if documents is None else len(documents),
+        )
         for stale in _stale_tmp_files(
             (path, sidecar_file_name(path), wal_file_name(path))
         ):

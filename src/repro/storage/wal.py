@@ -22,17 +22,16 @@ Little-endian prefixes; ``crc32`` (zlib) covers the payload bytes.
 Payloads are UTF-8 JSON dictionaries -- for document batches::
 
     {"op": "add_documents",
-     "seq": N,                                  # single-file log, or
-     "base": N, "epoch": E,                     # collection-level log
+     "base": N,
      "documents": [[name_or_null, xml_text], ...],
      "value_links": [spec.to_dict(), ...]}
 
-``seq`` counts the batches a single system ever acknowledged (a
-snapshot stamps how many it absorbed); ``base`` is a sharded
-collection's global document count when the batch was acknowledged.
-Replay skips what the snapshot already holds by that number, so a
-record without it is rejected (:func:`batch_record`) instead of being
-guessed at.
+``base`` is the system's (for a sharded collection, the global)
+document count when the batch was acknowledged.  Every batch adds at
+least one document, so replay skips what the snapshot already holds
+(``base`` below its document count) and refuses a gap (``base`` past
+it); a record without ``base`` is rejected (:func:`batch_record`)
+instead of being guessed at.
 
 Recovery semantics (:func:`replay_wal`):
 
@@ -235,14 +234,14 @@ def replay_wal(path, repair=True):
     return records, warning
 
 
-def batch_record(record, position_key):
+def batch_record(record):
     """Unpack one replayed ``add_documents`` record.
 
-    Returns ``(position, pairs, specs)``: ``record[position_key]``
-    (``"seq"`` in a single-file log, ``"base"`` in a sharded one), the
-    ``(name, xml)`` pairs, and the :class:`ValueLinkSpec` list.  Raises
-    :class:`WALError` for any other operation or a record without an
-    integer position -- replay cannot tell what it already absorbed.
+    Returns ``(base, pairs, specs)``: the record's ``base`` position,
+    the ``(name, xml)`` pairs, and the :class:`ValueLinkSpec` list.
+    Raises :class:`WALError` for any other operation or a record
+    without an integer ``base`` -- replay cannot tell what it already
+    absorbed.
     """
     op = record.get("op")
     if op != "add_documents":
@@ -250,17 +249,17 @@ def batch_record(record, position_key):
             f"write-ahead log holds unknown operation {op!r}; "
             f"written by a newer version?"
         )
-    position = record.get(position_key)
-    if not isinstance(position, int):
+    base = record.get("base")
+    if not isinstance(base, int):
         raise WALError(
-            f"write-ahead batch has no integer {position_key!r} "
-            f"(found {position!r}); replay cannot tell whether the "
-            f"snapshot absorbed it -- restore from snapshot/backup"
+            f"write-ahead batch has no integer 'base' (found {base!r}); "
+            f"replay cannot tell whether the snapshot absorbed it -- "
+            f"restore from snapshot/backup"
         )
     pairs = [tuple(pair) for pair in record.get("documents", ())]
     specs = [ValueLinkSpec.from_dict(payload)
              for payload in record.get("value_links", ())]
-    return position, pairs, specs
+    return base, pairs, specs
 
 
 def verify_wal(path):

@@ -49,6 +49,7 @@ from repro.storage.snapshot import (
     write_snapshot,
 )
 from repro.storage.wal import (
+    WALError,
     WriteAheadLog,
     batch_record,
     replay_wal,
@@ -94,10 +95,12 @@ class WriteProtocol:
     restores a snapshot and replays that log.  One *home* rule: the
     location last saved or loaded owns the log and every file recovery
     restores from.  A system that was never saved or loaded has no
-    home and logs nothing.  Each system supplies ``_POSITION_KEY``,
-    ``_log_path(location)``, ``_log_position()``, ``_apply(pairs,
-    specs)``, ``_replay_batch(position, pairs, specs)`` (which skips
-    what the snapshot absorbed) and ``_write_snapshot(location)``.
+    home and logs nothing.  A batch's log position is ``base``, the
+    system's document count when the batch was acknowledged.  Each
+    system supplies ``document_count``, ``_log_path(location)``,
+    ``_apply(pairs, specs)``, ``_replay_batch(base, pairs, specs)``
+    (which skips what the snapshot absorbed) and
+    ``_write_snapshot(location)``.
     """
 
     _home = None
@@ -130,7 +133,7 @@ class WriteProtocol:
         if self._wal is not None:
             self._wal.append({
                 "op": "add_documents",
-                **self._log_position(),
+                "base": self.document_count,
                 "documents": [list(pair) for pair in pairs],
                 "value_links": [spec.to_dict() for spec in specs],
             })
@@ -171,14 +174,28 @@ class WriteProtocol:
         """Replay the log beside a restored snapshot; make it home.
 
         A torn final record (crash mid-append, never acknowledged) is
-        dropped with a warning and cut from the file.
+        dropped with a warning and cut from the file.  A batch always
+        adds a document, so a record whose ``base`` is past the restored
+        document count follows batches neither the snapshot nor the log
+        holds -- an older snapshot restored beside a newer log -- and
+        raises :class:`~repro.storage.wal.WALError` instead of replaying
+        across the gap.
         """
-        records, warning = replay_wal(self._log_path(location))
+        path = self._log_path(location)
+        records, warning = replay_wal(path)
         if warning is not None:
             warnings.warn(warning, stacklevel=3)
         for record in records:
-            position, pairs, specs = batch_record(record, self._POSITION_KEY)
-            self._replay_batch(position, pairs, tuple(specs))
+            base, pairs, specs = batch_record(record)
+            if base > self.document_count:
+                raise WALError(
+                    f"{path}: write-ahead batch at base {base} follows "
+                    f"the restored {self.document_count} documents; the "
+                    f"batches between them are in neither the snapshot "
+                    f"nor the log -- restore the snapshot saved with "
+                    f"this log"
+                )
+            self._replay_batch(base, pairs, tuple(specs))
         self._set_home(location)
 
 
@@ -196,19 +213,17 @@ class Seda(WriteProtocol):
         trie = PathTrie()
         builder = IndexBuilder(collection, analyzer=analyzer, trie=trie)
         inverted, path_index = builder.build()
-        node_store = NodeStore(collection)
         dataguide_builder = DataguideBuilder(dataguide_threshold, trie=trie)
         dataguides = dataguide_builder.build(collection=collection, graph=graph)
         self._wire(
             collection=collection, graph=graph, builder=builder,
-            inverted=inverted, path_index=path_index, node_store=node_store,
+            inverted=inverted, path_index=path_index,
             dataguide_builder=dataguide_builder, dataguides=dataguides,
             registry=Registry(), value_links=value_links, max_hops=max_hops,
         )
 
     def _wire(self, *, collection, graph, builder, inverted, path_index,
-              node_store, dataguide_builder, dataguides, registry,
-              value_links, max_hops, streams=None):
+              dataguide_builder, dataguides, registry, value_links, max_hops):
         """Attach fully built components (shared by ``__init__``/``load``)."""
         self.collection = collection
         self.graph = graph
@@ -216,24 +231,26 @@ class Seda(WriteProtocol):
         self.analyzer = builder.analyzer
         self.inverted = inverted
         self.path_index = path_index
-        self.node_store = node_store
+        # Derived state, never persisted: one pass over the collection.
+        self.node_store = NodeStore(collection)
         self._dataguide_builder = dataguide_builder
         self.dataguides = dataguides
         self.registry = registry
         self.value_links = tuple(value_links)
         self.max_hops = max_hops
-        self.matcher = TermMatcher(collection, inverted, path_index, node_store)
+        self.matcher = TermMatcher(
+            collection, inverted, path_index, self.node_store
+        )
         self.scoring = ScoringModel(
             collection, inverted, graph, max_hops=max_hops
         )
         # One impact-stream store per system: every searcher built
         # against this system shares the same materialized per-term
         # streams.
-        self.streams = streams if streams is not None else ImpactStreamStore()
+        self.streams = ImpactStreamStore()
         self.topk = self.new_searcher()
         self._service = None  # created lazily by query_service()
         self.obs = None  # StatsRegistry; enable_observability() attaches one
-        self._batches = 0  # batches ever applied; stamps WAL records
         self.context_generator = ContextSummaryGenerator(self.matcher)
         self._refresh_generators()
 
@@ -288,20 +305,13 @@ class Seda(WriteProtocol):
 
     # -- the write protocol (see WriteProtocol) -------------------------------
 
-    #: A record's position is ``seq``, the count of batches applied
-    #: before it; a snapshot stamps the count it absorbed (``wal_seq``).
-    _POSITION_KEY = "seq"
     _log_path = staticmethod(wal_file_name)
 
-    def _log_position(self):
-        return {"seq": self._batches}
-
-    def _replay_batch(self, seq, pairs, specs):
-        if seq < self._batches:
+    def _replay_batch(self, base, pairs, specs):
+        if base < self.document_count:
             # The snapshot absorbed this batch: the crash hit between
             # its commit and the log truncation.
             return
-        self._batches = seq
         self._apply(pairs, specs)
 
     def _write_snapshot(self, path):
@@ -318,7 +328,6 @@ class Seda(WriteProtocol):
         only the new documents, link discovery skips present edges, and
         the new dataguides merge into the mined set.
         """
-        self._batches += 1
         added = [
             self.collection.add_document(source, name=doc_name)
             for doc_name, source in pairs
@@ -359,10 +368,6 @@ class Seda(WriteProtocol):
             "dataguide_threshold": self.dataguides.threshold,
             "analyzer": self.analyzer.to_dict(),
             "value_links": [spec.to_dict() for spec in self.value_links],
-            # Batches absorbed by this snapshot: replay skips write-ahead
-            # records below this mark (crash between snapshot commit and
-            # log truncation leaves absorbed records behind).
-            "wal_seq": self._batches,
         }
         records = {
             "collection": self.collection.to_dict(),
@@ -371,13 +376,8 @@ class Seda(WriteProtocol):
             # sidecar instead of being exploded into JSON lists.
             "inverted": self.inverted.to_dict(),
             "path_index": self.path_index.to_dict(),
-            "node_store": self.node_store.to_dict(),
             "dataguides": self.dataguides.to_dict(),
             "registry": self.registry.to_dict(),
-            # Materialized impact streams for the current graph version:
-            # a reloaded system answers its hot terms from these without
-            # re-enumerating or re-scoring candidates.
-            "streams": self.streams.to_dict(version=self.graph.version),
         }
         if self.obs is not None:
             # Retained query statistics survive the snapshot: a reloaded
@@ -390,11 +390,13 @@ class Seda(WriteProtocol):
         """Restore a system saved by :meth:`save` and make ``path`` home.
 
         Bypasses XML parsing, link discovery, index building, and
-        dataguide mining entirely: every component is reconstructed
-        from its serialized form, the byte columns read through an
-        mmap of the snapshot's own ``.cols`` file.  Every acknowledged
-        batch in ``<path>.wal`` is replayed on top, so recovery after a
-        crash lands on snapshot plus everything ever acknowledged.  Raises
+        dataguide mining entirely: every index is reconstructed from
+        its serialized form, the byte columns read through an mmap of
+        the snapshot's own ``.cols`` file.  The node store is rebuilt
+        in one pass over the restored collection, and the impact-stream
+        cache starts empty.  Every acknowledged batch in
+        ``<path>.wal`` is replayed on top, so recovery after a crash
+        lands on snapshot plus everything ever acknowledged.  Raises
         :class:`~repro.storage.snapshot.SnapshotError` on incompatible,
         torn, or corrupt files.
         """
@@ -430,7 +432,6 @@ class Seda(WriteProtocol):
                                            sidecar=sidecar)
         path_index = PathIndex.from_dict(records["path_index"], analyzer,
                                          sidecar=sidecar)
-        node_store = NodeStore.from_dict(records["node_store"], collection)
         # The dataguides re-anchor in the path index's trie, so both
         # keep speaking one shared label table after a restore too.
         dataguides = DataguideSet.from_dict(records["dataguides"],
@@ -444,22 +445,18 @@ class Seda(WriteProtocol):
             ValueLinkSpec.from_dict(record)
             for record in meta.get("value_links", ())
         )
-        streams = ImpactStreamStore.from_dict(records["streams"],
-                                              sidecar=sidecar)
         system = cls.__new__(cls)
         system._wire(
             collection=collection, graph=graph, builder=builder,
-            inverted=inverted, path_index=path_index, node_store=node_store,
+            inverted=inverted, path_index=path_index,
             dataguide_builder=DataguideBuilder.from_set(dataguides),
             dataguides=dataguides, registry=registry,
             value_links=value_links, max_hops=meta["max_hops"],
-            streams=streams,
         )
         if "obs" in records:
             from repro.obs.registry import StatsRegistry
 
             system.obs = StatsRegistry.from_dict(records["obs"])
-        system._batches = meta["wal_seq"]
         return system
 
     # -- introspection ------------------------------------------------------------

@@ -7,7 +7,6 @@ column decode in :class:`~repro.index.inverted.InvertedIndex` stays
 race-free under concurrent lock-free readers (the S3 surface).
 """
 
-import struct
 import threading
 
 import pytest
@@ -19,10 +18,8 @@ from repro.compact import (
     StringTable,
     decode_postings,
     decode_sorted_ids,
-    decode_stream,
     encode_postings,
     encode_sorted_ids,
-    encode_stream,
     posting_count,
 )
 from repro.index.inverted import InvertedIndex
@@ -92,26 +89,6 @@ class TestSortedIdColumns:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             encode_sorted_ids([2, 1])
-
-
-class TestStreamColumns:
-    def test_round_trip_preserves_score_order_ids(self):
-        scores = [0.9, 0.5, 0.5, 0.1]
-        node_ids = [42, 7, 300, 11]  # score order, not id order
-        decoded_scores, decoded_ids = decode_stream(
-            encode_stream(scores, node_ids)
-        )
-        assert list(decoded_scores) == scores
-        assert list(decoded_ids) == node_ids
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            encode_stream([1.0], [1, 2])
-
-    def test_decodes_from_memoryview(self):
-        blob = encode_stream([0.25], [9])
-        scores, ids = decode_stream(memoryview(blob))
-        assert list(scores) == [0.25] and list(ids) == [9]
 
 
 class TestPathTrie:
@@ -207,23 +184,6 @@ class TestCodecProperties:
     def test_sorted_ids_round_trip(self, ids):
         assert decode_sorted_ids(encode_sorted_ids(ids)) == ids
 
-    @given(st.lists(
-        st.tuples(st.floats(allow_nan=True, allow_infinity=True,
-                            width=64),
-                  st.integers(min_value=0, max_value=10**7)),
-        max_size=20,
-    ))
-    def test_stream_round_trip_bit_exact(self, pairs):
-        scores = [score for score, _ in pairs]
-        node_ids = [node_id for _, node_id in pairs]
-        decoded_scores, decoded_ids = decode_stream(
-            encode_stream(scores, node_ids)
-        )
-        # Bit-pattern comparison so NaNs count as preserved too.
-        assert (struct.pack(f"<{len(scores)}d", *decoded_scores)
-                == struct.pack(f"<{len(scores)}d", *scores))
-        assert list(decoded_ids) == node_ids
-
     @given(_paths)
     def test_trie_render_inverts_insert(self, paths):
         trie = PathTrie()
@@ -314,10 +274,8 @@ class TestLazyDecodeConcurrency:
             "graph": {"version": 0, "edges": []},
             "inverted": payload,
             "path_index": {"all_paths": [], "columns_inline": {}},
-            "node_store": {"nodes": {}},
             "dataguides": {"threshold": 0.4, "guides": [], "links": []},
             "registry": {"definitions": []},
-            "streams": {"streams": [], "columns_inline": {}},
         })
         _meta, records = read_snapshot(str(path))
         cold = InvertedIndex.from_dict(

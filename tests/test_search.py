@@ -477,17 +477,21 @@ class TestImpactStreams:
         assert rebuilt is not stream
         assert rebuilt.pairs() == stream.pairs()  # same content
 
-    def test_store_roundtrip_preserves_bytes(self):
+    def test_store_hits_only_its_version(self):
         store = ImpactStreamStore()
         stream = ImpactStream([2.5, 1.0 / 3.0], [4, 9])
-        store.put(("ctx", "search"), 7, stream)
-        restored = ImpactStreamStore.from_dict(store.to_dict())
-        assert restored.get(("ctx", "search"), 7).pairs() == stream.pairs()
-        # A different version misses; to_dict can filter stale entries.
-        assert restored.get(("ctx", "search"), 8) is None
-        assert ImpactStreamStore.from_dict(
-            store.to_dict(version=99)
-        )._streams == {}
+        assert store.put(("ctx", "search"), 7, stream) is stream
+        assert store.get(("ctx", "search"), 7) is stream
+        # A different version misses, and a racing put at the stored
+        # version gets the first instance back.
+        assert store.get(("ctx", "search"), 8) is None
+        assert store.put(("ctx", "search"), 7,
+                         ImpactStream([1.0], [1])) is stream
+        assert store.counters() == {"stream_hits": 1, "stream_misses": 1}
+        # A put at a newer version replaces the stale entry.
+        newer = ImpactStream([1.0], [1])
+        assert store.put(("ctx", "search"), 8, newer) is newer
+        assert store.get(("ctx", "search"), 8) is newer
 
     def test_searchers_share_a_passed_stream_store(
         self, figure2_collection, figure2_matcher

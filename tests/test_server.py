@@ -250,6 +250,14 @@ class TestServingAppProtocol:
         assert app.handle(
             "POST", "/add_documents", body={"documents": []}
         ).status == 400
+        # ``queries`` is a list: a string or an object would otherwise
+        # answer one result list per character or key.
+        for queries in ("alpha", {"alpha": 1}):
+            response = app.handle(
+                "POST", "/search_many", body={"queries": queries}
+            )
+            assert response.status == 400, queries
+            assert "'queries' must be a list" in response.payload["error"]
         # ``k`` is an integer: not an overflowing float (JSON 1e400),
         # not a fraction, not a bool -- on every endpoint that takes it.
         pairs = [["*", "x"]]

@@ -15,7 +15,6 @@ from repro.index.path_index import PathIndex
 from repro.model.collection import DocumentCollection
 from repro.model.graph import DataGraph, EdgeKind
 from repro.model.links import ValueLinkSpec
-from repro.storage.node_store import NodeStore
 from repro.storage.snapshot import (
     SHARDED_VERSION,
     SNAPSHOT_VERSION,
@@ -158,10 +157,10 @@ class TestComponentRoundTrips:
             seda.path_index.paths_for_path(TC_PATH)
         )
 
-    def test_node_store(self, seda):
-        restored = NodeStore.from_dict(
-            seda.node_store.to_dict(), seda.collection
-        )
+    def test_node_store(self, seda, loaded):
+        # Not a snapshot record: the loaded system rebuilds it from the
+        # restored collection and must answer exactly as the built one.
+        restored = loaded.node_store
         assert restored.tags() == seda.node_store.tags()
         assert restored.paths() == seda.node_store.paths()
         for tag in seda.node_store.tags():
@@ -281,8 +280,8 @@ class TestSystemSnapshot:
         info = snapshot_info(path)
         assert info["meta"]["collection"] == seda.collection.name
         assert {name for name, _size in info["records"]} == {
-            "collection", "graph", "inverted", "path_index", "node_store",
-            "dataguides", "registry", "streams",
+            "collection", "graph", "inverted", "path_index",
+            "dataguides", "registry",
         }
         assert info["total_bytes"] == path.stat().st_size
 
@@ -304,9 +303,9 @@ class TestSystemSnapshot:
         assert restored.version == graph.version
         assert restored.version != len(restored.edges)
 
-    def test_current_version_is_five(self):
+    def test_current_version_is_six(self):
         # One format each: the reader accepts exactly these versions.
-        assert SNAPSHOT_VERSION == 5
+        assert SNAPSHOT_VERSION == 6
         assert SHARDED_VERSION == 2
 
     def test_current_save_load_round_trip(self, seda, tmp_path):
@@ -314,7 +313,7 @@ class TestSystemSnapshot:
         seda.save(path)
         with open(path, "r", encoding="utf-8") as handle:
             header = json.loads(handle.readline())
-        assert header["version"] == SNAPSHOT_VERSION == 5
+        assert header["version"] == SNAPSHOT_VERSION == 6
         info = snapshot_info(path)
         assert info["sidecar_bytes"] == os.path.getsize(
             sidecar_file_name(path)
@@ -322,34 +321,19 @@ class TestSystemSnapshot:
         assert _topk_bytes(Seda.load(path)) == _topk_bytes(seda)
 
 
-class TestImpactStreamPersistence:
-    """Materialized per-term streams survive save/load."""
+class TestImpactStreamsAfterLoad:
+    """Impact streams are a cache, not a record: a loaded system starts
+    with none and builds each on first use."""
 
-    def test_streams_persist_and_serve_identically(self, seda, tmp_path):
-        seda.search(QUERY_1, k=10)  # materialize the query's streams
+    def test_empty_store_fills_and_serves_identically(self, seda, tmp_path):
+        seda.search(QUERY_1, k=10)  # the saving system's streams are warm
         assert len(seda.streams) >= len(QUERY_1)
         path = tmp_path / "sys.snapshot"
         seda.save(path)
         loaded = Seda.load(path)
-        # Only the scored (non-match-all) streams persist: QUERY_1 has
-        # one phrase term and two match-all terms, whose streams are
-        # cheap to rebuild and large to store.
-        assert 1 <= len(loaded.streams) < len(seda.streams)
-        # The restored streams serve the exact bytes the saving system
-        # computed; only the match-all streams rebuild.
+        assert len(loaded.streams) == 0
         assert _topk_bytes(loaded) == _topk_bytes(seda)
-        assert loaded.streams.hits >= 1
-        assert loaded.streams.misses <= 2
-
-    def test_streams_of_stale_versions_not_persisted(self, seda, tmp_path):
-        seda.search(QUERY_1, k=10)
-        path = tmp_path / "sys.snapshot"
-        seda.save(path)
-        _meta, records = read_snapshot(path)
-        versions = {
-            record["version"] for record in records["streams"]["streams"]
-        }
-        assert versions <= {seda.graph.version}
+        assert len(loaded.streams) == len(QUERY_1)
 
 
 class TestSnapshotErrors:
@@ -374,15 +358,16 @@ class TestSnapshotErrors:
         out_path.write_text("\n".join(lines) + "\n")
 
     def test_version_mismatch_rejected(self, seda, tmp_path):
-        """A newer and an older (pre-checksum, version 4) header are
-        both rejected, naming the one readable version."""
+        """A newer and an older (version 5, which carried the node
+        store and impact streams) header are both rejected, naming the
+        one readable version."""
         path = tmp_path / "sys.snapshot"
         seda.save(path)
         bad = tmp_path / "bad.snapshot"
-        for version in (SNAPSHOT_VERSION + 1, 4):
+        for version in (SNAPSHOT_VERSION + 1, 5):
             self._tamper_header(path, bad, version=version)
             with pytest.raises(SnapshotError,
-                               match="reads version 5 only -- rebuild"):
+                               match="reads version 6 only -- rebuild"):
                 Seda.load(bad)
 
     def test_header_without_checksums_rejected(self, seda, tmp_path):

@@ -14,6 +14,15 @@ class TestNodeStore:
         ]
         assert keys == sorted(keys)
         assert len(items) == 7  # 3 usa-2006, 1 usa-2002, 3 mexico-2003
+        # Every stream, attributes included, is in (doc_id, dewey)
+        # order: the store keeps node ids in allocation order.
+        figure2_collection.add_document(
+            '<country code="mx"><name lang="es">Mexico</name><item/></country>'
+        )
+        store.refresh()
+        for ids in ([store.by_tag(tag) for tag in store.tags()]
+                    + [store.by_path(path) for path in store.paths()]):
+            assert ids == store.sort_dewey(ids)
 
     def test_by_path(self, figure2_collection):
         store = NodeStore(figure2_collection)
@@ -23,6 +32,17 @@ class TestNodeStore:
     def test_unknown_tag_empty(self, figure2_collection):
         store = NodeStore(figure2_collection)
         assert store.by_tag("nope") == []
+
+    def test_reads_of_unknown_keys_insert_nothing(self, figure2_collection):
+        """Only ``refresh`` adds keys, so concurrent readers never see
+        the tables grow under them."""
+        store = NodeStore(figure2_collection)
+        tags, paths = store.tags(), store.paths()
+        root = figure2_collection.document(0).root
+        assert store.by_tag("nope") == []
+        assert store.by_path("/no/such/path") == []
+        assert store.descendants_in_path(root.node_id, "/no/such") == []
+        assert (store.tags(), store.paths()) == (tags, paths)
 
     def test_refresh_picks_up_new_documents(self, figure2_collection):
         store = NodeStore(figure2_collection)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.datasets.factbook import FactbookGenerator
 from repro.model.links import ValueLinkSpec
 from repro.query.term import Query
 from repro.shard import ShardedSeda
+from repro.storage.snapshot import fsck_report, sidecar_file_name
 from repro.storage.wal import (
     WAL_MAGIC,
     WALError,
@@ -205,16 +207,16 @@ class TestSedaDurability:
         with pytest.raises(WALError, match="unknown operation"):
             Seda.load(path)
 
-    def test_batch_without_seq_raises(self, tmp_path):
+    def test_batch_without_base_raises(self, tmp_path):
         """Replay cannot tell whether the snapshot absorbed a batch
-        without its sequence number, so it refuses to guess."""
+        without its document-count position, so it refuses to guess."""
         path = str(tmp_path / "s.snapshot")
         Seda.from_documents(DOCS).save(path)
         log = WriteAheadLog(wal_file_name(path))
         log.append({"op": "add_documents",
                     "documents": [list(BATCH[0])]})
         log.close()
-        with pytest.raises(WALError, match="no integer 'seq'"):
+        with pytest.raises(WALError, match="no integer 'base'"):
             Seda.load(path)
 
     def test_replayed_value_links_survive(self, tmp_path):
@@ -289,8 +291,54 @@ class TestShardedDurability:
             )
 
 
+class TestOlderSnapshotBesideNewerLog:
+    """Restoring an older snapshot beside a newer log leaves a gap: the
+    batches acknowledged between the two saves are in neither.  Load
+    refuses to replay across it and fsck reports it."""
+
+    def _assert_gap_refused(self, location):
+        report = fsck_report(location)
+        assert not report["ok"]
+        assert any("base 4" in problem and "holds 3 documents" in problem
+                   for problem in report["problems"])
+        return pytest.raises(WALError, match="base 4 follows the "
+                             "restored 3 documents")
+
+    def test_seda(self, tmp_path):
+        path = str(tmp_path / "s.snapshot")
+        pair = [path, sidecar_file_name(path)]
+        system = Seda.from_documents(DOCS)
+        system.save(path)
+        older = [open(name, "rb").read() for name in pair]
+        system.add_documents([("d1", "<r><a>one</a></r>")])
+        system.save(path)
+        system.add_documents([("d2", "<r><a>two</a></r>")])
+        system.close()
+        for name, blob in zip(pair, older):
+            with open(name, "wb") as handle:
+                handle.write(blob)
+        with self._assert_gap_refused(path):
+            Seda.load(path)
+
+    def test_sharded(self, tmp_path):
+        directory = tmp_path / "s.shards"
+        system = ShardedSeda.from_documents(DOCS, shards=2, parallel=False)
+        system.save(str(directory))
+        older = tmp_path / "older"
+        shutil.copytree(directory, older)
+        system.add_documents([("d1", "<r><a>one</a></r>")])
+        system.save(str(directory))
+        system.add_documents([("d2", "<r><a>two</a></r>")])
+        system.close()
+        for name in os.listdir(older):
+            if name != "wal.log":
+                shutil.copy(older / name, directory / name)
+        with self._assert_gap_refused(str(directory)):
+            ShardedSeda.load(str(directory))
+
+
 class TestEmptyBatchRejected:
-    """A batch without documents would leave the sharded position
+    """A batch without documents would leave the log position
     (``base``) where it was, so replay could not tell it was absorbed;
     both systems reject it before anything is logged."""
 
