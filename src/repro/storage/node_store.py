@@ -56,15 +56,9 @@ class NodeStore:
         return sorted(self._by_path)
 
     def sort_dewey(self, node_ids):
-        """Sort arbitrary node ids into global Dewey order."""
-        collection = self.collection
-        return sorted(
-            node_ids,
-            key=lambda node_id: (
-                collection.node(node_id).doc_id,
-                collection.node(node_id).dewey,
-            ),
-        )
+        """Sort arbitrary node ids into global Dewey order, which is
+        ascending node id."""
+        return sorted(node_ids)
 
     def descendants_in_path(self, ancestor_id, path):
         """Node ids on ``path`` that descend from ``ancestor_id``.

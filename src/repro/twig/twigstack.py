@@ -12,10 +12,21 @@ parent-child match (each pattern edge adds exactly one path step and
 Dewey levels mirror path steps one-to-one) -- no post-filtering pass is
 needed.
 
+Every pattern edge is ancestor-descendant, so a twig match lies inside
+one document.  Before TwigStack runs, :meth:`TwigStackJoin.matches`
+cuts every stream down to the documents that hold an item of *every*
+stream: it takes the documents of the smallest stream and keeps one
+only if each other stream has an id inside that document's node-id
+range.  A document's node ids are contiguous and ascending id is Dewey
+order, so one ``bisect`` per document per stream answers this, and the
+cut streams are slices of the originals.  When an anchor term matches
+one country, the join walks that country's nodes, not the corpus's.
+
 :class:`NaiveTwigJoin` is the baseline: top-down nested-loop structural
 join, used for correctness checks and the TW benchmark.
 """
 
+import bisect
 import itertools
 
 _INFINITY = float("inf")
@@ -52,6 +63,21 @@ def _end_key(collection, node_id):
     return (node.doc_id, node.dewey.components + (_INFINITY,))
 
 
+def _holds(ids, low, high):
+    """Whether the sorted ``ids`` hold one inside ``[low, high]``."""
+    index = bisect.bisect_left(ids, low)
+    return index < len(ids) and ids[index] <= high
+
+
+def _slice(ids, ranges):
+    """The sorted ``ids`` that fall inside one of the sorted ranges."""
+    kept = []
+    for low, high in ranges:
+        kept.extend(ids[bisect.bisect_left(ids, low):
+                        bisect.bisect_right(ids, high)])
+    return kept
+
+
 class TwigStackJoin:
     """Evaluate a :class:`TwigPattern` with the TwigStack algorithm."""
 
@@ -84,7 +110,12 @@ class TwigStackJoin:
                 ids = self.node_store.sort_dewey(ids)
             else:
                 ids = self.node_store.by_path(query_node.path)
-            streams[query_node] = _Stream(ids)
+            streams[query_node] = ids
+        kept = self._document_ranges(list(streams.values()))
+        streams = {
+            query_node: _Stream(_slice(ids, kept))
+            for query_node, ids in streams.items()
+        }
 
         stacks = {query_node: [] for query_node in nodes}
         leaf_solutions = {
@@ -118,6 +149,22 @@ class TwigStackJoin:
         for match in self.matches(pattern, candidate_streams):
             tuples.append(tuple(match[node] for node in outputs))
         return tuples
+
+    def _document_ranges(self, streams):
+        """Node-id ranges of the documents holding an item of every
+        stream, in document order."""
+        documents = self.collection.documents
+        node = self.collection.node
+        smallest = min(streams, key=len)
+        kept = []
+        position = 0
+        while position < len(smallest):
+            nodes = documents[node(smallest[position]).doc_id].nodes
+            low, high = nodes[0].node_id, nodes[-1].node_id
+            if all(_holds(ids, low, high) for ids in streams):
+                kept.append((low, high))
+            position = bisect.bisect_right(smallest, high, position)
+        return kept
 
     # -- TwigStack core -------------------------------------------------------
 

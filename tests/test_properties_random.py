@@ -4,7 +4,9 @@ Hypothesis generates small random document collections; the properties
 assert that independent implementations agree:
 
 * index-based candidate enumeration == brute-force Definition 3 scan;
-* TwigStack == naive structural join on random twigs;
+* TwigStack == naive structural join on random twigs, with and without
+  candidate streams (strict document subsets, disjoint documents, an
+  empty candidate set);
 * TA top-k scores == exhaustive search scores;
 * path-index term buckets == paths of scanned matching nodes.
 """
@@ -56,9 +58,14 @@ def _random_element(draw, depth=0, attributes=False):
 
 
 @st.composite
-def _random_collection(draw):
+def _random_collection(draw, min_documents=1, root_tag=None):
+    """Up to four random documents; ``root_tag`` gives them all one
+    root, so that twigs over shared paths match in many documents."""
     collection = DocumentCollection()
-    for root in draw(st.lists(_random_element(), min_size=1, max_size=4)):
+    for root in draw(st.lists(_random_element(), min_size=min_documents,
+                              max_size=4)):
+        if root_tag is not None:
+            root.tag = root_tag
         collection.add_document(root)
     return collection
 
@@ -111,38 +118,120 @@ class TestCandidatesAgainstScan:
         assert from_index == from_nodes
 
 
+def _two_path_pattern(store):
+    """A twig over the two most frequent paths sharing a root, or
+    ``None`` for a degenerate collection."""
+    paths = sorted(
+        store.paths(),
+        key=lambda path: -len(store.by_path(path)),
+    )
+    for i, first in enumerate(paths):
+        for second in paths[i:]:
+            if first.split("/")[1] != second.split("/")[1]:
+                continue
+            root_path = "/" + first.split("/")[1]
+            if first == second and (
+                first == root_path or len(store.by_path(first)) < 2
+            ):
+                continue  # cannot bind two terms to one root node
+            return TwigPattern.from_paths({0: first, 1: second})
+    return None
+
+
+def _document_nodes(collection, doc_ids, data):
+    """Node ids of the given documents, a few drawn ones dropped, in
+    drawn order."""
+    ids = [
+        node.node_id
+        for doc_id in sorted(doc_ids)
+        for node in collection.documents[doc_id].nodes
+    ]
+    dropped = data.draw(st.sets(st.sampled_from(ids), max_size=3))
+    return data.draw(st.permutations(
+        [node_id for node_id in ids if node_id not in dropped]
+    ))
+
+
 class TestTwigEquivalence:
     @given(_random_collection())
     @settings(max_examples=50, deadline=None)
     def test_twigstack_equals_naive(self, collection):
         store = NodeStore(collection)
-        # Build a twig from the two most frequent paths sharing a root.
-        paths = sorted(
-            store.paths(),
-            key=lambda path: -len(store.by_path(path)),
-        )
-        chosen = None
-        for i, first in enumerate(paths):
-            for second in paths[i:]:
-                if first.split("/")[1] != second.split("/")[1]:
-                    continue
-                root_path = "/" + first.split("/")[1]
-                if first == second and (
-                    first == root_path or len(store.by_path(first)) < 2
-                ):
-                    continue  # cannot bind two terms to one root node
-                chosen = {0: first, 1: second}
-                break
-            if chosen:
-                break
-        if chosen is None:
+        pattern = _two_path_pattern(store)
+        if pattern is None:
             return  # degenerate collection; nothing to check
-        pattern = TwigPattern.from_paths(chosen)
         fast = sorted(
             TwigStackJoin(collection, store).match_tuples(pattern)
         )
         slow = sorted(NaiveTwigJoin(collection, store).match_tuples(pattern))
         assert fast == slow
+
+
+class TestTwigEquivalenceWithCandidates:
+    """The production path: ``CompleteResultGenerator`` always passes
+    candidate streams, which TwigStack cuts to the documents holding an
+    item of every stream before it joins."""
+
+    @staticmethod
+    def _join(collection, store, pattern, candidates):
+        fast = sorted(TwigStackJoin(collection, store).match_tuples(
+            pattern, candidate_streams=candidates
+        ))
+        slow = sorted(NaiveTwigJoin(collection, store).match_tuples(
+            pattern, candidate_streams=candidates
+        ))
+        assert fast == slow
+        return fast
+
+    @given(_random_collection(min_documents=2, root_tag="a"), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_strict_document_subsets(self, collection, data):
+        store = NodeStore(collection)
+        pattern = _two_path_pattern(store)
+        if pattern is None:
+            return
+        document_ids = range(len(collection.documents))
+        candidates = {}
+        for index in pattern.term_indexes():
+            chosen = data.draw(st.sets(
+                st.sampled_from(document_ids),
+                min_size=1, max_size=len(document_ids) - 1,
+            ))
+            candidates[index] = _document_nodes(collection, chosen, data)
+        self._join(collection, store, pattern, candidates)
+
+    @given(_random_collection(min_documents=2, root_tag="a"), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_documents_match_nothing(self, collection, data):
+        store = NodeStore(collection)
+        pattern = _two_path_pattern(store)
+        if pattern is None:
+            return
+        document_ids = set(range(len(collection.documents)))
+        first = data.draw(st.sets(
+            st.sampled_from(sorted(document_ids)),
+            min_size=1, max_size=len(document_ids) - 1,
+        ))
+        candidates = {
+            0: _document_nodes(collection, first, data),
+            1: _document_nodes(collection, document_ids - first, data),
+        }
+        assert self._join(collection, store, pattern, candidates) == []
+
+    @given(_random_collection(), st.integers(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_empty_candidate_set_matches_nothing(self, collection, empty):
+        store = NodeStore(collection)
+        pattern = _two_path_pattern(store)
+        if pattern is None:
+            return
+        candidates = {
+            index: [] if index == empty else [
+                node.node_id for node in collection.iter_nodes()
+            ]
+            for index in pattern.term_indexes()
+        }
+        assert self._join(collection, store, pattern, candidates) == []
 
 
 class TestTopKEquivalence:

@@ -1,14 +1,18 @@
-"""Twig patterns, TwigStack vs naive equivalence, complete results."""
+"""Twig patterns, TwigStack vs naive equivalence, the document cut,
+complete results."""
 
 import pytest
 
+from repro.datasets.factbook import FactbookGenerator
 from repro.model.graph import DataGraph
 from repro.model.links import LinkDiscoverer, ValueLinkSpec
 from repro.query.term import Query
 from repro.storage.node_store import NodeStore
 from repro.summaries.connection import LinkConnection, TreeConnection
+from repro.system import Seda
 from repro.twig.complete import CompleteResultGenerator
 from repro.twig.pattern import TwigPattern
+from repro.twig import twigstack as twigstack_module
 from repro.twig.twigstack import NaiveTwigJoin, TwigStackJoin
 from repro.model.graph import EdgeKind
 
@@ -121,11 +125,12 @@ def complete_generator(figure2_collection, figure2_matcher):
     ), graph
 
 
-QUERY_1 = Query.parse([
+QUERY_1_PAIRS = [
     ("*", '"United States"'),
     ("trade_country", "*"),
     ("percentage", "*"),
-])
+]
+QUERY_1 = Query.parse(QUERY_1_PAIRS)
 
 QUERY_1_PATHS = {0: "/country", 1: TC_PATH, 2: PCT_PATH}
 
@@ -228,3 +233,49 @@ class TestCompleteResults:
         )
         assert table.column_paths(1) == {TC_PATH}
         assert set(table.values(2)) <= {"15%", "16.9%", "17.8%"}
+
+
+class TestDocumentCut:
+    """TwigStack walks only the documents that can hold a match."""
+
+    @staticmethod
+    def _query1_table(seda):
+        session = seda.search(QUERY_1_PAIRS, k=10)
+        refined = session.refine_contexts(
+            {index: [path] for index, path in QUERY_1_PATHS.items()}
+        )
+        chosen = refined.refine_connections(
+            [((0, 1), COUNTRY_TC), ((1, 2), SIBLING)]
+        )
+        return chosen.complete_results()
+
+    def test_streams_hold_only_anchor_documents(self, small_factbook_seda,
+                                                monkeypatch):
+        recorded = []
+
+        class _RecordingStream(twigstack_module._Stream):
+            def __init__(self, items):
+                recorded.extend(items)
+                super().__init__(items)
+
+        monkeypatch.setattr(twigstack_module, "_Stream", _RecordingStream)
+        table = self._query1_table(small_factbook_seda)
+        monkeypatch.undo()
+
+        collection = small_factbook_seda.collection
+        us_documents = {
+            document.doc_id for document in collection.documents
+            if document.root.value == "United States"
+        }
+        assert 0 < len(us_documents) < len(collection.documents)
+        assert recorded
+        assert {collection.node(node_id).doc_id for node_id in recorded} \
+            <= us_documents
+
+        generator = FactbookGenerator(scale=0.02)
+        fresh = Seda.from_documents(
+            generator.documents(),
+            value_links=FactbookGenerator.value_link_specs(),
+        )
+        assert table.rows
+        assert table.rows == self._query1_table(fresh).rows
