@@ -70,8 +70,8 @@ With ``--snapshot`` it renders the registry stored in an existing
 snapshot file or sharded directory without serving anything.  ``--json``
 emits the same data machine-readably.  ``explain`` runs one query and
 reports how the TA search executed: streams opened, per-term candidate
-and sorted-access counts, tuples scored vs. pruned, which combine path
-ran, and why the search stopped.
+and sorted-access counts, tuples scored vs. pruned, and why the search
+stopped.
 """
 
 import argparse

@@ -13,8 +13,8 @@ This package is the retained layer an operator reads *after the fact*:
   a bounded ring buffer of slow queries over a latency threshold.
 * :func:`~repro.obs.explain.explain` -- one query's EXPLAIN report:
   per-term streams and candidate counts, sorted accesses, tuples
-  scored vs. pruned, which combine path ran, and why the TA loop
-  stopped (corner bound vs. exhaustion).
+  scored vs. pruned, and why the TA loop stopped (corner bound vs.
+  exhaustion).
 
 The registry threads through :class:`~repro.service.query_service.
 QueryService` -- the one serving facade of single-file and sharded

@@ -5,7 +5,6 @@ TopKSearcher` and packages the searcher's per-query ``stats`` into an
 :class:`ExplainReport`: which streams were opened and how large each
 term's candidate set was, how many sorted accesses each stream served,
 how many candidate tuples were scored vs. pruned by the upper bound,
-which combine path ran (``single``/``pair``/``triple``/``general``),
 and **why the TA loop stopped** -- ``corner-bound`` (the rank-join
 threshold certified the top-k early) vs. ``exhaustion`` (every stream
 was drained), plus the degenerate ``empty-stream``/``k-satisfied``/
@@ -25,8 +24,7 @@ class ExplainReport:
     """One query's execution profile, renderable as text or JSON."""
 
     def __init__(self, fingerprint, k, per_term, sorted_accesses,
-                 tuples_scored, pruned, path, stop_reason, early_stop,
-                 results):
+                 tuples_scored, pruned, stop_reason, early_stop, results):
         self.fingerprint = fingerprint
         self.k = k
         #: One dict per term, in query order: ``{"term", "candidates",
@@ -35,7 +33,6 @@ class ExplainReport:
         self.sorted_accesses = sorted_accesses
         self.tuples_scored = tuples_scored
         self.pruned = pruned
-        self.path = path
         self.stop_reason = stop_reason
         self.early_stop = early_stop
         self.results = list(results)
@@ -49,7 +46,6 @@ class ExplainReport:
             "sorted_accesses": self.sorted_accesses,
             "tuples_scored": self.tuples_scored,
             "pruned": self.pruned,
-            "path": self.path,
             "stop_reason": self.stop_reason,
             "early_stop": self.early_stop,
             "results": [
@@ -62,7 +58,6 @@ class ExplainReport:
         """The human-readable EXPLAIN text."""
         lines = [
             f"EXPLAIN {self.fingerprint}",
-            f"  combine path: {self.path}",
             f"  streams opened: {len(self.per_term)}",
         ]
         for entry in self.per_term:
@@ -92,7 +87,7 @@ class ExplainReport:
 
     def __repr__(self):
         return (
-            f"ExplainReport({self.fingerprint!r}, path={self.path}, "
+            f"ExplainReport({self.fingerprint!r}, "
             f"stop={self.stop_reason})"
         )
 
@@ -130,7 +125,6 @@ def explain(searcher, query, k=10):
         sorted_accesses=raw["sorted_accesses"],
         tuples_scored=raw["tuples_scored"],
         pruned=raw["pruned"],
-        path=raw.get("path"),
         stop_reason=raw.get("stop_reason"),
         early_stop=raw["early_stop"],
         results=results,

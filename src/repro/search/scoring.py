@@ -205,12 +205,11 @@ class ScoringModel:
         pair keys, read and filled here; the top-k unit passes one that
         lives for a single search.
         """
-        ids = list(dict.fromkeys(node_ids))
-        if len(ids) <= 1:
+        if len(node_ids) <= 1:
             return 1.0
-        anchor = ids[0]
+        anchor = node_ids[0]
         total = 0
-        for other in ids[1:]:
+        for other in node_ids[1:]:
             key = (anchor, other) if anchor <= other else (other, anchor)
             if key not in memo:
                 memo[key] = self.pair_distance(anchor, other)
@@ -223,10 +222,19 @@ class ScoringModel:
     # -- combination ------------------------------------------------------------
 
     def combine(self, content_scores, compactness):
-        """Weighted geometric combination of the two signals."""
+        """Weighted geometric combination of the two signals.
+
+        The mean folds the content scores left to right in term order,
+        the fold the top-k enumeration uses, so every searcher and the
+        oracles agree to the bit on every Python (``sum`` compensates
+        its rounding since 3.12).
+        """
         if not content_scores:
             return 0.0
-        mean_content = sum(content_scores) / len(content_scores)
+        total = 0.0
+        for score in content_scores:
+            total += score
+        mean_content = total / len(content_scores)
         return (
             (mean_content ** self.content_weight)
             * (compactness ** self.structure_weight)
@@ -247,21 +255,14 @@ class ScoringModel:
             return None
         return self.combine(content_scores, compactness), content_scores, compactness
 
-    def upper_bound(self, content_bounds, compactness_cap=1.0):
+    def upper_bound(self, content_bounds):
         """Best possible score given per-term content-score bounds.
 
-        Compactness is at most 1 (all nodes coincide), so the TA
-        stopping threshold uses the default cap of 1; the top-k unit
-        calls this once per corner of the rank-join stopping bound
-        (each term's frontier combined with the other streams' maxima).
-
-        The top-k unit also bounds fully-formed candidate tuples before
-        computing their structural distances; there the caller passes
-        the tighter (still admissible) cap ``1/m``: ``m`` distinct
-        nodes are pairwise at distance >= 1, so the star size is at
-        least ``m - 1`` and compactness at most ``1/m``.  A combo whose
-        bound is strictly below the current k-th heap score would have
-        been rejected by the very same heap comparison after scoring --
-        pruning it changes no answer.
+        Compactness is at most 1 (a single node), so this is the
+        combination at compactness 1; the top-k unit calls it once per
+        corner of the rank-join stopping bound (each term's frontier
+        combined with the other streams' maxima).  Candidate tuples are
+        bounded inside the enumeration at the tighter cap ``1/m`` (see
+        :mod:`repro.search.topk`).
         """
-        return self.combine(content_bounds, compactness_cap)
+        return self.combine(content_bounds, 1.0)

@@ -17,34 +17,48 @@ in the paper's top-k unit:
   unseen one, at perfect compactness.  (The plain all-frontiers
   combination is NOT a bound here: it misses tuples pairing a seen
   high scorer with an unseen partner.)  Once the k-th best tuple
-  scores at or above the threshold, no unformed tuple can beat it and
-  the search stops.
+  scores strictly above the threshold, no unformed tuple can reach it
+  and the search stops (at equality a tied unformed tuple could still
+  win the node-id tie-break).
 
 Partner enumeration is restricted to nodes in *reachable documents*
 (same document, or one cross-document link away): compactness is
 monotone in graph distance, and nodes further apart than ``max_hops``
 cannot form a valid tuple at all (Definition 4 connectivity).
 
+One enumeration combines every query of two or more terms.  It fills
+the slots in term order: the new node's slot holds the new node, and
+every other slot walks its seen partners best first (descending
+score, ties by node id), skipping nodes already chosen.  A candidate's
+pruning bound folds, left to right in term order, the chosen scores,
+its own score and the best score each still-open slot can offer, and
+weighs that mean as the score does, at the best compactness ``m``
+distinct nodes can reach, ``1/m`` (they are pairwise at distance
+>= 1).  Scores only
+fall along a slot, so the first candidate whose bound is strictly
+below the pruning limit -- the k-th heap score, or the cross-shard
+bound if higher -- prunes the rest of its slot, and
+``stats["pruned"]`` counts the formable combos in that region.  At
+the last open slot the fold is the exact sum the score uses, the same
+left-to-right fold as :meth:`ScoringModel.combine`.  Only
+strictly-worse bounds are pruned, so tied tuples still reach the
+deterministic tie-break and answers are unchanged.
+
 Hot-path engineering on top of the paper's algorithm:
 
 * **Impact streams** -- a term's stream is built once per graph
   version, stored columnar in an :class:`ImpactStreamStore` (shared
-  by every searcher, persisted through snapshots), and thereafter sorted
-  access is an index into two flat arrays instead of a re-analysis of
-  every candidate's text.
+  by every searcher, rebuilt on first use after a load or a write),
+  and thereafter sorted access is an index into two flat arrays
+  instead of a re-analysis of every candidate's text.
 * **A per-search distance memo** -- ``search`` creates one dict of
-  pair distances and hands it to every combine path; it dies when the
-  search returns, so a read retains nothing it computed.
-* **Bound-based pruning** -- before a candidate tuple's structural
-  distances are computed, its upper bound (the mean of its known
-  content scores at the best compactness ``m`` distinct nodes can
-  reach, ``1/m``) is compared to the current k-th heap score; a combo
-  that cannot strictly beat it is counted in ``stats["pruned"]`` and
-  skipped.  Only strictly-worse bounds are pruned, so tied tuples
-  still reach the deterministic tie-break and answers are unchanged.
-  The TA stopping threshold keeps the seed's compactness-1 cap (on
-  top of the corner bound above).  An unbounded search (``k=None``)
-  neither prunes nor stops early, so ``search(q, k=None)[:k]`` is the
+  pair distances for its enumeration; it dies when the search
+  returns, so a read retains nothing it computed.
+* **Bounds before distances** -- the pruning bound above needs only
+  content scores, so a pruned combo costs no structural work.  The TA
+  stopping threshold keeps the seed's compactness-1 cap (on top of
+  the corner bound above).  An unbounded search (``k=None``) neither
+  prunes nor stops early, so ``search(q, k=None)[:k]`` is the
   exhaustive reference a bounded search must equal byte for byte.
 
 Scatter-gather support: ``search`` accepts an optional
@@ -58,7 +72,6 @@ unchanged (see :mod:`repro.shard`).
 
 import collections
 import heapq
-import itertools
 import threading
 
 from repro.index.streams import ImpactStream, ImpactStreamStore
@@ -107,12 +120,10 @@ class SharedBound:
 class TopKSearcher:
     """TA-style top-k evaluation of SEDA queries."""
 
-    def __init__(self, matcher, scoring, partner_limit=200,
-                 allow_repeats=False, streams=None):
+    def __init__(self, matcher, scoring, partner_limit=200, streams=None):
         self.matcher = matcher
         self.scoring = scoring
         self.partner_limit = partner_limit
-        self.allow_repeats = allow_repeats
         #: Shared per-term stream cache.  Pass the system's store so
         #: every searcher over the same indexes reuses one set of
         #: streams; a private store is created otherwise.
@@ -143,7 +154,6 @@ class TopKSearcher:
                 "early_stop": True,
                 "candidates": [],
                 "per_term_accesses": [],
-                "path": None,
                 "stop_reason": "k-zero",
             }
             return []
@@ -158,32 +168,27 @@ class TopKSearcher:
             "early_stop": False,
             "candidates": [],
             "per_term_accesses": [],
-            "path": None,
             "stop_reason": None,
         }
         streams = [self._stream(term) for term in terms]
         self.stats["candidates"] = [len(stream) for stream in streams]
         self.stats["per_term_accesses"] = [0] * len(terms)
-        self.stats["path"] = self._path_name(terms)
         if any(len(stream) == 0 for stream in streams):
             self.stats["stop_reason"] = "empty-stream"
             return []
         if len(terms) == 1:
-            return self._single_term(streams[0], terms, k)
+            return self._single_term(streams[0], k)
 
-        doc_reach = self.scoring.document_reachability()
-        # Pair distances under symmetric (lo, hi) keys, for this search
-        # only: nothing outlives the call.
-        memo = {}
         seen_by_doc = [collections.defaultdict(list) for _ in terms]
         seen_scores = [dict() for _ in terms]
+        heap = []  # min-heap of (score, tiebreak, ResultTuple)
+        combine = _Enumeration(self, seen_by_doc, seen_scores, heap, k).combine
         frontiers = [stream.scores[0] for stream in streams]
         # Stream maxima (first element of each impact-sorted stream):
         # the corner-bound stopping threshold needs the best score a
         # *seen* partner can contribute, which is the stream's top.
         maxima = [stream.scores[0] for stream in streams]
         cursors = [0] * len(terms)
-        heap = []  # min-heap of (score, tiebreak, ResultTuple)
         exhausted = 0
 
         while exhausted < len(terms):
@@ -208,10 +213,7 @@ class TopKSearcher:
                 doc_id = self.matcher.collection.node(node_id).doc_id
                 seen_scores[i][node_id] = score
                 seen_by_doc[i][doc_id].append(node_id)
-                self._combine(
-                    i, node_id, score, terms, seen_by_doc, seen_scores,
-                    doc_reach, heap, k, floor, memo,
-                )
+                combine(i, node_id, doc_id, floor)
             if k is not None:
                 local_best = _NEG_INF
                 if len(heap) >= k:
@@ -231,10 +233,11 @@ class TopKSearcher:
                     # already-seen high scorer with an unseen partner.
                     # The max over which position is the unseen one,
                     # at the compactness-1 cap, bounds every tuple
-                    # still formable, so stopping at it never drops a
-                    # qualifying answer (and an m-node tuple's real
-                    # compactness is <= 1/m, so its score is strictly
-                    # below the bound -- ties cannot arise at it).
+                    # still formable.  Stop only strictly above it: a
+                    # tuple can reach the bound itself (structure
+                    # weight 0 ranks by content alone), and a tied
+                    # unformed tuple may still win the node-id
+                    # tie-break.
                     threshold = max(
                         self.scoring.upper_bound([
                             frontiers[i] if i == j else maxima[i]
@@ -242,8 +245,7 @@ class TopKSearcher:
                         ])
                         for j in range(len(terms))
                     )
-                    if (local_best >= threshold
-                            or imported > threshold):
+                    if max(local_best, imported) > threshold:
                         self.stats["early_stop"] = True
                         self.stats["stop_reason"] = "corner-bound"
                         break
@@ -290,7 +292,7 @@ class TopKSearcher:
                 scored.append((score, node_id))
         return ImpactStream.from_scored(scored)
 
-    def _single_term(self, stream, terms, k):
+    def _single_term(self, stream, k):
         """One-term queries need no combination: stream order is final.
 
         Compactness of a singleton is 1, so the combined score is the
@@ -312,250 +314,8 @@ class TopKSearcher:
         )
         return results
 
-    def _path_name(self, terms):
-        """Which combine implementation this query's shape selects.
-
-        Mirrors the dispatch in :meth:`_combine` (``single`` needs no
-        combination at all); recorded in ``stats["path"]`` so EXPLAIN
-        can report it without re-deriving the dispatch rules.
-        """
-        if len(terms) == 1:
-            return "single"
-        plain_weights = (
-            self.scoring.content_weight == 1.0
-            and self.scoring.structure_weight == 1.0
-        )
-        if plain_weights and not self.allow_repeats:
-            if len(terms) == 2:
-                return "pair"
-            if len(terms) == 3:
-                return "triple"
-        return "general"
-
-    def _combine_pair(self, i, node_id, score, seen_scores, partners,
-                      heap, k, prune, floor, memo):
-        """The two-term hot loop, with tail pruning.
-
-        Partners are visited in descending score order (ties by node
-        id), so the candidate means only shrink along the loop: the
-        first combo whose upper bound falls strictly below the pruning
-        limit -- the k-th heap score or the cross-shard ``floor``,
-        whichever is higher -- proves every remaining combo does too,
-        and the whole tail is pruned at once.  The final heap holds the
-        top-k combos under a strict total order (score, then node-id
-        tiebreak), so visiting order changes no answer.  The search's
-        distance ``memo`` is probed inline (one dict lookup).
-        """
-        scoring = self.scoring
-        stats = self.stats
-        j = 1 - i
-        scores_j = seen_scores[j]
-        ordered = sorted(
-            partners, key=lambda partner: (-scores_j[partner], partner)
-        )
-        for index, partner in enumerate(ordered):
-            if partner == node_id:
-                continue
-            combo = (node_id, partner) if i == 0 else (partner, node_id)
-            partner_score = scores_j[partner]
-            mean = (score + partner_score) / 2
-            if prune:
-                limit = floor
-                if len(heap) >= k and heap[0][0] > limit:
-                    limit = heap[0][0]
-                if mean * 0.5 < limit:
-                    # Everything after this partner scores no better;
-                    # count only combos that could actually have formed.
-                    stats["pruned"] += sum(
-                        1 for tail in ordered[index:] if tail != node_id
-                    )
-                    break
-            key = (
-                (node_id, partner) if node_id <= partner
-                else (partner, node_id)
-            )
-            distance = memo.get(key, _MISSING)
-            if distance is _MISSING:
-                distance = memo[key] = scoring.pair_distance(node_id, partner)
-            stats["tuples_scored"] += 1
-            if distance is None:
-                continue
-            total = mean * (1.0 / (1.0 + distance))
-            if k is None or len(heap) < k:
-                content_scores = (
-                    (score, partner_score) if i == 0
-                    else (partner_score, score)
-                )
-                entry = (
-                    total,
-                    (-combo[0], -combo[1]),
-                    ResultTuple(
-                        combo, content_scores,
-                        1.0 / (1.0 + distance), total,
-                    ),
-                )
-                heapq.heappush(heap, entry)
-            elif total >= heap[0][0]:
-                tiebreak = (-combo[0], -combo[1])
-                if (total, tiebreak) > (heap[0][0], heap[0][1]):
-                    content_scores = (
-                        (score, partner_score) if i == 0
-                        else (partner_score, score)
-                    )
-                    heapq.heapreplace(
-                        heap,
-                        (
-                            total,
-                            tiebreak,
-                            ResultTuple(
-                                combo, content_scores,
-                                1.0 / (1.0 + distance), total,
-                            ),
-                        ),
-                    )
-
-    def _combine_triple(self, i, node_id, score, seen_scores, partner_lists,
-                        heap, k, prune, floor, memo):
-        """The three-term hot loop: nested descending-order iteration.
-
-        Same shape as :meth:`_combine_pair`, one level deeper: both
-        partner lists are visited in descending score order, so a
-        failing bound prunes the rest of the inner list, and a bound
-        that fails even against the inner list's *best* score prunes
-        every remaining outer partner as well.  Means are accumulated
-        in term order (IEEE addition is not associative), so totals are
-        bit-identical to the generic path.
-        """
-        scoring = self.scoring
-        stats = self.stats
-        j1, j2 = (j for j in range(3) if j != i)
-        scores_1, scores_2 = seen_scores[j1], seen_scores[j2]
-        first = sorted(
-            partner_lists[j1], key=lambda p: (-scores_1[p], p)
-        )
-        second = sorted(
-            partner_lists[j2], key=lambda p: (-scores_2[p], p)
-        )
-        best_second = scores_2[second[0]]
-        third = 1.0 / 3.0
-        for outer_index, a in enumerate(first):
-            if a == node_id:
-                continue
-            score_a = scores_1[a]
-            if prune:
-                limit = floor
-                if len(heap) >= k and heap[0][0] > limit:
-                    limit = heap[0][0]
-            else:
-                limit = _NEG_INF
-            if limit > _NEG_INF:
-                # Even paired with the inner list's best partner this
-                # outer partner cannot reach the pruning limit; the
-                # remaining (lower-scored) outer partners cannot
-                # either.  The mean is formed in term order below; for
-                # the bound the max over permutations is what matters,
-                # and addition is commutative, so this test is exact.
-                best_mean = (
-                    (score + score_a + best_second) / 3 if i == 0
-                    else (score_a + score + best_second) / 3 if i == 1
-                    else (score_a + best_second + score) / 3
-                )
-                if best_mean * third < limit:
-                    # Count only combos that could actually have
-                    # formed: exclude the new node and a == b repeats.
-                    second_set = set(second)
-                    base = len(second) - (node_id in second_set)
-                    for tail in first[outer_index:]:
-                        if tail != node_id:
-                            stats["pruned"] += base - (tail in second_set)
-                    break
-            for inner_index, b in enumerate(second):
-                if b == node_id or b == a:
-                    continue
-                score_b = scores_2[b]
-                if i == 0:
-                    combo = (node_id, a, b)
-                    mean = (score + score_a + score_b) / 3
-                elif i == 1:
-                    combo = (a, node_id, b)
-                    mean = (score_a + score + score_b) / 3
-                else:
-                    combo = (a, b, node_id)
-                    mean = (score_a + score_b + score) / 3
-                if prune:
-                    limit = floor
-                    if len(heap) >= k and heap[0][0] > limit:
-                        limit = heap[0][0]
-                    if mean * third < limit:
-                        # Every later inner partner scores no better;
-                        # count only combos that could actually have
-                        # formed.
-                        stats["pruned"] += sum(
-                            1 for tail in second[inner_index:]
-                            if tail != node_id and tail != a
-                        )
-                        break
-                anchor = combo[0]
-                other_1, other_2 = combo[1], combo[2]
-                key = (
-                    (anchor, other_1) if anchor <= other_1
-                    else (other_1, anchor)
-                )
-                distance_1 = memo.get(key, _MISSING)
-                if distance_1 is _MISSING:
-                    distance_1 = memo[key] = scoring.pair_distance(
-                        anchor, other_1
-                    )
-                if distance_1 is None:
-                    distance_2 = None
-                else:
-                    key = (
-                        (anchor, other_2) if anchor <= other_2
-                        else (other_2, anchor)
-                    )
-                    distance_2 = memo.get(key, _MISSING)
-                    if distance_2 is _MISSING:
-                        distance_2 = memo[key] = scoring.pair_distance(
-                            anchor, other_2
-                        )
-                stats["tuples_scored"] += 1
-                if distance_1 is None or distance_2 is None:
-                    continue
-                compactness = 1.0 / (1.0 + (distance_1 + distance_2))
-                total = mean * compactness
-                if k is None or len(heap) < k:
-                    contents = (
-                        (score, score_a, score_b) if i == 0
-                        else (score_a, score, score_b) if i == 1
-                        else (score_a, score_b, score)
-                    )
-                    entry = (
-                        total,
-                        (-combo[0], -combo[1], -combo[2]),
-                        ResultTuple(combo, contents, compactness, total),
-                    )
-                    heapq.heappush(heap, entry)
-                elif total >= heap[0][0]:
-                    tiebreak = (-combo[0], -combo[1], -combo[2])
-                    if (total, tiebreak) > (heap[0][0], heap[0][1]):
-                        contents = (
-                            (score, score_a, score_b) if i == 0
-                            else (score_a, score, score_b) if i == 1
-                            else (score_a, score_b, score)
-                        )
-                        heapq.heapreplace(
-                            heap,
-                            (
-                                total,
-                                tiebreak,
-                                ResultTuple(
-                                    combo, contents, compactness, total
-                                ),
-                            ),
-                        )
-
     def _partners(self, j, docs, seen_by_doc, seen_scores):
-        """Highest-scoring seen nodes of term ``j`` within ``docs``.
+        """Term ``j``'s seen nodes within ``docs``, best first.
 
         The ``partner_limit`` cap selects from the *seen-so-far* set,
         which depends on stream interleaving -- so on corpora dense
@@ -568,120 +328,202 @@ class TopKSearcher:
         partners = []
         for doc_id in docs:
             partners.extend(seen_by_doc[j].get(doc_id, ()))
-        if len(partners) > self.partner_limit:
-            # Tie-break by node id so that which tied-score partners
-            # survive the cap never depends on stream arrival order.
-            partners.sort(
-                key=lambda node_id: (-seen_scores[j][node_id], node_id)
-            )
-            partners = partners[: self.partner_limit]
+        if len(partners) > 1:
+            scores = seen_scores[j]
+            # Tie-break by node id so that neither the order nor which
+            # tied partners survive the cap depends on arrival order.
+            partners.sort(key=lambda node_id: (-scores[node_id], node_id))
+        del partners[self.partner_limit:]
         return partners
 
-    def _combine(self, i, node_id, score, terms, seen_by_doc, seen_scores,
-                 doc_reach, heap, k, floor, memo):
-        """Form and score all tuples that include the newly seen node.
 
-        Every combo is formed exactly once across the whole search: the
-        forming event is the arrival of its last member (at any earlier
-        member's arrival the rest is missing from the seen tables), so
-        no dedup bookkeeping is needed.
+class _Enumeration:
+    """The one combine path: every tuple a newly seen node completes.
 
-        This is the hottest loop in the system; the common shapes
-        (two- and three-term queries at the default unit weights) take
-        specialized paths with the scoring arithmetic inlined
-        (``x ** 1.0 == x`` exactly, so the inline product is
-        bit-identical to :meth:`ScoringModel.score_tuple`), partners in
-        descending score order for tail pruning, and heap entries only
-        materialized for combos that actually enter the heap.
-        """
-        collection = self.matcher.collection
-        doc_id = collection.node(node_id).doc_id
-        docs = {doc_id} | doc_reach.get(doc_id, set())
-        m = len(terms)
-        partner_lists = []
+    One instance serves one search of ``m >= 2`` terms; the module
+    docstring gives the slot order and the pruning bound.  Every combo
+    is formed exactly once across the whole search: the forming event
+    is the arrival of its last member (at any earlier member's arrival
+    the rest is missing from the seen tables), so no dedup bookkeeping
+    is needed.  The heap holds the top-k under a strict total order
+    (score, then node-id tiebreak), so visiting order changes no
+    answer.  The state lives on the instance rather than in recursive
+    closures, which would form reference cycles and keep a finished
+    search's memo alive until the cycle collector ran.
+    """
+
+    __slots__ = (
+        "searcher", "m", "seen_by_doc", "seen_scores", "heap", "k",
+        "reach", "pair_distance", "content_weight", "structure_weight",
+        "cap", "memo", "slots", "best", "chosen", "chosen_scores", "i",
+        "node_id", "last", "floor",
+    )
+
+    def __init__(self, searcher, seen_by_doc, seen_scores, heap, k):
+        scoring = searcher.scoring
+        self.searcher = searcher
+        self.m = m = len(seen_scores)
+        self.seen_by_doc = seen_by_doc
+        self.seen_scores = seen_scores
+        self.heap = heap
+        self.k = k
+        self.reach = scoring.document_reachability()
+        self.pair_distance = scoring.pair_distance
+        self.content_weight = scoring.content_weight
+        self.structure_weight = scoring.structure_weight
+        # m distinct nodes are pairwise at distance >= 1, so the star's
+        # size is at least m - 1 and compactness at most 1/m.
+        self.cap = (1.0 / m) ** scoring.structure_weight
+        # Pair distances under symmetric (lo, hi) keys, for this search
+        # only: nothing outlives the call.
+        self.memo = {}
+        # Per arrival: each slot's candidates best first, the best score
+        # each can offer, the nodes and scores chosen so far, the new
+        # node's slot, the last open slot and the cross-shard floor.
+        self.slots = [None] * m
+        self.best = [None] * m
+        self.chosen = [None] * m
+        self.chosen_scores = [None] * m
+        self.i = self.node_id = self.last = self.floor = None
+
+    def combine(self, i, node_id, doc_id, floor):
+        """Score the tuples ``node_id``, just seen on term ``i``'s
+        stream in document ``doc_id``, completes, pruning against
+        ``floor`` (the cross-shard bound) and the k-th heap score."""
+        m, slots, best = self.m, self.slots, self.best
+        seen_scores = self.seen_scores
+        reachable = self.reach.get(doc_id)
+        docs = ({doc_id} | reachable) if reachable else (doc_id,)
         for j in range(m):
-            if j == i:
-                partner_lists.append([node_id])
-                continue
-            partners = self._partners(j, docs, seen_by_doc, seen_scores)
-            if not partners:
+            found = [node_id] if j == i else self.searcher._partners(
+                j, docs, self.seen_by_doc, seen_scores
+            )
+            if not found:
                 return
-            partner_lists.append(partners)
-        scoring = self.scoring
-        stats = self.stats
-        allow_repeats = self.allow_repeats
-        prune = k is not None
-        # m distinct nodes are pairwise at distance >= 1, so the star
-        # approximation's size is at least m - 1 and compactness at most
-        # 1/m; with repeats allowed nodes can coincide and the cap is 1.
-        compactness_cap = 1.0 if allow_repeats else 1.0 / m
-        plain_weights = (
-            scoring.content_weight == 1.0 and scoring.structure_weight == 1.0
+            slots[j] = found
+            best[j] = seen_scores[j][found[0]]
+        self.i, self.node_id, self.floor = i, node_id, floor
+        self.last = m - 2 if i == m - 1 else m - 1  # the last open slot
+        self.chosen[i] = node_id
+        self.chosen_scores[i] = best[i]
+        self._fill(0, 0.0)
+
+    def _formable(self, j, start, used):
+        """Combos of distinct nodes, none in ``used``, with slot ``j``
+        drawn from ``slots[j][start:]`` and every later open slot from
+        its whole list."""
+        later = j + 2 if j + 1 == self.i else j + 1
+        candidates = self.slots[j][start:]
+        if later >= self.m:
+            return sum(1 for node in candidates if node not in used)
+        return sum(
+            self._formable(later, 0, (*used, node))
+            for node in candidates if node not in used
         )
-        if plain_weights and not allow_repeats:
-            if m == 2:
-                self._combine_pair(
-                    i, node_id, score, seen_scores,
-                    partner_lists[1 - i], heap, k, prune, floor, memo,
-                )
-                return
-            if m == 3:
-                self._combine_triple(
-                    i, node_id, score, seen_scores, partner_lists,
-                    heap, k, prune, floor, memo,
-                )
-                return
-        for combo in itertools.product(*partner_lists):
-            if not allow_repeats and len(set(combo)) < len(combo):
+
+    def _fill(self, j, partial):
+        """Fill open slot ``j`` onwards; ``partial`` is the left-to-right
+        fold of the chosen scores before it."""
+        i, m, best, chosen = self.i, self.m, self.best, self.chosen
+        chosen_scores, stats = self.chosen_scores, self.searcher.stats
+        content_weight, cap = self.content_weight, self.cap
+        heap, k, floor = self.heap, self.k, self.floor
+        prune = k is not None
+        if j == i:
+            partial += best[i]
+            j += 1
+        slot = self.slots[j]
+        scores = self.seen_scores[j]
+        node_id = self.node_id
+        used = (*chosen[:j], node_id)
+        if j != self.last:
+            rest = best[j + 1:]
+            for index, candidate in enumerate(slot):
+                if candidate in used:
+                    continue
+                score = scores[candidate]
+                if prune:
+                    fold = partial + score
+                    for later in rest:
+                        fold += later
+                    limit = floor
+                    if len(heap) >= k and heap[0][0] > limit:
+                        limit = heap[0][0]
+                    if (fold / m) ** content_weight * cap < limit:
+                        stats["pruned"] += self._formable(j, index, used)
+                        return
+                chosen[j] = candidate
+                chosen_scores[j] = score
+                self._fill(j + 1, partial + score)
+            return
+        # The last open slot, the hot loop.  Only the new node's slot
+        # can follow it; the star (distances from the first member) has
+        # a part fixed for the whole loop.
+        memo, pair_distance = self.memo, self.pair_distance
+        structure_weight = self.structure_weight
+        tail = best[i] if i > j else None
+        fixed = 0
+        if j:
+            hub = chosen[0]
+            for other in (*chosen[1:j], *chosen[j + 1:]):
+                key = (hub, other) if hub <= other else (other, hub)
+                distance = memo.get(key, _MISSING)
+                if distance is _MISSING:
+                    distance = memo[key] = pair_distance(hub, other)
+                if distance is None:
+                    fixed = None
+                    break
+                fixed += distance
+        else:
+            # Two terms with the new node second: a one-edge star.
+            hub = node_id
+        for index, candidate in enumerate(slot):
+            if candidate in used:
                 continue
-            # Every combo member was drawn from the seen tables, so its
-            # content score is already known -- a dict lookup, never a
-            # recomputation.
-            content_scores = [
-                seen_scores[j][combo[j]] for j in range(m)
-            ]
+            score = scores[candidate]
+            fold = partial + score
+            if tail is not None:
+                fold += tail
+            mean = fold / m
             if prune:
                 limit = floor
                 if len(heap) >= k and heap[0][0] > limit:
                     limit = heap[0][0]
-                # The true score is the bound shrunk by the actual
-                # compactness <= cap, so a bound strictly below the
-                # pruning limit (the k-th heap score or another shard's
-                # published bound) can never enter the merged top-k --
-                # skip the (expensive) structural distance work
-                # entirely.  Bounds *equal* to the limit are not pruned:
-                # at cap compactness the tuple could still win on the
-                # deterministic tie-break.
-                bound = scoring.upper_bound(content_scores, compactness_cap)
-                if bound < limit:
-                    stats["pruned"] += 1
-                    continue
-            compactness = scoring.compactness(combo, memo)
+                if mean ** content_weight * cap < limit:
+                    # Every later candidate scores no better; count
+                    # only combos that could actually have formed.
+                    stats["pruned"] += sum(
+                        1 for later in slot[index:] if later not in used
+                    )
+                    return
             stats["tuples_scored"] += 1
-            if compactness is None:
+            if fixed is None:
                 continue
-            total = scoring.combine(content_scores, compactness)
+            key = (candidate, hub) if candidate <= hub else (hub, candidate)
+            distance = memo.get(key, _MISSING)
+            if distance is _MISSING:
+                distance = memo[key] = pair_distance(candidate, hub)
+            if distance is None:
+                continue
+            compactness = 1.0 / (1.0 + (distance + fixed))
+            total = mean ** content_weight * compactness ** structure_weight
+            chosen[j] = candidate
+            chosen_scores[j] = score
             if k is None or len(heap) < k:
-                entry = (
+                heapq.heappush(heap, (
                     total,
-                    tuple(-nid for nid in combo),
-                    ResultTuple(combo, content_scores, compactness, total),
-                )
-                heapq.heappush(heap, entry)
+                    tuple(-member for member in chosen),
+                    ResultTuple(chosen, chosen_scores, compactness, total),
+                ))
             elif total >= heap[0][0]:
                 # Compare the tiebreak too, not just the score: among
                 # equal-score tuples the survivor must be decided by the
-                # deterministic key (lexicographically smaller node ids
-                # win), never by stream arrival order.
-                tiebreak = tuple(-nid for nid in combo)
+                # deterministic key (smaller node ids win), never by
+                # arrival order.
+                tiebreak = tuple(-member for member in chosen)
                 if (total, tiebreak) > (heap[0][0], heap[0][1]):
-                    heapq.heapreplace(
-                        heap,
-                        (
-                            total,
-                            tiebreak,
-                            ResultTuple(
-                                combo, content_scores, compactness, total
-                            ),
-                        ),
-                    )
+                    heapq.heapreplace(heap, (
+                        total,
+                        tiebreak,
+                        ResultTuple(chosen, chosen_scores, compactness, total),
+                    ))

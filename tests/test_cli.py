@@ -331,7 +331,6 @@ class TestObservabilityCommands:
         assert text.startswith(
             "EXPLAIN percentage:* ;; trade_country:* [k=3]"
         )
-        assert "combine path: pair" in text
         assert "streams opened: 2" in text
         assert "sorted accesses" in text
         assert "stopped: " in text
@@ -372,7 +371,7 @@ class TestObservabilityCommands:
             out=out,
         )
         assert code == 0
-        assert "combine path: single" in out.getvalue()
+        assert "streams opened: 1" in out.getvalue()
 
 
 class TestFsckCommand:

@@ -7,7 +7,8 @@ assert that independent implementations agree:
 * TwigStack == naive structural join on random twigs, with and without
   candidate streams (strict document subsets, disjoint documents, an
   empty candidate set);
-* TA top-k scores == exhaustive search scores;
+* TA top-k answers == exhaustive search answers, for two to four terms,
+  under the ranking ablation's weights, and over value links;
 * path-index term buckets == paths of scanned matching nodes.
 """
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.index.builder import IndexBuilder
 from repro.model.collection import DocumentCollection
 from repro.model.graph import DataGraph
+from repro.model.links import LinkDiscoverer, ValueLinkSpec
 from repro.query.matcher import TermMatcher
 from repro.query.term import Query, QueryTerm
 from repro.search.naive import NaiveSearcher
@@ -32,10 +34,14 @@ _TAGS = ("a", "b", "c", "d")
 _WORDS = ("red", "blue", "green", "red blue", "blue green red")
 #: Attribute values, with characters serialization must escape.
 _VALUES = ("1", "red blue", "<2>", "a & b", 'say "hi"', "caf\u00e9", "")
+#: Top-k query terms: keywords, a tag-scoped keyword, a match-all.
+_TA_TERMS = (("*", "red"), ("*", "blue"), ("b", "green"), ("a", "*"))
+#: Combined ranking and the paper's two ablations (content, structure).
+_WEIGHTS = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0))
 
 
 @st.composite
-def _random_element(draw, depth=0, attributes=False):
+def _random_element(draw, depth=0, attributes=False, max_depth=3):
     element = Element(draw(st.sampled_from(_TAGS)))
     if attributes:
         element.attributes.update(draw(st.dictionaries(
@@ -44,11 +50,13 @@ def _random_element(draw, depth=0, attributes=False):
         )))
     if draw(st.booleans()):
         element.append(draw(st.sampled_from(_WORDS)))
-    if depth < 3:
+    if depth < max_depth:
         for child in draw(
             st.lists(
                 st.deferred(
-                    lambda: _random_element(depth + 1, attributes)  # noqa: B023
+                    lambda: _random_element(  # noqa: B023
+                        depth + 1, attributes, max_depth
+                    )
                 ),
                 max_size=3,
             )
@@ -58,12 +66,12 @@ def _random_element(draw, depth=0, attributes=False):
 
 
 @st.composite
-def _random_collection(draw, min_documents=1, root_tag=None):
+def _random_collection(draw, min_documents=1, root_tag=None, max_depth=3):
     """Up to four random documents; ``root_tag`` gives them all one
     root, so that twigs over shared paths match in many documents."""
     collection = DocumentCollection()
-    for root in draw(st.lists(_random_element(), min_size=min_documents,
-                              max_size=4)):
+    for root in draw(st.lists(_random_element(max_depth=max_depth),
+                              min_size=min_documents, max_size=4)):
         if root_tag is not None:
             root.tag = root_tag
         collection.add_document(root)
@@ -259,6 +267,70 @@ class TestTopKEquivalence:
         ] == [
             (r.node_ids, r.content_scores, r.compactness, r.score)
             for r in bounded
+        ]
+
+    @given(_random_collection(max_depth=2),
+           st.lists(st.sampled_from(_TA_TERMS), min_size=2, max_size=4),
+           st.sampled_from(_WEIGHTS), st.sampled_from([None, 1, 3, 8]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_arity_and_weighting_equals_naive(
+        self, collection, pairs, weights, k
+    ):
+        """Two to four terms (a term may repeat: its nodes must still be
+        distinct) under the ranking ablation's weights: the top-k
+        answer is the exhaustive one, scores and order to the bit."""
+        inverted, _paths, _store, matcher = _wire(collection)
+        self._assert_equals_naive(
+            collection, inverted, matcher, DataGraph(collection),
+            Query.parse(pairs), weights, k,
+        )
+
+    @given(_random_collection(max_depth=2), st.data(),
+           st.lists(st.sampled_from(_TA_TERMS), min_size=2, max_size=2),
+           st.sampled_from(_WEIGHTS), st.sampled_from([None, 1, 3, 8]))
+    @settings(max_examples=60, deadline=None)
+    def test_value_linked_corpora_equal_naive(
+        self, collection, data, pairs, weights, k
+    ):
+        """Cross-document partners over value links.  Two terms: a
+        partner must be one link from the new node's document, which
+        for a pair is exactly the set a connectable tuple can use.
+        With three or more terms the searcher misses tuples whose
+        members are linked only through the first member's document
+        (ROADMAP item 11, the strict xfail in ``test_search.py``)."""
+        inverted, _paths, _store, matcher = _wire(collection)
+        graph = DataGraph(collection)
+        paths = sorted(collection.paths())
+        primary = data.draw(st.sampled_from(paths))
+        foreign = data.draw(st.sampled_from(paths))
+        LinkDiscoverer(graph).apply_value_links(
+            [ValueLinkSpec(primary, foreign, label="same value")]
+        )
+        self._assert_equals_naive(
+            collection, inverted, matcher, graph, Query.parse(pairs),
+            weights, k,
+        )
+
+    @staticmethod
+    def _assert_equals_naive(collection, inverted, matcher, graph, query,
+                             weights, k):
+        content_weight, structure_weight = weights
+        scoring = ScoringModel(
+            collection, inverted, graph, content_weight=content_weight,
+            structure_weight=structure_weight,
+        )
+        naive = NaiveSearcher(matcher, scoring, max_combinations=10**6)
+        try:
+            expected = naive.search(query, k=k)
+        except ValueError:
+            return  # the cross product is past the oracle's cap
+        found = TopKSearcher(matcher, scoring).search(query, k=k)
+        assert [
+            (r.node_ids, r.content_scores, r.compactness, r.score)
+            for r in found
+        ] == [
+            (r.node_ids, tuple(r.content_scores), r.compactness, r.score)
+            for r in expected
         ]
 
     @given(_random_collection(),
