@@ -43,8 +43,7 @@ def test_step1_matching(factbook_seda, result_table):
 def test_step2_augmentation(factbook_seda, result_table):
     report = ResultMatcher(factbook_seda.registry).match(result_table)
     augmenter = Augmenter(
-        factbook_seda.collection, factbook_seda.node_store,
-        factbook_seda.registry,
+        factbook_seda.collection, factbook_seda.registry,
     )
     augmented = augmenter.augment(
         result_table, report.facts, report.dimensions
@@ -59,15 +58,13 @@ def test_step2_augmentation(factbook_seda, result_table):
 def test_step3_extraction(factbook_seda, result_table):
     report = ResultMatcher(factbook_seda.registry).match(result_table)
     augmenter = Augmenter(
-        factbook_seda.collection, factbook_seda.node_store,
-        factbook_seda.registry,
+        factbook_seda.collection, factbook_seda.registry,
     )
     augmented = augmenter.augment(result_table, report.facts,
                                   report.dimensions)
     dimensions = report.dimensions + augmented.auto_dimensions
     extractor = TableExtractor(
-        factbook_seda.collection, factbook_seda.node_store,
-        factbook_seda.registry,
+        factbook_seda.collection, factbook_seda.registry,
     )
     schema = extractor.extract(augmented, report.facts, dimensions)
     fact = schema.fact("import-trade-percentage")
@@ -79,7 +76,7 @@ def test_key_verification_cost(factbook_seda, result_table):
     key = RelativeKey(["/country", "/country/year", "../trade_country"])
     node_ids = [row[1] for row in result_table.rows]
     unique, duplicates = key.verify_uniqueness(
-        factbook_seda.collection, factbook_seda.node_store, node_ids,
+        factbook_seda.collection, node_ids,
     )
     print(f"\nkey unique over {len(node_ids)} nodes: {unique}")
     assert unique

@@ -19,7 +19,6 @@ from repro.index.builder import IndexBuilder
 from repro.query.matcher import TermMatcher
 from repro.query.term import Query
 from repro.storage.catalog import CollectionCatalog
-from repro.storage.node_store import NodeStore
 
 PAPER = {
     "us_paths": 27,
@@ -46,9 +45,7 @@ REFUGEE_PATH = "/country/transnational_issues/refugees/country_of_origin"
 @pytest.fixture(scope="module")
 def matcher(factbook_full):
     inverted, paths = IndexBuilder(factbook_full).build()
-    return TermMatcher(
-        factbook_full, inverted, paths, NodeStore(factbook_full)
-    )
+    return TermMatcher(factbook_full, inverted, paths)
 
 
 def test_us_context_bucket(at_scale, matcher, factbook_full):

@@ -11,15 +11,12 @@ import pytest
 from repro.index.builder import IndexBuilder
 from repro.query.matcher import TermMatcher
 from repro.query.term import QueryTerm
-from repro.storage.node_store import NodeStore
 
 
 @pytest.fixture(scope="module")
 def matcher(factbook_full):
     inverted, paths = IndexBuilder(factbook_full).build()
-    return TermMatcher(
-        factbook_full, inverted, paths, NodeStore(factbook_full)
-    )
+    return TermMatcher(factbook_full, inverted, paths)
 
 
 def test_probe_term_only(at_scale, matcher):

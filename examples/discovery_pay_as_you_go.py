@@ -26,7 +26,7 @@ ITEM_PATH = "/country/economy/import_partners/item"
 
 def main(scale=0.02):
     seda = Seda(FactbookGenerator(scale=scale).build_collection())
-    collection, store = seda.collection, seda.node_store
+    collection = seda.collection
     print(f"{len(collection)} documents, empty registry.\n")
 
     # Profile a focused slice of paths (profiles over the whole
@@ -37,7 +37,7 @@ def main(scale=0.02):
         "/country/economy/GDP", "/country/people/population",
     ]
     discoverer = FactDimensionDiscoverer(
-        collection, store, dimension_cardinality=0.9
+        collection, dimension_cardinality=0.9
     )
     print("Path profiles:")
     for path, profile in discoverer.profile_paths(paths_of_interest).items():
@@ -50,7 +50,7 @@ def main(scale=0.02):
     # Key discovery (the GORDIAN-style search).
     print("\nDiscovered keys:")
     for path in (PCT_PATH, TC_PATH, "/country/year"):
-        key = discover_key(collection, store, path)
+        key = discover_key(collection, path)
         print(f"  {path}\n    -> {list(key) if key else 'none found'}")
 
     # Fact/dimension discovery + registration.

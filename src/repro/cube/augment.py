@@ -44,9 +44,8 @@ class AugmentedResult:
 class Augmenter:
     """Expands a result table with the key columns of chosen facts."""
 
-    def __init__(self, collection, node_store, registry):
+    def __init__(self, collection, registry):
         self.collection = collection
-        self.node_store = node_store
         self.registry = registry
 
     def augment(self, result_table, facts, dimensions):
@@ -78,9 +77,7 @@ class Augmenter:
                     )
                     continue
                 try:
-                    resolved = key.resolve_nodes(
-                        self.collection, self.node_store, node_id
-                    )
+                    resolved = key.resolve_nodes(self.collection, node_id)
                 except KeyResolutionError as error:
                     failures.append((fact.name, row_number, str(error)))
                     continue

@@ -88,7 +88,7 @@ class Candidate:
         )
 
 
-def _sibling_components(collection, node_store, path, limit=6):
+def _sibling_components(collection, path, limit=6):
     """Relative components available next to nodes on ``path``.
 
     Candidate discriminators are the tags of sibling elements -- e.g.
@@ -97,7 +97,7 @@ def _sibling_components(collection, node_store, path, limit=6):
     """
     components = []
     seen = set()
-    for node_id in node_store.by_path(path)[:50]:
+    for node_id in collection.by_path(path)[:50]:
         node = collection.node(node_id)
         if node.parent_id is None:
             continue
@@ -115,7 +115,7 @@ def _sibling_components(collection, node_store, path, limit=6):
     return components
 
 
-def _document_level_components(collection, node_store, path, limit=6):
+def _document_level_components(collection, path, limit=6):
     """Absolute key-component candidates: document-unique paths.
 
     A path qualifies when every sampled document containing ``path``
@@ -124,10 +124,10 @@ def _document_level_components(collection, node_store, path, limit=6):
     """
     root_tag = path.split("/")[1]
     doc_ids = set()
-    for node_id in node_store.by_path(path)[:50]:
+    for node_id in collection.by_path(path)[:50]:
         doc_ids.add(collection.node(node_id).doc_id)
     components = []
-    for candidate in node_store.paths():
+    for candidate in collection.paths():
         if len(components) >= limit:
             break
         if not candidate.startswith(f"/{root_tag}"):
@@ -137,7 +137,7 @@ def _document_level_components(collection, node_store, path, limit=6):
         if candidate.count("/") > 2:
             continue  # shallow components generalize best
         per_doc = {}
-        for node_id in node_store.by_path(candidate):
+        for node_id in collection.by_path(candidate):
             doc_id = collection.node(node_id).doc_id
             if doc_id in doc_ids:
                 per_doc[doc_id] = per_doc.get(doc_id, 0) + 1
@@ -148,7 +148,7 @@ def _document_level_components(collection, node_store, path, limit=6):
     return components
 
 
-def discover_key(collection, node_store, path, max_components=3):
+def discover_key(collection, path, max_components=3):
     """A minimal verified relative key for nodes on ``path``.
 
     GORDIAN-style search: assemble a candidate component set (document
@@ -157,11 +157,11 @@ def discover_key(collection, node_store, path, max_components=3):
     path, and return the first (smallest) verified
     :class:`RelativeKey` -- or ``None`` when no combination works.
     """
-    node_ids = node_store.by_path(path)
+    node_ids = collection.by_path(path)
     if not node_ids:
         return None
-    absolute = _document_level_components(collection, node_store, path)
-    relative = _sibling_components(collection, node_store, path)
+    absolute = _document_level_components(collection, path)
+    relative = _sibling_components(collection, path)
     # Two-phase search: prefer keys that do not use the node's own
     # value ("."), matching the paper's fact keys; fall back to
     # self-inclusive keys, which is how Figure 3 keys dimensions
@@ -174,7 +174,7 @@ def discover_key(collection, node_store, path, max_components=3):
                 key = RelativeKey(list(combo))
                 try:
                     unique, _duplicates = key.verify_uniqueness(
-                        collection, node_store, node_ids
+                        collection, node_ids
                     )
                 except KeyResolutionError:
                     continue
@@ -198,11 +198,10 @@ class FactDimensionDiscoverer:
     Both kinds only qualify if a key can be discovered for them.
     """
 
-    def __init__(self, collection, node_store, min_occurrences=5,
+    def __init__(self, collection, min_occurrences=5,
                  numeric_threshold=0.8, dimension_cardinality=0.5,
                  sample_values=5):
         self.collection = collection
-        self.node_store = node_store
         self.min_occurrences = min_occurrences
         self.numeric_threshold = numeric_threshold
         self.dimension_cardinality = dimension_cardinality
@@ -213,11 +212,11 @@ class FactDimensionDiscoverer:
     def profile_paths(self, paths=None):
         """Value profiles for the given (default: all) paths."""
         if paths is None:
-            paths = self.node_store.paths()
+            paths = self.collection.paths()
         profiles = {}
         for path in paths:
             profile = PathProfile(path)
-            for node_id in self.node_store.by_path(path):
+            for node_id in self.collection.by_path(path):
                 node = self.collection.node(node_id)
                 value = node.value
                 if not value:
@@ -256,7 +255,7 @@ class FactDimensionDiscoverer:
                 continue
             key = None
             if discover_keys:
-                key = discover_key(self.collection, self.node_store, path)
+                key = discover_key(self.collection, path)
                 if key is None:
                     continue
             score = self._score(kind, profile)

@@ -50,9 +50,8 @@ def parse_measure(text):
 class TableExtractor:
     """Generates fact and dimension tables from an augmented result."""
 
-    def __init__(self, collection, node_store, registry):
+    def __init__(self, collection, registry):
         self.collection = collection
-        self.node_store = node_store
         self.registry = registry
 
     def extract(self, augmented, facts, dimensions, merge_facts=True,
@@ -108,9 +107,7 @@ class TableExtractor:
             if key is None:
                 continue
             try:
-                resolved = key.resolve_nodes(
-                    self.collection, self.node_store, node_id
-                )
+                resolved = key.resolve_nodes(self.collection, node_id)
             except KeyResolutionError:
                 continue
             key_values = []

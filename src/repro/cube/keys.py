@@ -50,7 +50,7 @@ class RelativeKey:
 
     # -- resolution --------------------------------------------------------
 
-    def resolve_nodes(self, collection, node_store, node_id):
+    def resolve_nodes(self, collection, node_id):
         """Resolve every component to a node id, relative to ``node_id``.
 
         Returns a list aligned with ``components``.  Raises
@@ -59,29 +59,27 @@ class RelativeKey:
         node = collection.node(node_id)
         resolved = []
         for component in self.components:
-            matches = self._resolve_component(
-                collection, node_store, node, component
-            )
+            matches = self._resolve_component(collection, node, component)
             if len(matches) != 1:
                 raise KeyResolutionError(component, node, len(matches))
             resolved.append(matches[0])
         return resolved
 
-    def resolve_values(self, collection, node_store, node_id):
+    def resolve_values(self, collection, node_id):
         """Key values (node contents) for ``node_id``, component order."""
         return tuple(
             collection.node(resolved).value
-            for resolved in self.resolve_nodes(collection, node_store, node_id)
+            for resolved in self.resolve_nodes(collection, node_id)
         )
 
-    def _resolve_component(self, collection, node_store, node, component):
+    def _resolve_component(self, collection, node, component):
         if component == ".":
             return [node.node_id]
         if component.startswith("/"):
             # Absolute: all nodes on that path within the same document.
             return [
                 node_id
-                for node_id in node_store.by_path(component)
+                for node_id in collection.by_path(component)
                 if collection.node(node_id).doc_id == node.doc_id
             ]
         # Relative: ../step/step...
@@ -104,7 +102,7 @@ class RelativeKey:
 
     # -- verification -----------------------------------------------------------
 
-    def verify_uniqueness(self, collection, node_store, node_ids):
+    def verify_uniqueness(self, collection, node_ids):
         """Check the key uniquely identifies each node in ``node_ids``.
 
         The paper: "The system automatically verifies the keys by
@@ -115,7 +113,7 @@ class RelativeKey:
         seen = {}
         duplicates = []
         for node_id in node_ids:
-            values = self.resolve_values(collection, node_store, node_id)
+            values = self.resolve_values(collection, node_id)
             if values in seen and seen[values] != node_id:
                 duplicates.append(values)
             else:

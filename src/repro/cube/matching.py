@@ -125,7 +125,7 @@ class ResultMatcher:
         return MatchReport(columns)
 
     def define_new(self, name, kind, result_table, column_index, key,
-                   collection, node_store, verify=True):
+                   collection, verify=True):
         """Create a fact/dimension from an unmatched column (Section 7).
 
         The key is verified by resolving it for every node in the
@@ -144,7 +144,7 @@ class ResultMatcher:
             relative_key = key if isinstance(key, RelativeKey) else RelativeKey(key)
             node_ids = [row[column_index] for row in result_table.rows]
             unique, duplicates = relative_key.verify_uniqueness(
-                collection, node_store, node_ids
+                collection, node_ids
             )
             if not unique:
                 raise ValueError(

@@ -150,12 +150,13 @@ class InvertedIndex:
         #   _length_cols   (sorted id array, count array) -- the
         #                  compacted bulk of the length table; entries
         #                  added after a compact() live in the dict.
+        #                  Node ids only grow, so compact() appends.
         #   _tf_maps       term -> {node_id: tf} random-access tables,
         #                  built per term on first use.
         #   _idf_cache     term -> idf, valid until the next add_node
         #                  (the only mutation that changes df or N).
         self._node_lengths = {}
-        self._length_cols = None
+        self._length_cols = (array("q"), array("q"))
         self._tf_maps = {}
         self._idf_cache = {}
         # When set (sharded collections), idf reads corpus-wide df/N
@@ -186,11 +187,13 @@ class InvertedIndex:
         """Fold every posting list into delta-encoded byte columns.
 
         Called at the end of a build (and re-callable after incremental
-        ingestion): posting lists become compact columns, the
-        node-length dict becomes two parallel arrays.  Lock-free readers
-        stay correct throughout -- each term's column is assigned
-        before its hot form is discarded, the same publish-before-pop
-        order materialization uses in reverse.
+        ingestion): posting lists become compact columns, and the
+        node-length dict is appended to two parallel arrays (its ids
+        are larger than any already there).  Lock-free readers stay
+        correct throughout -- each term's column is assigned before its
+        hot form is discarded, the same publish-before-pop order
+        materialization uses in reverse, and counts are appended before
+        the ids that find them.
         """
         with self._materialize_lock:
             for term, plist in list(self._postings.items()):
@@ -201,16 +204,10 @@ class InvertedIndex:
                 del self._postings[term]
             lengths = self._node_lengths
             if lengths:
-                merged = dict(lengths)
-                if self._length_cols is not None:
-                    ids, counts = self._length_cols
-                    for node_id, count in zip(ids, counts):
-                        merged.setdefault(node_id, count)
-                ordered = sorted(merged)
-                self._length_cols = (
-                    array("q", ordered),
-                    array("q", (merged[node_id] for node_id in ordered)),
-                )
+                ids, counts = self._length_cols
+                ordered = sorted(lengths)
+                counts.extend(lengths[node_id] for node_id in ordered)
+                ids.extend(ordered)
                 self._node_lengths = {}
         return self
 
@@ -256,13 +253,13 @@ class InvertedIndex:
         Parallel lists, not a dict: JSON would coerce int keys to
         strings (and orjson rejects them outright).
         """
-        merged = dict(self._node_lengths)
-        if self._length_cols is not None:
-            ids, counts = self._length_cols
-            for node_id, count in zip(ids, counts):
-                merged.setdefault(node_id, count)
-        ordered = sorted(merged)
-        return [ordered, [merged[node_id] for node_id in ordered]]
+        ids, counts = self._length_cols
+        lengths = self._node_lengths
+        ordered = sorted(lengths)
+        return [
+            list(ids) + ordered,
+            list(counts) + [lengths[node_id] for node_id in ordered],
+        ]
 
     def to_dict(self):
         """Snapshot form: byte columns, node counter, node lengths.
@@ -386,12 +383,10 @@ class InvertedIndex:
         sorted arrays (a binary search away); nodes indexed since then
         stay in the dict.
         """
-        cols = self._length_cols
-        if cols is not None:
-            ids, counts = cols
-            position = bisect.bisect_left(ids, node_id)
-            if position < len(ids) and ids[position] == node_id:
-                return counts[position]
+        ids, counts = self._length_cols
+        position = bisect.bisect_left(ids, node_id)
+        if position < len(ids) and ids[position] == node_id:
+            return counts[position]
         return self._node_lengths.get(node_id, 0)
 
     def term_frequencies(self, term):
@@ -441,9 +436,9 @@ class InvertedIndex:
                 posting_entries += posting_count(blob)
             for plist in self._postings.values():
                 posting_entries += len(plist)
-            length_entries = len(self._node_lengths)
-            if self._length_cols is not None:
-                length_entries += len(self._length_cols[0])
+            length_entries = (
+                len(self._node_lengths) + len(self._length_cols[0])
+            )
             return {
                 "terms": len(self._postings) + len(self._cols),
                 "column_terms": len(self._cols),

@@ -19,9 +19,13 @@ key the index holds one of two forms, checked in order:
 
 * ``_*_ids`` -- materialized (hot, mutable) sets of trie ids;
 * ``_*_cols`` -- delta-encoded byte columns of sorted path-table
-  indexes (:func:`~repro.compact.columns.encode_sorted_ids`), inline
+  positions (:func:`~repro.compact.columns.encode_sorted_ids`), inline
   ``bytes`` or ``[offset, length]`` windows into a snapshot sidecar,
   translated to trie ids through ``_id_map`` on decode.
+
+The path table (``_id_map``) is append-only: a new path takes the next
+position, so a column encoded once stays valid for the life of the
+index and :meth:`PathIndex.compact` only ever encodes the hot sets.
 
 Probes decode cold entries read-only (no pop) and cache the rendered
 string set; only :meth:`add_node` materializes an entry into its
@@ -44,15 +48,14 @@ class PathIndex:
         #: of prefix nodes per system); this index only ever reads and
         #: inserts, so sharing is safe under the single-writer rule.
         self.trie = trie if trie is not None else PathTrie()
-        self._path_ids = set()        # trie ids of paths this index holds
         self._content_ids = {}        # term -> set of trie ids (hot)
         self._tag_ids = {}            # tag  -> set of trie ids (hot)
         self._content_cols = {}       # term -> bytes | [offset, length]
         self._tag_cols = {}
-        # _id_map translates the serialized currency -- indexes into the
-        # sorted path table -- to trie ids; None until the first
-        # compact()/restore (hot sets then hold trie ids directly).
-        self._id_map = None
+        # The path table: _id_map[position] is a path's trie id, the
+        # currency columns are encoded in; _position inverts it.
+        self._id_map = []
+        self._position = {}
         self._sidecar = None
         # Probe-side cache of rendered string sets, keyed ("c"|"t", key);
         # add_node invalidates exactly the keys it touches.
@@ -66,8 +69,9 @@ class PathIndex:
     def add_node(self, path, tag, text):
         """Register one node's path under its tag and content terms."""
         pid = self.trie.insert(path)
-        if pid not in self._path_ids:
-            self._path_ids.add(pid)
+        if pid not in self._position:
+            self._position[pid] = len(self._id_map)
+            self._id_map.append(pid)
             self._paths_cache = None
         self._entry(self._tag_ids, self._tag_cols, tag).add(pid)
         self._hot.pop(("t", tag), None)
@@ -80,28 +84,19 @@ class PathIndex:
     def compact(self):
         """Fold every hot id set into a delta-encoded byte column.
 
-        Columns always speak path-table indexes (the only ids stable
-        across a snapshot round trip), so compacting re-anchors every
-        existing cold entry against the current sorted path table as
-        well and rebuilds ``_id_map``.  Re-callable after incremental
+        Columns speak path-table positions, which never move, so cold
+        entries are left as they are.  Re-callable after incremental
         ingestion.
         """
         with self._materialize_lock:
-            id_map = sorted(self._path_ids, key=self.trie.render)
-            index_of = {pid: i for i, pid in enumerate(id_map)}
+            position = self._position
             for ids, cols in ((self._content_ids, self._content_cols),
                               (self._tag_ids, self._tag_cols)):
-                for key in list(cols):
-                    pids = self._decode_cold(cols[key])
-                    cols[key] = encode_sorted_ids(
-                        sorted(index_of[pid] for pid in pids)
-                    )
                 for key, pids in list(ids.items()):
                     cols[key] = encode_sorted_ids(
-                        sorted(index_of[pid] for pid in pids)
+                        sorted(position[pid] for pid in pids)
                     )
                     del ids[key]
-            self._id_map = id_map
         return self
 
     # -- lazy materialization ------------------------------------------------
@@ -198,10 +193,10 @@ class PathIndex:
         """
         with self._materialize_lock:
             render = self.trie.render
-            path_list = sorted(render(pid) for pid in self._path_ids)
+            path_list = sorted(render(pid) for pid in self._id_map)
             index_of = {path: i for i, path in enumerate(path_list)}
             pid_to_index = {
-                pid: index_of[render(pid)] for pid in self._path_ids
+                pid: index_of[render(pid)] for pid in self._id_map
             }
             columns = {}
             for prefix, ids, cols in (
@@ -228,7 +223,9 @@ class PathIndex:
         index = cls(analyzer, trie=trie)
         index._id_map = [index.trie.insert(path)
                          for path in payload["all_paths"]]
-        index._path_ids = set(index._id_map)
+        index._position = {
+            pid: position for position, pid in enumerate(index._id_map)
+        }
         columns = payload.get("columns_inline")
         if columns is None:
             columns = payload["columns"]
@@ -281,7 +278,7 @@ class PathIndex:
         if cached is None:
             render = self.trie.render
             cached = self._paths_cache = frozenset(
-                render(pid) for pid in self._path_ids
+                render(pid) for pid in self._id_map
             )
         return set(cached)
 
@@ -293,7 +290,7 @@ class PathIndex:
                                        self._content_cols))
 
     def __len__(self):
-        return len(self._path_ids)
+        return len(self._id_map)
 
     def estimated_memory(self):
         """Resident-footprint digest (``repro info``, benchmarks)."""
@@ -303,7 +300,7 @@ class PathIndex:
                 for entry in cols.values():
                     column_bytes += len(self._col_blob(entry))
             return {
-                "paths": len(self._path_ids),
+                "paths": len(self._id_map),
                 "terms": len(self._content_ids) + len(self._content_cols),
                 "tags": len(self._tag_ids) + len(self._tag_cols),
                 "column_bytes": column_bytes,

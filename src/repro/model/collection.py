@@ -1,56 +1,48 @@
 """Document collections: the unit SEDA operates on.
 
 A :class:`DocumentCollection` owns all documents, assigns global node
-ids, and maintains the *path table* -- the statistics over distinct
-root-to-leaf paths that power context summaries (Section 5) and the
-paper's dataset measurements (e.g. 1984 distinct paths in World
-Factbook, ``/country`` present in 1577 of 1600 documents).
+ids, and keeps the *node table*: for every distinct root-to-leaf path
+and every tag, the ids of the nodes carrying it, plus the number of
+documents holding each path.  The table answers both questions the
+paper puts to its document store -- how often a path occurs (context
+summaries, Section 5; e.g. 1984 distinct paths in World Factbook,
+``/country`` present in 1577 of 1600 documents) and which nodes lie on
+it in Dewey order (the twig joins of Section 7) -- and feeds link
+discovery and the cube's key resolution.
+
+Node ids are allocated in document order, one document after another,
+and a document's nodes in pre-order -- which is Dewey order -- so
+ascending node id *is* global Dewey order, and every list in the table
+is sorted by construction.  The table is filled in the pass that
+registers a document's nodes, at ingest and at snapshot restore alike;
+reads are plain lookups that never insert a key, so concurrent readers
+share it without a lock.
 """
+
+import bisect
+import itertools
 
 from repro.model.document import Document
 from repro.xmlio import parse
 from repro.xmlio.dom import Element
 
 
-class PathStats:
-    """Statistics for one distinct root-to-leaf path.
-
-    ``occurrences`` counts nodes with this context across the collection;
-    ``document_ids`` records which documents contain the path, giving the
-    document frequency reported in the paper's examples.
-    """
-
-    __slots__ = ("path", "occurrences", "document_ids")
-
-    def __init__(self, path):
-        self.path = path
-        self.occurrences = 0
-        self.document_ids = set()
-
-    @property
-    def document_frequency(self):
-        return len(self.document_ids)
-
-    def __repr__(self):
-        return (
-            f"PathStats({self.path!r}, occurrences={self.occurrences}, "
-            f"docs={self.document_frequency})"
-        )
-
-
 class DocumentCollection:
-    """All documents plus global node addressing and path statistics."""
+    """All documents plus global node addressing and the node table."""
 
     def __init__(self, name="collection"):
         self.name = name
         self.documents = []
         self._nodes = []
-        self._path_stats = {}
+        # The node table.  Paths are numbered in first-seen order; a
+        # path's number indexes the three lists after _path_numbers.
+        self._path_numbers = {}     # path -> number
+        self._path_names = []       # the one string every node on it shares
+        self._path_nodes = []       # node ids on the path, ascending
+        self._path_documents = []   # documents holding the path
+        self._tag_nodes = {}        # tag -> node ids, ascending
 
     # -- construction -----------------------------------------------------
-
-    def _allocate_id(self):
-        return len(self._nodes)
 
     def add_document(self, source, name=None):
         """Add one document and return it.
@@ -70,42 +62,48 @@ class DocumentCollection:
         doc_id = len(self.documents)
         if name is None:
             name = f"doc-{doc_id}"
+        allocate = itertools.count(len(self._nodes)).__next__
+        return self._register(
+            Document.from_element(doc_id, name, root, allocate)
+        )
 
-        def allocate():
-            self._nodes.append(None)  # reserve the slot; filled below
-            return len(self._nodes) - 1
+    def _register(self, document):
+        """Append a built document and file its nodes in the node table.
 
-        document = Document.from_element(doc_id, name, root, allocate)
-        return self._ingest(document)
-
-    def _ingest(self, document):
-        """Register a freshly built document's nodes and path stats."""
-        path_stats = self._path_stats
+        A document's nodes arrive in ascending id order, so appending
+        keeps every list sorted, and a path's list already ends inside
+        this document exactly when the document was counted for it.
+        """
+        path_numbers = self._path_numbers
+        path_names = self._path_names
+        path_nodes = self._path_nodes
+        path_documents = self._path_documents
+        tag_nodes = self._tag_nodes
+        first_id = len(self._nodes)
+        self._nodes.extend(document.nodes)
         for node in document.nodes:
-            self._nodes[node.node_id] = node
-            if path_stats is None:
-                continue  # stats deferred; _stats_table rebuilds in full
-            stats = path_stats.get(node.path)
-            if stats is None:
-                stats = path_stats[node.path] = PathStats(node.path)
-            stats.occurrences += 1
-            stats.document_ids.add(document.doc_id)
+            node_id = node.node_id
+            number = path_numbers.get(node.path)
+            if number is None:
+                # Publish the number last: a reader that finds it must
+                # find its lists too.
+                path_names.append(node.path)
+                path_nodes.append([node_id])
+                path_documents.append(1)
+                path_numbers[node.path] = len(path_names) - 1
+            else:
+                node.path = path_names[number]
+                on_path = path_nodes[number]
+                if on_path[-1] < first_id:
+                    path_documents[number] += 1
+                on_path.append(node_id)
+            tagged = tag_nodes.get(node.tag)
+            if tagged is None:
+                tag_nodes[node.tag] = [node_id]
+            else:
+                tagged.append(node_id)
         self.documents.append(document)
         return document
-
-    def _stats_table(self):
-        """The path-statistics map, rebuilt on demand after a restore."""
-        if self._path_stats is None:
-            path_stats = self._path_stats = {}
-            for document in self.documents:
-                doc_id = document.doc_id
-                for node in document.nodes:
-                    stats = path_stats.get(node.path)
-                    if stats is None:
-                        stats = path_stats[node.path] = PathStats(node.path)
-                    stats.occurrences += 1
-                    stats.document_ids.add(doc_id)
-        return self._path_stats
 
     def add_documents(self, sources):
         """Add many documents; returns the list of created documents."""
@@ -134,20 +132,16 @@ class DocumentCollection:
         from repro.model.node import NodeKind
 
         collection = cls(name=payload["name"])
-        collection._path_stats = None  # rebuilt lazily by _stats_table
         tag_table = payload["tag_table"]
         kind_table = [
             NodeKind.ATTRIBUTE if tag[0] == "@" else NodeKind.ELEMENT
             for tag in tag_table
         ]
-        nodes = collection._nodes
         for record in payload["documents"]:
-            doc_id = len(collection.documents)
-            document = Document.from_dict(
-                doc_id, record, len(nodes), tag_table, kind_table
-            )
-            nodes.extend(document.nodes)
-            collection.documents.append(document)
+            collection._register(Document.from_dict(
+                len(collection.documents), record, collection.node_count,
+                tag_table, kind_table,
+            ))
         return collection
 
     # -- node access ---------------------------------------------------------
@@ -155,12 +149,9 @@ class DocumentCollection:
     def node(self, node_id):
         """The :class:`DataNode` with global id ``node_id``."""
         try:
-            node = self._nodes[node_id]
+            return self._nodes[node_id]
         except (IndexError, TypeError):
-            node = None
-        if node is None:
-            raise KeyError(f"no node with id {node_id!r}")
-        return node
+            raise KeyError(f"no node with id {node_id!r}") from None
 
     def node_by_ref(self, doc_id, dewey):
         """Resolve a ``(doc_id, dewey)`` reference to a node, or ``None``."""
@@ -198,27 +189,59 @@ class DocumentCollection:
         node._content = " ".join(part for part in parts if part)
         return node._content
 
-    # -- path statistics -----------------------------------------------------
+    # -- the node table ------------------------------------------------------
+
+    def by_path(self, path):
+        """Node ids with the given root-to-leaf path, in Dewey order.
+
+        The collection's own list: read it, never mutate it.
+        """
+        number = self._path_numbers.get(path)
+        return [] if number is None else self._path_nodes[number]
+
+    def by_tag(self, tag):
+        """Node ids with the given tag, in Dewey order (read-only)."""
+        return self._tag_nodes.get(tag, [])
+
+    def descendants_in_path(self, ancestor_id, path):
+        """Node ids on ``path`` that descend from ``ancestor_id``.
+
+        A node's descendants are contiguous in Dewey (node-id) order,
+        directly after the node itself, so one binary search finds them.
+        """
+        ancestor = self.node(ancestor_id)
+        stream = self.by_path(path)
+        result = []
+        for node_id in stream[bisect.bisect_left(stream, ancestor_id):]:
+            candidate = self.node(node_id)
+            if candidate.doc_id != ancestor.doc_id or not (
+                candidate.dewey == ancestor.dewey
+                or ancestor.dewey.is_ancestor_of(candidate.dewey)
+            ):
+                break
+            result.append(node_id)
+        return result
 
     def paths(self):
         """All distinct root-to-leaf paths, sorted."""
-        return sorted(self._stats_table())
+        return sorted(self._path_names)
 
-    def path_stats(self, path):
-        """The :class:`PathStats` for a path, or ``None`` if unseen."""
-        return self._stats_table().get(path)
+    def tags(self):
+        """All distinct tags, sorted."""
+        return sorted(self._tag_nodes)
 
     def path_count(self):
         """Number of distinct root-to-leaf paths in the collection."""
-        return len(self._stats_table())
+        return len(self._path_names)
 
     def path_occurrences(self, path):
-        stats = self._stats_table().get(path)
-        return stats.occurrences if stats else 0
+        """Number of nodes on ``path`` (0 if unseen)."""
+        return len(self.by_path(path))
 
     def path_document_frequency(self, path):
-        stats = self._stats_table().get(path)
-        return stats.document_frequency if stats else 0
+        """Number of documents holding ``path`` (0 if unseen)."""
+        number = self._path_numbers.get(path)
+        return 0 if number is None else self._path_documents[number]
 
     # -- sizing ------------------------------------------------------------------
 

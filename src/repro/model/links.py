@@ -11,9 +11,14 @@ preprocessing of the XML data.  This module is that preprocessing step:
 * :meth:`LinkDiscoverer.apply_value_links` materializes caller-provided
   primary-key/foreign-key specs (:class:`ValueLinkSpec`) by joining on
   equal content, mirroring Definition 2(4).
+
+Every pass reads the collection's per-tag and per-path node lists, so a
+re-run after an incremental write touches the attributes and paths that
+can link, never the whole corpus.
 """
 
 import collections
+import heapq
 
 from repro.model.graph import EdgeKind
 
@@ -86,34 +91,45 @@ class LinkDiscoverer:
             self._seen.add(key)
         return self.graph.add_edge(source_id, target_id, kind, label=label)
 
+    def _attributes(self, names):
+        """Attribute nodes named in ``names``, in ascending node id.
+
+        Reads the collection's per-tag lists; merging them in id order
+        keeps edge order, and first-definition-wins, as a document-order
+        scan of the whole corpus would have them.
+        """
+        node = self.collection.node
+        by_tag = self.collection.by_tag
+        for node_id in heapq.merge(*(by_tag("@" + name) for name in names)):
+            yield node(node_id)
+
     # -- ID / IDREF ---------------------------------------------------------
 
     def _id_table(self):
         """Map attribute id value -> element node id (collection-wide)."""
         table = {}
-        for node in self.collection.iter_nodes():
-            if not node.is_attribute:
-                continue
-            name = node.tag.lstrip("@")
-            if name in ID_ATTRIBUTE_NAMES and node.direct_text:
+        for node in self._attributes(ID_ATTRIBUTE_NAMES):
+            if node.direct_text:
                 # First definition wins, as in DTD ID semantics.
                 table.setdefault(node.direct_text, node.parent_id)
         return table
 
     def discover_idrefs(self):
         """Wire idref/idrefs attributes to their targets; returns edges."""
-        ids = self._id_table()
+        return self._idrefs(self._id_table())
+
+    def _idrefs(self, ids):
         edges = []
-        for node in self.collection.iter_nodes():
-            if not node.is_attribute or not node.direct_text:
+        for node in self._attributes(
+            IDREF_ATTRIBUTE_NAMES | IDREFS_ATTRIBUTE_NAMES
+        ):
+            if not node.direct_text:
                 continue
-            name = node.tag.lstrip("@")
+            name = node.tag[1:]
             if name in IDREF_ATTRIBUTE_NAMES:
                 values = [node.direct_text]
-            elif name in IDREFS_ATTRIBUTE_NAMES:
-                values = node.direct_text.split()
             else:
-                continue
+                values = node.direct_text.split()
             for value in values:
                 target = ids.get(value)
                 if target is not None and target != node.parent_id:
@@ -133,34 +149,27 @@ class LinkDiscoverer:
         ``document-name#fragment``.  Anything else (external URLs) is
         ignored -- SEDA only adds edges between nodes it stores.
         """
-        ids = self._id_table()
-        by_doc_name = {}
-        for document in self.collection.documents:
-            by_doc_name[document.name] = document
+        return self._xlinks(self._id_table())
+
+    def _xlinks(self, ids):
+        collection = self.collection
         edges = []
-        for node in self.collection.iter_nodes():
-            if not node.is_attribute or not node.direct_text:
-                continue
-            name = node.tag.lstrip("@")
-            if name not in XLINK_ATTRIBUTE_NAMES:
-                continue
+        for node in self._attributes(XLINK_ATTRIBUTE_NAMES):
             href = node.direct_text
             if "#" not in href:
                 continue
             doc_name, fragment = href.split("#", 1)
             if not fragment:
                 continue
-            target = None
-            if not doc_name:
-                target = ids.get(fragment)
-            elif doc_name in by_doc_name:
-                target = ids.get(fragment)
-                if target is not None:
-                    owner = self.collection.node(target).doc_id
-                    if self.collection.document(owner).name != doc_name:
-                        target = None
+            target = ids.get(fragment)
+            if target is not None and doc_name and collection.document(
+                collection.node(target).doc_id
+            ).name != doc_name:
+                target = None
             if target is not None and target != node.parent_id:
-                edge = self._add(node.parent_id, target, EdgeKind.XLINK, name)
+                edge = self._add(
+                    node.parent_id, target, EdgeKind.XLINK, node.tag[1:]
+                )
                 if edge is not None:
                     edges.append(edge)
         return edges
@@ -170,24 +179,21 @@ class LinkDiscoverer:
     def apply_value_links(self, specs):
         """Materialize value-based PK/FK edges from ``specs``.
 
-        Uses a hash join on node content: O(P + F) per spec where P and F
-        are the node counts on the primary and foreign paths.
+        Uses a hash join on node content over the collection's per-path
+        node lists: O(P + F) per spec where P and F are the node counts
+        on the primary and foreign paths.
         """
+        node = self.collection.node
+        by_path = self.collection.by_path
         edges = []
-        by_path = collections.defaultdict(list)
-        wanted = set()
-        for spec in specs:
-            wanted.add(spec.primary_path)
-            wanted.add(spec.foreign_path)
-        for node in self.collection.iter_nodes():
-            if node.path in wanted:
-                by_path[node.path].append(node)
         for spec in specs:
             primaries = collections.defaultdict(list)
-            for node in by_path.get(spec.primary_path, ()):
-                if node.value:
-                    primaries[node.value].append(node)
-            for foreign in by_path.get(spec.foreign_path, ()):
+            for primary_id in by_path(spec.primary_path):
+                primary = node(primary_id)
+                if primary.value:
+                    primaries[primary.value].append(primary)
+            for foreign_id in by_path(spec.foreign_path):
+                foreign = node(foreign_id)
                 for primary in primaries.get(foreign.value, ()):
                     if primary.node_id == foreign.node_id:
                         continue
@@ -203,7 +209,8 @@ class LinkDiscoverer:
 
     def discover_all(self, value_specs=()):
         """Run all discovery passes; returns the list of added edges."""
-        edges = self.discover_idrefs()
-        edges.extend(self.discover_xlinks())
+        ids = self._id_table()
+        edges = self._idrefs(ids)
+        edges.extend(self._xlinks(ids))
         edges.extend(self.apply_value_links(value_specs))
         return edges

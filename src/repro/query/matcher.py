@@ -38,11 +38,10 @@ from repro.query.term import (
 class TermMatcher:
     """Evaluates query terms over a collection and its indexes."""
 
-    def __init__(self, collection, inverted, path_index, node_store):
+    def __init__(self, collection, inverted, path_index):
         self.collection = collection
         self.inverted = inverted
         self.path_index = path_index
-        self.node_store = node_store
 
     # -- candidate enumeration ----------------------------------------------
 
@@ -66,12 +65,12 @@ class TermMatcher:
         if isinstance(context, EmptyContext):
             return [node.node_id for node in self.collection.iter_nodes()]
         if isinstance(context, PathContext):
-            return self.node_store.by_path(context.path)
+            return self.collection.by_path(context.path)
         if isinstance(context, TagContext):
             node_ids = []
-            for tag in self.node_store.tags():
+            for tag in self.collection.tags():
                 if context._match_name(tag):
-                    node_ids.extend(self.node_store.by_tag(tag))
+                    node_ids.extend(self.collection.by_tag(tag))
             return node_ids
         if isinstance(context, ContextDisjunction):
             node_ids = []

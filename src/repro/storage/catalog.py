@@ -28,10 +28,12 @@ class CollectionCatalog:
     def path_frequencies(self):
         """List of ``(path, occurrences, document_frequency)`` sorted by
         descending occurrence count -- the ordering context summaries use."""
-        rows = []
-        for path in self.collection.paths():
-            stats = self.collection.path_stats(path)
-            rows.append((path, stats.occurrences, stats.document_frequency))
+        collection = self.collection
+        rows = [
+            (path, collection.path_occurrences(path),
+             collection.path_document_frequency(path))
+            for path in collection.paths()
+        ]
         rows.sort(key=lambda row: (-row[1], row[0]))
         return rows
 
@@ -46,9 +48,9 @@ class CollectionCatalog:
             document_threshold = max(1, len(self.collection) // 4)
         tail = []
         for path in self.collection.paths():
-            stats = self.collection.path_stats(path)
-            if stats.document_frequency < document_threshold:
-                tail.append((path, stats.document_frequency))
+            frequency = self.collection.path_document_frequency(path)
+            if frequency < document_threshold:
+                tail.append((path, frequency))
         tail.sort(key=lambda row: (row[1], row[0]))
         return tail
 

@@ -48,9 +48,9 @@ Snapshot format (JSON lines, UTF-8):
   followed by ``obs`` (the serialized
   :class:`~repro.obs.registry.StatsRegistry` -- per-fingerprint query
   statistics and the slow-query log -- so a reloaded service keeps its
-  observability history).  Caches are not records: the Dewey-ordered
-  node store is rebuilt from the collection at load, and impact
-  streams are built on first use.
+  observability history).  Caches are not records: the collection
+  refills its per-path and per-tag node lists as it restores each
+  document, and impact streams are built on first use.
 
 Compatibility rules: unknown record types are rejected (they signal a
 newer writer); missing required records are rejected (optional records

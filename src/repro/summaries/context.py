@@ -92,14 +92,13 @@ class ContextSummaryGenerator:
         for term in query:
             entries = []
             for path in self.matcher.term_paths(term):
-                stats = self.collection.path_stats(path)
-                if stats is None:
+                occurrences = self.collection.path_occurrences(path)
+                if not occurrences:
                     continue
-                entries.append(
-                    ContextEntry(
-                        path, stats.occurrences, stats.document_frequency
-                    )
-                )
+                entries.append(ContextEntry(
+                    path, occurrences,
+                    self.collection.path_document_frequency(path),
+                ))
             buckets.append(ContextBucket(term, entries))
         return ContextSummary(query, buckets)
 

@@ -41,7 +41,6 @@ from repro.query.term import Query
 from repro.search.scoring import ScoringModel
 from repro.search.topk import TopKSearcher
 from repro.service.query_service import QueryService
-from repro.storage.node_store import NodeStore
 from repro.storage.snapshot import (
     SIDECAR_KEY,
     SnapshotError,
@@ -231,16 +230,12 @@ class Seda(WriteProtocol):
         self.analyzer = builder.analyzer
         self.inverted = inverted
         self.path_index = path_index
-        # Derived state, never persisted: one pass over the collection.
-        self.node_store = NodeStore(collection)
         self._dataguide_builder = dataguide_builder
         self.dataguides = dataguides
         self.registry = registry
         self.value_links = tuple(value_links)
         self.max_hops = max_hops
-        self.matcher = TermMatcher(
-            collection, inverted, path_index, self.node_store
-        )
+        self.matcher = TermMatcher(collection, inverted, path_index)
         self.scoring = ScoringModel(
             collection, inverted, graph, max_hops=max_hops
         )
@@ -261,7 +256,7 @@ class Seda(WriteProtocol):
             max_hops=self.max_hops,
         )
         self.complete_generator = CompleteResultGenerator(
-            self.collection, self.graph, self.node_store, self.matcher,
+            self.collection, self.graph, self.matcher,
             max_hops=self.max_hops,
         )
 
@@ -337,7 +332,6 @@ class Seda(WriteProtocol):
         discoverer = LinkDiscoverer(self.graph, skip_existing=True)
         discoverer.discover_all(value_specs=self.value_links)
         self._builder.build()  # incremental: only the documents added above
-        self.node_store.refresh()
         for document in added:
             self._dataguide_builder.add_document(document)
         self.dataguides = self._dataguide_builder.build(graph=self.graph)
@@ -392,8 +386,8 @@ class Seda(WriteProtocol):
         Bypasses XML parsing, link discovery, index building, and
         dataguide mining entirely: every index is reconstructed from
         its serialized form, the byte columns read through an mmap of
-        the snapshot's own ``.cols`` file.  The node store is rebuilt
-        in one pass over the restored collection, and the impact-stream
+        the snapshot's own ``.cols`` file.  The collection refills its
+        node table as it restores each document, and the impact-stream
         cache starts empty.  Every acknowledged batch in
         ``<path>.wal`` is replayed on top, so recovery after a crash
         lands on snapshot plus everything ever acknowledged.  Raises
@@ -718,15 +712,11 @@ class SedaSession:
             facts = report.facts
         if dimensions is None:
             dimensions = report.dimensions
-        augmenter = Augmenter(
-            self.system.collection, self.system.node_store,
-            self.system.registry,
-        )
+        augmenter = Augmenter(self.system.collection, self.system.registry)
         augmented = augmenter.augment(result_table, facts, dimensions)
         final_dimensions = list(dimensions) + augmented.auto_dimensions
         extractor = TableExtractor(
-            self.system.collection, self.system.node_store,
-            self.system.registry,
+            self.system.collection, self.system.registry
         )
         return extractor.extract(
             augmented, facts, final_dimensions, merge_facts=merge_facts

@@ -73,13 +73,12 @@ class ResultTable:
 class CompleteResultGenerator:
     """Materializes R(q) for chosen contexts and connections."""
 
-    def __init__(self, collection, graph, node_store, matcher, max_hops=12):
+    def __init__(self, collection, graph, matcher, max_hops=12):
         self.collection = collection
         self.graph = graph
-        self.node_store = node_store
         self.matcher = matcher
         self.max_hops = max_hops
-        self._twig_join = TwigStackJoin(collection, node_store)
+        self._twig_join = TwigStackJoin(collection)
         self._cross_join = CrossTwigJoiner(collection, graph, max_hops)
 
     # -- public API -----------------------------------------------------------

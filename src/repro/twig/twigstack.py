@@ -81,9 +81,8 @@ def _slice(ids, ranges):
 class TwigStackJoin:
     """Evaluate a :class:`TwigPattern` with the TwigStack algorithm."""
 
-    def __init__(self, collection, node_store):
+    def __init__(self, collection):
         self.collection = collection
-        self.node_store = node_store
 
     # -- public API -------------------------------------------------------
 
@@ -102,14 +101,13 @@ class TwigStackJoin:
                 and query_node.term_index is not None
                 and query_node.term_index in candidate_streams
             ):
-                ids = [
+                ids = sorted(
                     node_id
                     for node_id in candidate_streams[query_node.term_index]
                     if self.collection.node(node_id).path == query_node.path
-                ]
-                ids = self.node_store.sort_dewey(ids)
+                )
             else:
-                ids = self.node_store.by_path(query_node.path)
+                ids = self.collection.by_path(query_node.path)
             streams[query_node] = ids
         kept = self._document_ranges(list(streams.values()))
         streams = {
@@ -332,9 +330,8 @@ class NaiveTwigJoin:
     -- the benchmark contrast for TwigStack.
     """
 
-    def __init__(self, collection, node_store):
+    def __init__(self, collection):
         self.collection = collection
-        self.node_store = node_store
 
     def matches(self, pattern, candidate_streams=None):
         allowed = None
@@ -354,7 +351,7 @@ class NaiveTwigJoin:
                 return
             query_node = order[index]
             parent_id = solution[query_node.parent]
-            for candidate in self.node_store.descendants_in_path(
+            for candidate in self.collection.descendants_in_path(
                 parent_id, query_node.path
             ):
                 if candidate == parent_id:
@@ -370,7 +367,7 @@ class NaiveTwigJoin:
                 del solution[query_node]
 
         root = pattern.root
-        for root_id in self.node_store.by_path(root.path):
+        for root_id in self.collection.by_path(root.path):
             if (
                 allowed is not None
                 and root in allowed

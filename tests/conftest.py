@@ -30,7 +30,6 @@ from repro.model.collection import DocumentCollection
 from repro.model.graph import DataGraph
 from repro.model.links import LinkDiscoverer
 from repro.query.matcher import TermMatcher
-from repro.storage.node_store import NodeStore
 
 # A miniature Figure 2-style fragment set: three country documents.
 USA_2006 = """
@@ -96,8 +95,7 @@ def figure2_indexes(figure2_collection):
 @pytest.fixture
 def figure2_matcher(figure2_collection, figure2_indexes):
     inverted, paths = figure2_indexes
-    store = NodeStore(figure2_collection)
-    return TermMatcher(figure2_collection, inverted, paths, store)
+    return TermMatcher(figure2_collection, inverted, paths)
 
 
 @pytest.fixture

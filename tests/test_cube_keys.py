@@ -4,7 +4,6 @@ import pytest
 
 from repro.cube.keys import KeyResolutionError, RelativeKey
 from repro.cube.registry import CubeDefinition, Registry
-from repro.storage.node_store import NodeStore
 
 PCT_PATH = "/country/economy/import_partners/item/percentage"
 TC_PATH = "/country/economy/import_partners/item/trade_country"
@@ -35,12 +34,11 @@ class TestResolution:
     def test_paper_percentage_key(self, figure2_collection):
         """The running example: (/country, /country/year,
         ../trade_country) pairs China with 15% and Canada with 16.9%."""
-        store = NodeStore(figure2_collection)
         key = RelativeKey(["/country", "/country/year", "../trade_country"])
         by_value = {}
         for node in _percentage_nodes(figure2_collection):
             values = key.resolve_values(
-                figure2_collection, store, node.node_id
+                figure2_collection, node.node_id
             )
             by_value[node.value] = values
         assert by_value["15%"] == ("United States", "2006", "China")
@@ -48,55 +46,49 @@ class TestResolution:
         assert by_value["70.6%"] == ("Mexico", "2003", "United States")
 
     def test_dot_resolves_to_self(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         key = RelativeKey(["."])
         node = _percentage_nodes(figure2_collection)[0]
         assert key.resolve_nodes(
-            figure2_collection, store, node.node_id
+            figure2_collection, node.node_id
         ) == [node.node_id]
 
     def test_absolute_scoped_to_document(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         key = RelativeKey(["/country/year"])
         for node in _percentage_nodes(figure2_collection):
             (year_id,) = key.resolve_nodes(
-                figure2_collection, store, node.node_id
+                figure2_collection, node.node_id
             )
             assert figure2_collection.node(year_id).doc_id == node.doc_id
 
     def test_missing_component_raises(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         key = RelativeKey(["/country/nonexistent"])
         node = _percentage_nodes(figure2_collection)[0]
         with pytest.raises(KeyResolutionError):
-            key.resolve_nodes(figure2_collection, store, node.node_id)
+            key.resolve_nodes(figure2_collection, node.node_id)
 
     def test_ambiguous_component_raises(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         # /country/economy/import_partners/item is ambiguous in usa-2006.
         key = RelativeKey(["/country/economy/import_partners/item"])
         node = _percentage_nodes(figure2_collection)[0]
         with pytest.raises(KeyResolutionError) as excinfo:
-            key.resolve_nodes(figure2_collection, store, node.node_id)
+            key.resolve_nodes(figure2_collection, node.node_id)
         assert excinfo.value.count == 2
 
     def test_relative_parent_navigation(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         key = RelativeKey(["../../../../year"])
         node = _percentage_nodes(figure2_collection)[0]
         (year_id,) = key.resolve_nodes(
-            figure2_collection, store, node.node_id
+            figure2_collection, node.node_id
         )
         assert figure2_collection.node(year_id).tag == "year"
 
 
 class TestUniqueness:
     def test_paper_key_unique(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         key = RelativeKey(["/country", "/country/year", "../trade_country"])
         nodes = [n.node_id for n in _percentage_nodes(figure2_collection)]
         unique, duplicates = key.verify_uniqueness(
-            figure2_collection, store, nodes
+            figure2_collection, nodes
         )
         assert unique
         assert duplicates == []
@@ -104,21 +96,19 @@ class TestUniqueness:
     def test_underspecified_key_not_unique(self, figure2_collection):
         """Without the trade_country component, the two percentages of
         usa-2006 collide -- the paper's motivation for relative keys."""
-        store = NodeStore(figure2_collection)
         key = RelativeKey(["/country", "/country/year"])
         nodes = [n.node_id for n in _percentage_nodes(figure2_collection)]
         unique, duplicates = key.verify_uniqueness(
-            figure2_collection, store, nodes
+            figure2_collection, nodes
         )
         assert not unique
         assert ("United States", "2006") in duplicates
 
     def test_same_node_twice_is_fine(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         key = RelativeKey(["/country", "/country/year"])
         node = _percentage_nodes(figure2_collection)[0].node_id
         unique, _ = key.verify_uniqueness(
-            figure2_collection, store, [node, node]
+            figure2_collection, [node, node]
         )
         assert unique
 

@@ -9,7 +9,6 @@ from repro.cube.registry import Registry
 from repro.cube.star import DimensionTable, FactTable, StarSchema
 from repro.model.graph import DataGraph
 from repro.query.term import Query
-from repro.storage.node_store import NodeStore
 from repro.summaries.connection import TreeConnection
 from repro.twig.complete import CompleteResultGenerator
 
@@ -43,9 +42,8 @@ def _figure3_registry():
 @pytest.fixture
 def figure3_pipeline(figure2_collection, figure2_matcher):
     graph = DataGraph(figure2_collection)
-    store = NodeStore(figure2_collection)
     generator = CompleteResultGenerator(
-        figure2_collection, graph, store, figure2_matcher
+        figure2_collection, graph, figure2_matcher
     )
     query = Query.parse([
         ("*", '"United States"'),
@@ -61,7 +59,7 @@ def figure3_pipeline(figure2_collection, figure2_matcher):
         ],
     )
     registry = _figure3_registry()
-    return figure2_collection, store, registry, table
+    return figure2_collection, registry, table
 
 
 class TestParseMeasure:
@@ -90,7 +88,7 @@ class TestParseMeasure:
 
 class TestMatching:
     def test_figure3_columns_match(self, figure3_pipeline):
-        collection, store, registry, table = figure3_pipeline
+        collection, registry, table = figure3_pipeline
         report = ResultMatcher(registry).match(table)
         assert report.column(0).dimensions[0].name == "country"
         assert report.column(1).dimensions[0].name == "import-country"
@@ -101,13 +99,13 @@ class TestMatching:
         }
 
     def test_unmatched_column_reported(self, figure3_pipeline):
-        collection, store, _registry, table = figure3_pipeline
+        collection, _registry, table = figure3_pipeline
         empty_registry = Registry()
         report = ResultMatcher(empty_registry).match(table)
         assert len(report.unmatched_columns()) == 3
 
     def test_partial_match_warning(self, figure3_pipeline):
-        collection, store, registry, table = figure3_pipeline
+        collection, registry, table = figure3_pipeline
         registry.add_dimension(
             "half", [("/country", ["/country"]), ("/unused", ["/country"])]
         )
@@ -123,23 +121,23 @@ class TestMatching:
     def test_define_new_dimension_with_key_verification(
         self, figure3_pipeline
     ):
-        collection, store, registry, table = figure3_pipeline
+        collection, registry, table = figure3_pipeline
         matcher = ResultMatcher(registry)
         definition = matcher.define_new(
             "partner", "dimension", table, 1,
-            ["/country", "/country/year", "."], collection, store,
+            ["/country", "/country/year", "."], collection,
         )
         assert registry.has_dimension("partner")
         assert TC_PATH in definition.contexts
 
     def test_define_new_rejects_non_unique_key(self, figure3_pipeline):
-        collection, store, registry, table = figure3_pipeline
+        collection, registry, table = figure3_pipeline
         matcher = ResultMatcher(registry)
         with pytest.raises(ValueError):
             # (/country, /country/year) collides for the two 2006 items.
             matcher.define_new(
                 "bad", "fact", table, 2, ["/country", "/country/year"],
-                collection, store,
+                collection,
             )
 
 
@@ -147,9 +145,9 @@ class TestAugmentation:
     def test_year_column_added(self, figure3_pipeline):
         """Figure 3: the /country/year key column is added and the year
         dimension joins automatically."""
-        collection, store, registry, table = figure3_pipeline
+        collection, registry, table = figure3_pipeline
         report = ResultMatcher(registry).match(table)
-        augmenter = Augmenter(collection, store, registry)
+        augmenter = Augmenter(collection, registry)
         augmented = augmenter.augment(table, report.facts, report.dimensions)
         assert "/country/year" in augmented.added_columns
         assert [d.name for d in augmented.auto_dimensions] == ["year"]
@@ -157,9 +155,9 @@ class TestAugmentation:
         assert set(years) == {"2006", "2002"}
 
     def test_relative_component_column(self, figure3_pipeline):
-        collection, store, registry, table = figure3_pipeline
+        collection, registry, table = figure3_pipeline
         report = ResultMatcher(registry).match(table)
-        augmented = Augmenter(collection, store, registry).augment(
+        augmented = Augmenter(collection, registry).augment(
             table, report.facts, report.dimensions
         )
         assert "../trade_country" in augmented.added_columns
@@ -167,9 +165,9 @@ class TestAugmentation:
         assert set(partners) == {"China", "Canada"}
 
     def test_no_failures_on_clean_data(self, figure3_pipeline):
-        collection, store, registry, table = figure3_pipeline
+        collection, registry, table = figure3_pipeline
         report = ResultMatcher(registry).match(table)
-        augmented = Augmenter(collection, store, registry).augment(
+        augmented = Augmenter(collection, registry).augment(
             table, report.facts, report.dimensions
         )
         assert augmented.failures == []
@@ -177,12 +175,12 @@ class TestAugmentation:
 
 class TestExtraction:
     def _schema(self, figure3_pipeline):
-        collection, store, registry, table = figure3_pipeline
+        collection, registry, table = figure3_pipeline
         report = ResultMatcher(registry).match(table)
-        augmenter = Augmenter(collection, store, registry)
+        augmenter = Augmenter(collection, registry)
         augmented = augmenter.augment(table, report.facts, report.dimensions)
         dimensions = report.dimensions + augmented.auto_dimensions
-        extractor = TableExtractor(collection, store, registry)
+        extractor = TableExtractor(collection, registry)
         return extractor.extract(augmented, report.facts, dimensions)
 
     def test_figure3_fact_table(self, figure3_pipeline):

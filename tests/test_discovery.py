@@ -8,7 +8,6 @@ from repro.cube.discovery import (
     discover_key,
 )
 from repro.cube.registry import Registry
-from repro.storage.node_store import NodeStore
 
 TC_PATH = "/country/economy/import_partners/item/trade_country"
 PCT_PATH = "/country/economy/import_partners/item/percentage"
@@ -19,69 +18,68 @@ def factbook():
     from repro.datasets.factbook import FactbookGenerator
 
     collection = FactbookGenerator(scale=0.01).build_collection()
-    return collection, NodeStore(collection)
+    return collection
 
 
 class TestKeyDiscovery:
     def test_percentage_key_found(self, factbook):
         """The discovered key must verify uniqueness on the data --
         the paper's GORDIAN future-work item."""
-        collection, store = factbook
-        key = discover_key(collection, store, PCT_PATH)
+        collection = factbook
+        key = discover_key(collection, PCT_PATH)
         assert key is not None
-        node_ids = store.by_path(PCT_PATH)
-        unique, _ = key.verify_uniqueness(collection, store, node_ids)
+        node_ids = collection.by_path(PCT_PATH)
+        unique, _ = key.verify_uniqueness(collection, node_ids)
         assert unique
 
     def test_discovered_key_includes_discriminator(self, factbook):
         """(country, year) alone cannot key percentages: the key must
         carry something item-local, like the paper's ../trade_country."""
-        collection, store = factbook
-        key = discover_key(collection, store, PCT_PATH)
+        collection = factbook
+        key = discover_key(collection, PCT_PATH)
         assert any(component.startswith("..") for component in key)
 
     def test_unique_path_gets_document_key(self, factbook):
-        collection, store = factbook
-        key = discover_key(collection, store, "/country/year")
+        collection = factbook
+        key = discover_key(collection, "/country/year")
         assert key is not None
         unique, _ = key.verify_uniqueness(
-            collection, store, store.by_path("/country/year")
+            collection, collection.by_path("/country/year")
         )
         assert unique
 
     def test_missing_path_returns_none(self, factbook):
-        collection, store = factbook
-        assert discover_key(collection, store, "/nope/nothing") is None
+        collection = factbook
+        assert discover_key(collection, "/nope/nothing") is None
 
     def test_minimality(self, figure2_collection):
         """The search returns a smallest verified key: a single
         document-unique component when one suffices."""
-        store = NodeStore(figure2_collection)
-        key = discover_key(figure2_collection, store, "/country/year")
+        key = discover_key(figure2_collection, "/country/year")
         assert key is not None
         assert len(key) <= 2
 
 
 class TestProfiles:
     def test_numeric_profile(self, factbook):
-        collection, store = factbook
-        discoverer = FactDimensionDiscoverer(collection, store)
+        collection = factbook
+        discoverer = FactDimensionDiscoverer(collection)
         profiles = discoverer.profile_paths([PCT_PATH])
         profile = profiles[PCT_PATH]
         assert profile.numeric_ratio == 1.0
-        assert profile.count == len(store.by_path(PCT_PATH))
+        assert profile.count == len(collection.by_path(PCT_PATH))
 
     def test_categorical_profile(self, factbook):
-        collection, store = factbook
-        discoverer = FactDimensionDiscoverer(collection, store)
+        collection = factbook
+        discoverer = FactDimensionDiscoverer(collection)
         profiles = discoverer.profile_paths([TC_PATH])
         profile = profiles[TC_PATH]
         assert profile.numeric_ratio < 0.2
         assert profile.cardinality_ratio < 1.0
 
     def test_empty_paths_skipped(self, factbook):
-        collection, store = factbook
-        discoverer = FactDimensionDiscoverer(collection, store)
+        collection = factbook
+        discoverer = FactDimensionDiscoverer(collection)
         profiles = discoverer.profile_paths(
             ["/country/economy/import_partners"]
         )
@@ -91,8 +89,8 @@ class TestProfiles:
 
 class TestDiscovery:
     def test_percentage_discovered_as_fact(self, factbook):
-        collection, store = factbook
-        discoverer = FactDimensionDiscoverer(collection, store)
+        collection = factbook
+        discoverer = FactDimensionDiscoverer(collection)
         facts, _dims = discoverer.discover(
             paths=[PCT_PATH, TC_PATH, "/country/year"]
         )
@@ -100,11 +98,11 @@ class TestDiscovery:
         assert PCT_PATH in fact_paths
 
     def test_trade_country_discovered_as_dimension(self, factbook):
-        collection, store = factbook
+        collection = factbook
         # At the tiny test scale, partner names repeat less than at full
         # scale; loosen the cardinality threshold accordingly.
         discoverer = FactDimensionDiscoverer(
-            collection, store, dimension_cardinality=0.9
+            collection, dimension_cardinality=0.9
         )
         _facts, dims = discoverer.discover(
             paths=[PCT_PATH, TC_PATH, "/country/year"]
@@ -113,29 +111,29 @@ class TestDiscovery:
         assert TC_PATH in dim_paths
 
     def test_candidates_carry_verified_keys(self, factbook):
-        collection, store = factbook
-        discoverer = FactDimensionDiscoverer(collection, store)
+        collection = factbook
+        discoverer = FactDimensionDiscoverer(collection)
         facts, dims = discoverer.discover(
             paths=[PCT_PATH, TC_PATH]
         )
         for candidate in facts + dims:
-            node_ids = store.by_path(candidate.path)
+            node_ids = collection.by_path(candidate.path)
             unique, _ = candidate.key.verify_uniqueness(
-                collection, store, node_ids
+                collection, node_ids
             )
             assert unique
 
     def test_rare_paths_skipped(self, factbook):
-        collection, store = factbook
+        collection = factbook
         discoverer = FactDimensionDiscoverer(
-            collection, store, min_occurrences=10**6
+            collection, min_occurrences=10**6
         )
         facts, dims = discoverer.discover(paths=[PCT_PATH, TC_PATH])
         assert facts == [] and dims == []
 
     def test_register_installs_candidates(self, factbook):
-        collection, store = factbook
-        discoverer = FactDimensionDiscoverer(collection, store)
+        collection = factbook
+        discoverer = FactDimensionDiscoverer(collection)
         facts, dims = discoverer.discover(paths=[PCT_PATH, TC_PATH])
         registry = discoverer.register(Registry(), facts, dims)
         assert registry.facts or registry.dimensions
@@ -160,15 +158,15 @@ class TestDiscovery:
         from repro.summaries.connection import TreeConnection
         from repro.twig.complete import CompleteResultGenerator
 
-        collection, store = factbook
-        discoverer = FactDimensionDiscoverer(collection, store)
+        collection = factbook
+        discoverer = FactDimensionDiscoverer(collection)
         facts, dims = discoverer.discover(paths=[PCT_PATH, TC_PATH])
         registry = discoverer.register(Registry(), facts, dims)
 
         inverted, paths = IndexBuilder(collection).build()
-        matcher = TermMatcher(collection, inverted, paths, store)
+        matcher = TermMatcher(collection, inverted, paths)
         generator = CompleteResultGenerator(
-            collection, DataGraph(collection), store, matcher
+            collection, DataGraph(collection), matcher
         )
         query = Query.parse([("trade_country", "*"), ("percentage", "*")])
         item = "/country/economy/import_partners/item"
@@ -178,10 +176,10 @@ class TestDiscovery:
         )
         report = ResultMatcher(registry).match(table)
         assert report.facts
-        augmented = Augmenter(collection, store, registry).augment(
+        augmented = Augmenter(collection, registry).augment(
             table, report.facts, report.dimensions
         )
-        schema = TableExtractor(collection, store, registry).extract(
+        schema = TableExtractor(collection, registry).extract(
             augmented, report.facts,
             report.dimensions + augmented.auto_dimensions,
         )

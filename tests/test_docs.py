@@ -5,7 +5,8 @@ Three enforcement layers:
 * ``docs/API.md``'s python blocks are executed, top to bottom, in one
   shared namespace -- the walk-through *is* a test.
 * Consistency gates: every CLI subcommand must be documented in the
-  README, every ``docs/*.md`` cross-reference must resolve, and
+  README, every ``docs/*.md`` cross-reference must resolve, every
+  source file and ``repro.`` module the docs name must exist, and
   ``CHANGES.md`` must carry an entry for the sharding PR (the
   convention: every PR appends one line, so the next session knows
   what is done).
@@ -90,6 +91,55 @@ class TestCliReadmeConsistency:
                 assert (base / target).exists(), (
                     f"{source.name} links to missing {target}"
                 )
+
+    def test_named_source_files_exist(self):
+        """Every ``*.py`` path and ``src/repro/`` directory the docs
+        name exists -- under the repo root, under ``src/repro`` (the
+        docs' ``storage/snapshot.py`` shorthand), or beside the
+        document; a bare ``context.py`` somewhere under ``src/repro``
+        -- so deleting a module cannot leave the docs pointing at it."""
+        missing = []
+        for source in (ROOT / "README.md", *DOCS.glob("*.md")):
+            text = source.read_text(encoding="utf-8")
+            for name in re.findall(
+                r"(?<![\w./-])((?:\.\./)?[\w./-]+\.py|src/repro/[\w/]*)\b",
+                text,
+            ):
+                if "/" in name:
+                    found = any((base / name).exists()
+                                for base in (ROOT, SRC, source.parent))
+                else:
+                    found = any(SRC.rglob(name))
+                if not found:
+                    missing.append(f"{source.name}: {name}")
+        assert not missing, f"docs name missing files: {missing}"
+
+    def test_named_modules_exist(self):
+        """Every dotted ``repro.`` name in the docs resolves: its module
+        part to a file or package under ``src/repro``, and the first
+        name past the module to something that module's source
+        mentions."""
+        missing = []
+        for source in (ROOT / "README.md", *DOCS.glob("*.md")):
+            text = source.read_text(encoding="utf-8")
+            for dotted in set(re.findall(
+                r"(?<![\w.])repro(?:\.\w+)+", text
+            )):
+                module = SRC
+                for part in dotted.split(".")[1:]:
+                    if (module / part).is_dir():
+                        module = module / part
+                    elif (module / f"{part}.py").is_file():
+                        module = module / f"{part}.py"
+                    else:
+                        owner = (module / "__init__.py"
+                                 if module.is_dir() else module)
+                        if not re.search(
+                            rf"\b{part}\b", owner.read_text(encoding="utf-8")
+                        ):
+                            missing.append(f"{source.name}: {dotted}")
+                        break
+        assert not missing, f"docs name missing modules: {missing}"
 
     def test_docs_suite_is_present(self):
         for name in ("ARCHITECTURE.md", "OPERATIONS.md", "API.md"):

@@ -167,18 +167,16 @@ class TestKeyEdgeCases:
         from repro.cube.keys import KeyResolutionError, RelativeKey
 
         collection = small_factbook_seda.collection
-        store = small_factbook_seda.node_store
         key = RelativeKey(["../does_not_exist"])
-        node_id = store.by_path(
+        node_id = collection.by_path(
             "/country/economy/import_partners/item/percentage"
         )[0]
         with pytest.raises(KeyResolutionError):
-            key.resolve_nodes(collection, store, node_id)
+            key.resolve_nodes(collection, node_id)
 
     def test_augmentation_records_failures(self, figure2_collection):
         from repro.cube.augment import Augmenter
         from repro.cube.registry import Registry
-        from repro.storage.node_store import NodeStore
         from repro.query.term import Query
         from repro.twig.complete import ResultTable
 
@@ -187,14 +185,13 @@ class TestKeyEdgeCases:
             "broken",
             [("/country/economy/GDP", ["/country/missing_key_path"])],
         )
-        store = NodeStore(figure2_collection)
-        gdp_nodes = store.by_path("/country/economy/GDP")
+        gdp_nodes = figure2_collection.by_path("/country/economy/GDP")
         query = Query.parse([("GDP", "*")])
         table = ResultTable(
             query, {0: "/country/economy/GDP"},
             [(node_id,) for node_id in gdp_nodes], figure2_collection,
         )
-        augmented = Augmenter(figure2_collection, store, registry).augment(
+        augmented = Augmenter(figure2_collection, registry).augment(
             table, [registry.fact("broken")], []
         )
         assert augmented.failures

@@ -24,7 +24,6 @@ from repro.query.term import Query, QueryTerm
 from repro.search.naive import NaiveSearcher
 from repro.search.scoring import ScoringModel
 from repro.search.topk import TopKSearcher
-from repro.storage.node_store import NodeStore
 from repro.twig.pattern import TwigPattern
 from repro.twig.twigstack import NaiveTwigJoin, TwigStackJoin
 from repro.xmlio import serialize
@@ -80,9 +79,8 @@ def _random_collection(draw, min_documents=1, root_tag=None, max_depth=3):
 
 def _wire(collection):
     inverted, paths = IndexBuilder(collection).build()
-    store = NodeStore(collection)
-    matcher = TermMatcher(collection, inverted, paths, store)
-    return inverted, paths, store, matcher
+    matcher = TermMatcher(collection, inverted, paths)
+    return inverted, paths, matcher
 
 
 class TestCandidatesAgainstScan:
@@ -90,7 +88,7 @@ class TestCandidatesAgainstScan:
            st.sampled_from(["*", "a", "b"]))
     @settings(max_examples=60, deadline=None)
     def test_index_matches_definition3_scan(self, collection, word, context):
-        _inverted, _paths, _store, matcher = _wire(collection)
+        _inverted, _paths, matcher = _wire(collection)
         term = QueryTerm(context, word)
         candidates = set(matcher.candidates(term))
         # Brute force: direct-text containment + context check.
@@ -106,7 +104,7 @@ class TestCandidatesAgainstScan:
     @given(_random_collection())
     @settings(max_examples=40, deadline=None)
     def test_phrase_candidates_subset_of_word_candidates(self, collection):
-        _inverted, _paths, _store, matcher = _wire(collection)
+        _inverted, _paths, matcher = _wire(collection)
         phrase_term = QueryTerm("*", '"blue green"')
         word_term = QueryTerm("*", "blue")
         assert set(matcher.candidates(phrase_term)) <= set(
@@ -116,7 +114,7 @@ class TestCandidatesAgainstScan:
     @given(_random_collection(), st.sampled_from(["red", "blue"]))
     @settings(max_examples=40, deadline=None)
     def test_term_paths_match_candidate_paths(self, collection, word):
-        _inverted, _paths, _store, matcher = _wire(collection)
+        _inverted, _paths, matcher = _wire(collection)
         term = QueryTerm("*", word)
         from_index = matcher.term_paths(term)
         from_nodes = {
@@ -126,12 +124,12 @@ class TestCandidatesAgainstScan:
         assert from_index == from_nodes
 
 
-def _two_path_pattern(store):
+def _two_path_pattern(collection):
     """A twig over the two most frequent paths sharing a root, or
     ``None`` for a degenerate collection."""
     paths = sorted(
-        store.paths(),
-        key=lambda path: -len(store.by_path(path)),
+        collection.paths(),
+        key=lambda path: -len(collection.by_path(path)),
     )
     for i, first in enumerate(paths):
         for second in paths[i:]:
@@ -139,7 +137,7 @@ def _two_path_pattern(store):
                 continue
             root_path = "/" + first.split("/")[1]
             if first == second and (
-                first == root_path or len(store.by_path(first)) < 2
+                first == root_path or len(collection.by_path(first)) < 2
             ):
                 continue  # cannot bind two terms to one root node
             return TwigPattern.from_paths({0: first, 1: second})
@@ -164,14 +162,13 @@ class TestTwigEquivalence:
     @given(_random_collection())
     @settings(max_examples=50, deadline=None)
     def test_twigstack_equals_naive(self, collection):
-        store = NodeStore(collection)
-        pattern = _two_path_pattern(store)
+        pattern = _two_path_pattern(collection)
         if pattern is None:
             return  # degenerate collection; nothing to check
         fast = sorted(
-            TwigStackJoin(collection, store).match_tuples(pattern)
+            TwigStackJoin(collection).match_tuples(pattern)
         )
-        slow = sorted(NaiveTwigJoin(collection, store).match_tuples(pattern))
+        slow = sorted(NaiveTwigJoin(collection).match_tuples(pattern))
         assert fast == slow
 
 
@@ -181,11 +178,11 @@ class TestTwigEquivalenceWithCandidates:
     item of every stream before it joins."""
 
     @staticmethod
-    def _join(collection, store, pattern, candidates):
-        fast = sorted(TwigStackJoin(collection, store).match_tuples(
+    def _join(collection, pattern, candidates):
+        fast = sorted(TwigStackJoin(collection).match_tuples(
             pattern, candidate_streams=candidates
         ))
-        slow = sorted(NaiveTwigJoin(collection, store).match_tuples(
+        slow = sorted(NaiveTwigJoin(collection).match_tuples(
             pattern, candidate_streams=candidates
         ))
         assert fast == slow
@@ -194,8 +191,7 @@ class TestTwigEquivalenceWithCandidates:
     @given(_random_collection(min_documents=2, root_tag="a"), st.data())
     @settings(max_examples=60, deadline=None)
     def test_strict_document_subsets(self, collection, data):
-        store = NodeStore(collection)
-        pattern = _two_path_pattern(store)
+        pattern = _two_path_pattern(collection)
         if pattern is None:
             return
         document_ids = range(len(collection.documents))
@@ -206,13 +202,12 @@ class TestTwigEquivalenceWithCandidates:
                 min_size=1, max_size=len(document_ids) - 1,
             ))
             candidates[index] = _document_nodes(collection, chosen, data)
-        self._join(collection, store, pattern, candidates)
+        self._join(collection, pattern, candidates)
 
     @given(_random_collection(min_documents=2, root_tag="a"), st.data())
     @settings(max_examples=60, deadline=None)
     def test_disjoint_documents_match_nothing(self, collection, data):
-        store = NodeStore(collection)
-        pattern = _two_path_pattern(store)
+        pattern = _two_path_pattern(collection)
         if pattern is None:
             return
         document_ids = set(range(len(collection.documents)))
@@ -224,13 +219,12 @@ class TestTwigEquivalenceWithCandidates:
             0: _document_nodes(collection, first, data),
             1: _document_nodes(collection, document_ids - first, data),
         }
-        assert self._join(collection, store, pattern, candidates) == []
+        assert self._join(collection, pattern, candidates) == []
 
     @given(_random_collection(), st.integers(0, 1))
     @settings(max_examples=40, deadline=None)
     def test_empty_candidate_set_matches_nothing(self, collection, empty):
-        store = NodeStore(collection)
-        pattern = _two_path_pattern(store)
+        pattern = _two_path_pattern(collection)
         if pattern is None:
             return
         candidates = {
@@ -239,7 +233,7 @@ class TestTwigEquivalenceWithCandidates:
             ]
             for index in pattern.term_indexes()
         }
-        assert self._join(collection, store, pattern, candidates) == []
+        assert self._join(collection, pattern, candidates) == []
 
 
 class TestTopKEquivalence:
@@ -247,7 +241,7 @@ class TestTopKEquivalence:
            st.sampled_from([["red"], ["red", "blue"], ["blue", "green"]]))
     @settings(max_examples=40, deadline=None)
     def test_ta_scores_equal_naive_scores(self, collection, words):
-        inverted, _paths, _store, matcher = _wire(collection)
+        inverted, _paths, matcher = _wire(collection)
         graph = DataGraph(collection)
         scoring = ScoringModel(collection, inverted, graph)
         topk = TopKSearcher(matcher, scoring)
@@ -279,7 +273,7 @@ class TestTopKEquivalence:
         """Two to four terms (a term may repeat: its nodes must still be
         distinct) under the ranking ablation's weights: the top-k
         answer is the exhaustive one, scores and order to the bit."""
-        inverted, _paths, _store, matcher = _wire(collection)
+        inverted, _paths, matcher = _wire(collection)
         self._assert_equals_naive(
             collection, inverted, matcher, DataGraph(collection),
             Query.parse(pairs), weights, k,
@@ -298,7 +292,7 @@ class TestTopKEquivalence:
         With three or more terms the searcher misses tuples whose
         members are linked only through the first member's document
         (ROADMAP item 11, the strict xfail in ``test_search.py``)."""
-        inverted, _paths, _store, matcher = _wire(collection)
+        inverted, _paths, matcher = _wire(collection)
         graph = DataGraph(collection)
         paths = sorted(collection.paths())
         primary = data.draw(st.sampled_from(paths))
@@ -342,7 +336,7 @@ class TestTopKEquivalence:
         """The impact stream must carry exactly the scores a
         seed-style recomputation (re-analyzing each node's direct text)
         would produce -- same floats, impact-sorted."""
-        inverted, _paths, _store, matcher = _wire(collection)
+        inverted, _paths, matcher = _wire(collection)
         graph = DataGraph(collection)
         scoring = ScoringModel(collection, inverted, graph)
         searcher = TopKSearcher(matcher, scoring)
@@ -371,7 +365,7 @@ class TestTopKEquivalence:
     @given(_random_collection())
     @settings(max_examples=30, deadline=None)
     def test_results_satisfy_definition_4(self, collection):
-        inverted, _paths, _store, matcher = _wire(collection)
+        inverted, _paths, matcher = _wire(collection)
         graph = DataGraph(collection)
         scoring = ScoringModel(collection, inverted, graph)
         topk = TopKSearcher(matcher, scoring)

@@ -384,10 +384,9 @@ class TestVersionedCaches:
 def _wire_collection(collection):
     """Matcher + graph over a hand-built collection."""
     from repro.query.matcher import TermMatcher
-    from repro.storage.node_store import NodeStore
 
     inverted, paths = IndexBuilder(collection).build()
-    matcher = TermMatcher(collection, inverted, paths, NodeStore(collection))
+    matcher = TermMatcher(collection, inverted, paths)
     return matcher, DataGraph(collection)
 
 

@@ -158,18 +158,19 @@ class TestComponentRoundTrips:
         )
 
     def test_node_store(self, seda, loaded):
-        # Not a snapshot record: the loaded system rebuilds it from the
-        # restored collection and must answer exactly as the built one.
-        restored = loaded.node_store
-        assert restored.tags() == seda.node_store.tags()
-        assert restored.paths() == seda.node_store.paths()
-        for tag in seda.node_store.tags():
-            assert restored.by_tag(tag) == seda.node_store.by_tag(tag)
-        for path in seda.node_store.paths():
-            assert restored.by_path(path) == seda.node_store.by_path(path)
-        root = seda.collection.document(0).root
+        # Not a snapshot record: the loaded collection refills its node
+        # table as it restores each document and must answer exactly as
+        # the built one.
+        restored, built = loaded.collection, seda.collection
+        assert restored.tags() == built.tags()
+        assert restored.paths() == built.paths()
+        for tag in built.tags():
+            assert restored.by_tag(tag) == built.by_tag(tag)
+        for path in built.paths():
+            assert restored.by_path(path) == built.by_path(path)
+        root = built.document(0).root
         assert restored.descendants_in_path(root.node_id, TC_PATH) == (
-            seda.node_store.descendants_in_path(root.node_id, TC_PATH)
+            built.descendants_in_path(root.node_id, TC_PATH)
         )
 
     def test_dataguides(self, seda):

@@ -1,80 +1,76 @@
-"""Node store streams, catalog statistics."""
+"""The collection's node table (Dewey-ordered node streams), catalog
+statistics."""
 
 from repro.storage.catalog import CollectionCatalog
-from repro.storage.node_store import NodeStore
 
 
 class TestNodeStore:
+    """Per-tag and per-path node streams read off the collection."""
+
     def test_by_tag_dewey_order(self, figure2_collection):
-        store = NodeStore(figure2_collection)
-        items = store.by_tag("item")
+        collection = figure2_collection
+        items = collection.by_tag("item")
         keys = [
-            (figure2_collection.node(i).doc_id, figure2_collection.node(i).dewey)
+            (collection.node(i).doc_id, collection.node(i).dewey)
             for i in items
         ]
         assert keys == sorted(keys)
         assert len(items) == 7  # 3 usa-2006, 1 usa-2002, 3 mexico-2003
         # Every stream, attributes included, is in (doc_id, dewey)
-        # order: the store keeps node ids in allocation order.
-        figure2_collection.add_document(
+        # order: the collection keeps node ids in allocation order.
+        collection.add_document(
             '<country code="mx"><name lang="es">Mexico</name><item/></country>'
         )
-        store.refresh()
-        for ids in ([store.by_tag(tag) for tag in store.tags()]
-                    + [store.by_path(path) for path in store.paths()]):
-            assert ids == store.sort_dewey(ids)
+        for ids in ([collection.by_tag(tag) for tag in collection.tags()]
+                    + [collection.by_path(path)
+                       for path in collection.paths()]):
+            assert ids == sorted(ids)
 
     def test_by_path(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         path = "/country/economy/import_partners/item/percentage"
-        assert len(store.by_path(path)) == 5
+        assert len(figure2_collection.by_path(path)) == 5
 
     def test_unknown_tag_empty(self, figure2_collection):
-        store = NodeStore(figure2_collection)
-        assert store.by_tag("nope") == []
+        assert figure2_collection.by_tag("nope") == []
 
     def test_reads_of_unknown_keys_insert_nothing(self, figure2_collection):
-        """Only ``refresh`` adds keys, so concurrent readers never see
-        the tables grow under them."""
-        store = NodeStore(figure2_collection)
-        tags, paths = store.tags(), store.paths()
-        root = figure2_collection.document(0).root
-        assert store.by_tag("nope") == []
-        assert store.by_path("/no/such/path") == []
-        assert store.descendants_in_path(root.node_id, "/no/such") == []
-        assert (store.tags(), store.paths()) == (tags, paths)
+        """Only registering a document adds keys, so concurrent readers
+        never see the tables grow under them."""
+        collection = figure2_collection
+        tags, paths = collection.tags(), collection.paths()
+        root = collection.document(0).root
+        assert collection.by_tag("nope") == []
+        assert collection.by_path("/no/such/path") == []
+        assert collection.descendants_in_path(root.node_id, "/no/such") == []
+        assert (collection.tags(), collection.paths()) == (tags, paths)
+        assert collection.path_occurrences("/no/such/path") == 0
+        assert collection.path_document_frequency("/no/such/path") == 0
 
     def test_refresh_picks_up_new_documents(self, figure2_collection):
-        store = NodeStore(figure2_collection)
-        before = len(store.by_tag("country"))
+        before = len(figure2_collection.by_tag("country"))
         figure2_collection.add_document("<country>Narnia</country>")
-        store.refresh()
-        assert len(store.by_tag("country")) == before + 1
+        assert len(figure2_collection.by_tag("country")) == before + 1
 
     def test_descendants_in_path(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         root = figure2_collection.document(0).root
         path = "/country/economy/import_partners/item/trade_country"
-        descendants = store.descendants_in_path(root.node_id, path)
+        descendants = figure2_collection.descendants_in_path(
+            root.node_id, path
+        )
         assert len(descendants) == 2
         values = {figure2_collection.node(d).value for d in descendants}
         assert values == {"China", "Canada"}
 
     def test_descendants_scoped_to_subtree(self, figure2_collection):
-        store = NodeStore(figure2_collection)
         document = figure2_collection.document(0)
         import_partners = next(
             node for node in document.nodes if node.tag == "import_partners"
         )
         path = "/country/economy/import_partners/item/percentage"
-        under = store.descendants_in_path(import_partners.node_id, path)
+        under = figure2_collection.descendants_in_path(
+            import_partners.node_id, path
+        )
         assert len(under) == 2  # not the export percentage
-
-    def test_sort_dewey(self, figure2_collection):
-        store = NodeStore(figure2_collection)
-        ids = [node.node_id for node in figure2_collection.iter_nodes()]
-        shuffled = list(reversed(ids))
-        assert store.sort_dewey(shuffled) == ids
 
 
 class TestCatalog:

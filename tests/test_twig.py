@@ -7,7 +7,6 @@ from repro.datasets.factbook import FactbookGenerator
 from repro.model.graph import DataGraph
 from repro.model.links import LinkDiscoverer, ValueLinkSpec
 from repro.query.term import Query
-from repro.storage.node_store import NodeStore
 from repro.summaries.connection import LinkConnection, TreeConnection
 from repro.system import Seda
 from repro.twig.complete import CompleteResultGenerator
@@ -51,10 +50,9 @@ class TestTwigPattern:
 
 @pytest.fixture
 def joiners(figure2_collection):
-    store = NodeStore(figure2_collection)
     return (
-        TwigStackJoin(figure2_collection, store),
-        NaiveTwigJoin(figure2_collection, store),
+        TwigStackJoin(figure2_collection),
+        NaiveTwigJoin(figure2_collection),
     )
 
 
@@ -119,9 +117,8 @@ def complete_generator(figure2_collection, figure2_matcher):
     LinkDiscoverer(graph).apply_value_links([
         ValueLinkSpec("/country", TC_PATH, label="trade partner"),
     ])
-    store = NodeStore(figure2_collection)
     return CompleteResultGenerator(
-        figure2_collection, graph, store, figure2_matcher
+        figure2_collection, graph, figure2_matcher
     ), graph
 
 
